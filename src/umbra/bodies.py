@@ -340,6 +340,10 @@ class ConcaveChart:
     ``|grad phi(y') - grad phi(z')| <= L |y' - z'|^alpha`` and a uniform
     concavity modulus
     ``<grad phi(y') - grad phi(z'), y' - z'> <= -theta |y' - z'|^2``.
+
+    ``hessian`` (and ``hess_phi``, when given) takes a point ``(m,)`` and
+    returns ``(m, m)``, or a stack ``(N, m)`` and returns ``(N, m, m)``; a
+    stack raises the error its first bad row raises as a point.
     """
 
     dim_domain: int
@@ -357,7 +361,7 @@ class ConcaveChart:
             raise ParameterError("domain_radius must be positive")
 
     def _check_domain(self, xp: np.ndarray):
-        if np.linalg.norm(xp) >= self.domain_radius:
+        if float(np.dot(xp, xp)) >= self.domain_radius * self.domain_radius:
             raise DomainError(
                 f"point at radius {np.linalg.norm(xp):.3g} outside chart domain "
                 f"{self.domain_radius:.3g}"
@@ -374,12 +378,25 @@ class ConcaveChart:
         return np.asarray(self.grad_phi(xp), float)
 
     def hessian(self, xp) -> np.ndarray:
+        """Hessian at a point ``(m,)``, or Hessians ``(N, m, m)`` at a stack
+        ``(N, m)``."""
         xp = np.atleast_1d(np.asarray(xp, float))
+        m = self.dim_domain
+        if xp.ndim == 2:
+            if self.hess_phi is None:
+                return np.array([self.hessian(x) for x in xp]).reshape(len(xp), m, m)
+            r2 = self.domain_radius * self.domain_radius
+            outside = np.flatnonzero(np.einsum("ij,ij->i", xp, xp) >= r2)
+            if outside.size:
+                k = outside[0]
+                if k:
+                    self.hessian(xp[:k])  # earlier rows raise their own errors first
+                self._check_domain(xp[k])
+            return np.asarray(self.hess_phi(xp), float)
         self._check_domain(xp)
         if self.hess_phi is not None:
             return np.asarray(self.hess_phi(xp), float)
         h = 1e-6 * self.domain_radius
-        m = self.dim_domain
         H = np.empty((m, m))
         for j in range(m):
             dx = np.zeros(m)
@@ -480,6 +497,50 @@ def _quadric_fiber_root(quad, xp, s_max):
     return root
 
 
+def _quadric_fiber_gradients(quad, xp, r, s_max):
+    """Chart-frame gradients ``2 Ac (v - cc)`` of a quadric G at the graph
+    points above the rows of ``xp`` ``(N, m)``, in one vectorised pass.
+
+    Also returns which rows pass the point path's checks: inside the domain
+    radius ``r``, a fiber that meets the body, a root within ``s_max`` and
+    the boundary tolerance, and a transversal fiber.
+    """
+    Ac, cc, rhs = quad
+    d = np.empty((xp.shape[0], cc.shape[0]))
+    d[:, :-1] = xp
+    d[:, -1] = 0.0
+    d -= cc
+    Ad = d @ Ac
+    a2, a1 = Ac[-1, -1], Ad[:, -1]
+    a0 = np.einsum("ij,ij->i", d, Ad) - rhs
+    disc = a1 * a1 - a2 * a0
+    sq = np.sqrt(disc)  # NaN where the fiber misses the body: fails the range check
+    # cancellation-free upper root
+    root = np.where(a1 > 0, -a0 / (a1 + sq), (sq - a1) / a2)
+    d[:, -1] += root
+    gc = 2.0 * (d @ Ac)
+    ok = (
+        (np.einsum("ij,ij->i", xp, xp) < r * r)
+        & (np.abs(root) <= s_max)
+        & (np.abs(a0 + root * (2.0 * a1 + a2 * root)) <= TOL_BOUNDARY)
+        & (gc[:, -1] > 0)
+    )
+    return gc, ok
+
+
+def _graph_hessian(gc, Hc):
+    """Hessian ``-(A + b f1^T + f1 b^T + c f1 f1^T) / g_n`` of the graph
+    ``x_n = phi(x')`` of ``{G = 0}``, where ``gc = grad G`` and
+    ``Hc = [[A, b], [b^T, c]] = hess G`` at the graph point and
+    ``f1 = -gc[:-1] / g_n = grad phi``.  Leading axes broadcast over stacks.
+    """
+    gn = gc[..., -1:, None]
+    f1 = -gc[..., None, :-1] / gn  # row vector
+    bf = Hc[..., :-1, -1:] * f1
+    f1f1 = np.swapaxes(f1, -1, -2) * f1
+    return -(Hc[..., :-1, :-1] + bf + np.swapaxes(bf, -1, -2) + Hc[..., -1:, -1:] * f1f1) / gn
+
+
 def chart_at(
     body: ImplicitBody,
     p,
@@ -492,6 +553,9 @@ def chart_at(
     ``+e_n``; phi is the upper root of G along each vertical fiber.  Bodies
     carrying ``quadric`` solve that root, and take the derivatives of G, in
     closed form; other bodies use safeguarded Newton root-finding.
+    ``hess_phi`` takes a point ``(m,)`` or a stack ``(N, m)`` and returns
+    ``(m, m)`` or ``(N, m, m)``: quadric charts evaluate a stack in one
+    vectorised pass, other charts row by row.
     ``tangent_hint`` forces the (n-1)-st tangent axis to the (normalized,
     tangentially projected) hint direction.
 
@@ -649,17 +713,24 @@ def chart_at(
 
     hess_phi = None
     if quad is not None or body.has_analytic_hessian:
+        m = n - 1
 
         def hess_phi(xp):
+            xp = np.asarray(xp, float)
+            if xp.ndim == 2:
+                if quad is None:
+                    return np.array([hess_phi(x) for x in xp]).reshape(len(xp), m, m)
+                # rows failing the checks may hold NaN or divide by zero
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    gc, ok = _quadric_fiber_gradients(quad, xp, r_dom, 2.0 * body.bounding_radius + r_dom)
+                    H = _graph_hessian(gc, H2)
+                for k in np.flatnonzero(~ok):
+                    H[k] = hess_phi(xp[k])  # the point path raises this row's error
+                return H
             gc, Hc = frame_derivatives(xp, True)
-            gn = gc[-1]
-            if gn <= 0:
+            if gc[-1] <= 0:
                 raise ChartError("chart Hessian degenerate: fiber is not transversal")
-            f1 = -gc[:-1] / gn
-            A = Hc[:-1, :-1]
-            b = Hc[:-1, -1]
-            H = A + np.outer(b, f1) + np.outer(f1, b) + Hc[-1, -1] * np.outer(f1, f1)
-            return -H / gn
+            return _graph_hessian(gc, Hc)
 
     return ConcaveChart(
         dim_domain=body.dim - 1,

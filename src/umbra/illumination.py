@@ -83,7 +83,7 @@ def shadow_horizon_point(body, u, rng=None) -> np.ndarray:
     """
     from .bodies import boundary_point_along  # local import to avoid cycle noise
 
-    d = u if isinstance(u, Direction) else Direction.normalized(u)
+    d = _as_direction(u if isinstance(u, Direction) else Direction.normalized(u), body.dim)
     rng = np.random.default_rng(rng)
     lit = boundary_point_along(body, d.u)
     unlit = boundary_point_along(body, -d.u)
@@ -176,7 +176,8 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
     grad_a = lambda z: Q.T @ np.asarray(chart.grad_phi(Q @ z), float)
     hess_a = None
     if chart.hess_phi is not None:
-        hess_a = lambda z: Q.T @ np.asarray(chart.hess_phi(Q @ z), float) @ Q
+        # z @ Q.T maps a point or each row of a stack to Q z
+        hess_a = lambda z: Q.T @ np.asarray(chart.hess_phi(z @ Q.T), float) @ Q
 
     pose = None
     if chart.pose is not None and (m > 1 or Q[0, 0] > 0):

@@ -17,6 +17,7 @@ from .bodies import ConcaveChart
 from .errors import FlatCurveError, ParameterError
 
 ALPHA_CAP = 1.5  # fits steeper than this saturate the Hoelder reading
+CHART_BLOCK = 1024  # rows per stacked chart Hessian in chart_constants; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,9 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
         n_occ = []
         for off in offsets:
             idx = np.floor((pts - (lo - off * eps)) / eps).astype(np.int64)
-            n_occ.append(len(np.unique(idx, axis=0)))
+            # occupied boxes: one plus the number of changes between sorted rows
+            idx = idx[np.lexsort(idx.T)]
+            n_occ.append(1 + np.count_nonzero(np.any(idx[1:] != idx[:-1], axis=1)))
         counts.append(float(np.mean(n_occ)))
     counts = np.array(counts)
 
@@ -225,28 +228,34 @@ def chart_constants(
 ):
     """Gradient-Lipschitz constant L and concavity modulus theta of a chart.
 
-    Both come from Hessian eigenvalue bounds sampled over the chart domain:
-    L bounds the spectral norm, theta the uniform concavity
-    ``<grad phi(y) - grad phi(z), y - z> <= -theta |y - z|^2``.  Raises when
-    the sampled Hessians are not negative definite.
+    Both come from Hessian eigenvalue bounds sampled uniformly over the disc
+    of radius ``radius_frac * domain_radius``: L bounds the spectral norm,
+    theta the uniform concavity
+    ``<grad phi(y) - grad phi(z), y - z> <= -theta |y - z|^2``.  The samples
+    are evaluated as stacks of ``CHART_BLOCK`` rows.  Raises when the sampled
+    Hessians are not negative definite.
     """
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0.0 < radius_frac <= 1.0:
+        raise ParameterError(f"radius_frac must lie in (0, 1], got {radius_frac}")
     rng = np.random.default_rng(rng)
     m = chart.dim_domain
+    z = rng.normal(size=(n_samples, m))
+    radius = rng.random(n_samples) ** (1.0 / m) * radius_frac * chart.domain_radius
+    z *= (radius / np.linalg.norm(z, axis=1))[:, None]
     L = 0.0
     theta = math.inf
-    for _ in range(n_samples):
-        z = rng.normal(size=m)
-        z *= rng.random() ** (1.0 / m) * radius_frac * chart.domain_radius / np.linalg.norm(z)
-        H = chart.hessian(z)
-        if m == 2:
-            half_tr = 0.5 * (H[0, 0] + H[1, 1])
-            gap = math.hypot(0.5 * (H[0, 0] - H[1, 1]), H[0, 1])
-            ev_min, ev_max = half_tr - gap, half_tr + gap
-        else:
-            ev = np.linalg.eigvalsh(H)
-            ev_min, ev_max = float(ev[0]), float(ev[-1])
-        L = max(L, abs(ev_min), abs(ev_max))
-        theta = min(theta, -ev_max)
+    for start in range(0, n_samples, CHART_BLOCK):
+        block = z[start : start + CHART_BLOCK]
+        H = chart.hessian(block)
+        if H.shape != (len(block), m, m):
+            raise ParameterError(
+                f"chart Hessian of a ({len(block)}, {m}) stack has shape {H.shape}"
+            )
+        ev = np.linalg.eigvalsh(H)
+        L = max(L, float(np.abs(ev).max()))
+        theta = min(theta, float(-ev[:, -1].max()))
     if theta <= 0:
         raise ParameterError(
             f"chart is not uniformly concave on samples (theta = {theta:.3g})"

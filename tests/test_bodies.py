@@ -23,6 +23,8 @@ from umbra.errors import (
     ParameterError,
     SpecError,
 )
+from umbra.illumination import align_chart
+from umbra.projection import barrier_chart
 
 import oracles
 
@@ -262,6 +264,89 @@ def test_quadric_chart_raises_like_iterative_chart(n):
             for query in (ch.value, ch.gradient, ch.hessian):
                 with pytest.raises(ChartError):
                     query(outside)
+
+
+def _stack_cases():
+    """Charts covering every way a chart Hessian is evaluated."""
+    rng = np.random.default_rng(60)
+    cases = []
+    for n in (2, 3, 4):
+        ell = _posed_quadrics(rng, n)[0]
+        cases.append(pytest.param(chart_at(ell, sample_boundary_points(ell, rng, 1)[0]), id=f"ellipsoid-n{n}"))
+    kis = chart_at(bodies.kiselman(3), [0.0, 0.0, 0.0], domain_radius=0.48)
+    cases.append(pytest.param(kis, id="kiselman"))
+    cap = bodies.paraboloid_cap(1.5, 0.8)
+    cases.append(pytest.param(chart_at(cap, sample_boundary_points(cap, rng, 1)[0]), id="paraboloid_cap"))
+    cone = bodies.cone_over_circle()
+    p = bodies.boundary_point_along(cone, [0.05, -0.25, 0.17])
+    fd = chart_at(replace(cone, hessian=None), p)
+    assert not fd.has_hessian
+    cases.append(pytest.param(fd, id="cone_over_circle-finite-differences"))
+    ell = _posed_quadrics(rng, 3)[0]
+    ell_ch = chart_at(ell, sample_boundary_points(ell, rng, 1)[0])
+    cases.append(pytest.param(align_chart(ell_ch, [0.6, 0.0, 0.8]).chart, id="align_chart"))
+    cases.append(pytest.param(barrier_chart(ell_ch, 0.7), id="barrier_chart"))
+    return cases
+
+
+@pytest.mark.parametrize("chart", _stack_cases())
+def test_stacked_chart_hessian_matches_points(chart):
+    rng = np.random.default_rng(70)
+    m = chart.dim_domain
+    z = rng.normal(size=(40, m))
+    z *= (rng.random(40) * 0.9 * chart.domain_radius / np.linalg.norm(z, axis=1))[:, None]
+    stacked = chart.hessian(z)
+    assert stacked.shape == (40, m, m)
+    for zi, Hi in zip(z, stacked):
+        H = chart.hessian(zi)
+        assert np.abs(Hi - H).max() <= 1e-12 * max(1.0, float(np.abs(H).max()))
+    assert chart.hessian(z[:0]).shape == (0, m, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chart_hessian_matches_gradient_differences(n):
+    # the graph-Hessian assembly against central differences of grad phi
+    rng = np.random.default_rng(90 + n)
+    for body in _posed_quadrics(rng, n):
+        for b in (body, replace(body, quadric=None)):
+            ch = chart_at(b, sample_boundary_points(body, rng, 1)[0])
+            z = rng.normal(size=(5, n - 1))
+            z *= (0.8 * ch.domain_radius / np.linalg.norm(z, axis=1))[:, None]
+            h = 1e-5 * ch.domain_radius
+            for zi, H in zip(z, ch.hessian(z)):
+                fd = np.column_stack([
+                    (ch.gradient(zi + h * e) - ch.gradient(zi - h * e)) / (2 * h)
+                    for e in np.eye(n - 1)
+                ])
+                assert np.abs(H - fd).max() <= 1e-6 * max(1.0, float(np.abs(H).max()))
+
+
+def _error_of(fn, arg):
+    with pytest.raises((ChartError, DomainError)) as info:
+        fn(arg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_chart_hessian_raises_like_points(n):
+    # a stack raises what its first bad row raises as a point, through the
+    # chart and through hess_phi directly, on the closed form and iterative path
+    rng = np.random.default_rng(80 + n)
+    for body in _posed_quadrics(rng, n):
+        p = sample_boundary_points(body, rng, 1)[0]
+        good = np.zeros(n - 1)
+        miss = np.zeros(n - 1)
+        miss[0] = 3.0 * body.bounding_radius  # fiber misses the body
+        outside = np.zeros(n - 1)
+        outside[-1] = 5.0 * body.bounding_radius  # beyond the wide domain
+        for b in (body, replace(body, quadric=None)):
+            ch = chart_at(b, p, domain_radius=4.0 * body.bounding_radius)
+            for fn in (ch.hessian, ch.hess_phi):
+                for bad in ((miss, outside), (outside, miss)):
+                    stack = np.array([good, good, *bad])
+                    assert _error_of(fn, stack) == _error_of(fn, bad[0])
+                assert _error_of(fn, np.array([good, miss]))[0] is ChartError
+                assert _error_of(fn, np.array([good, outside]))[0] is DomainError
 
 
 def test_quadric_field_reproduces_oracles(rng):

@@ -57,6 +57,14 @@ def test_shadow_zero_direction(ell_spec):
     assert main(["shadow", ell_spec, "--u", "0", "0", "0"]) == 1
 
 
+def test_shadow_direction_dimension_mismatch(tmp_path, capsys):
+    spec = write_spec(tmp_path, "ell2.json", {"family": "ellipsoid", "params": {"semiaxes": [2.0, 1.0]}})
+    assert main(["shadow", spec, "--u", "1", "0", "0", "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_shadow_unknown_spec_fields(tmp_path):
     bad = write_spec(
         tmp_path, "bad.json", {"family": "ellipsoid", "params": {"semiaxes": [1, 1, 1]}, "x": 5}

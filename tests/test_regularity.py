@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,23 @@ def test_box_dimension_subset_monotone(rng):
     assert sub.d_hat <= full.d_hat + 0.1
 
 
+def test_box_dimension_counts_distinct_boxes():
+    # coarse grid values with many repeated rows, negative coordinates and
+    # boxes that differ in one axis only, counted against a set of tuples
+    rng = np.random.default_rng(5)
+    pts = np.round(rng.normal(size=(3000, 3)), 1) - 2.0
+    scales = [0.05, 0.1, 0.3, 0.7, 2.0]
+    est = box_dimension(pts, scales, rng=9)
+    offsets = np.random.default_rng(9).random((4, 3))
+    lo = pts.min(axis=0)
+    for eps, count in zip(scales, est.counts):
+        boxes = [
+            len({tuple(row) for row in np.floor((pts - (lo - off * eps)) / eps).astype(np.int64)})
+            for off in offsets
+        ]
+        assert count == np.mean(boxes)
+
+
 def test_box_dimension_parameter_errors():
     pts = np.random.default_rng(0).normal(size=(150, 2))
     with pytest.raises(ParameterError):
@@ -224,8 +242,40 @@ def test_chart_constants_require_uniform_concavity():
         dim_domain=2,
         phi=lambda z: 0.0,
         grad_phi=lambda z: np.zeros(2),
-        hess_phi=lambda z: np.zeros((2, 2)),
+        hess_phi=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2)),
         domain_radius=1.0,
     )
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="uniformly concave"):
         chart_constants(flat, n_samples=100, rng=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chart_constants_ball_closed_form(n):
+    # the ball chart phi = sqrt(rho^2 - |x|^2) - rho has Hessian eigenvalues
+    # -1/s and -rho^2/s^3 with s = sqrt(rho^2 - |x|^2)
+    rho = 1.7
+    pose = bodies.Pose(oracles.random_rotation(np.random.default_rng(n), n), np.arange(n, dtype=float))
+    ball = bodies.translated_ball(np.zeros(n), rho, pose)
+    p = pose.to_world(np.append(np.zeros(n - 1), rho))
+    r_dom = 0.6 * rho
+    ch = chart_at(ball, p, domain_radius=r_dom)
+    L, theta = chart_constants(ch, n_samples=2000, rng=n)
+    r_max = 0.95 * r_dom
+    assert 1.0 / rho <= theta <= 1.01 / rho
+    assert L <= rho**2 / (rho**2 - r_max**2) ** 1.5
+    # stacked closed form against the row-by-row iterative chart
+    L_it, theta_it = chart_constants(
+        chart_at(replace(ball, quadric=None), p, domain_radius=r_dom), n_samples=2000, rng=n
+    )
+    assert L == pytest.approx(L_it, rel=1e-12)
+    assert theta == pytest.approx(theta_it, rel=1e-12)
+
+
+def test_chart_constants_parameter_errors():
+    ch = chart_at(bodies.translated_ball([0.0, 0.0, 0.0], 1.0), [0.0, 0.0, -1.0], domain_radius=0.6)
+    for kwargs in ({"n_samples": 0}, {"radius_frac": 0.0}, {"radius_frac": 1.5}):
+        with pytest.raises(ParameterError):
+            chart_constants(ch, rng=0, **kwargs)
+    pointwise = replace(ch, hess_phi=lambda z: -np.eye(2))  # ignores the stack
+    with pytest.raises(ParameterError, match="shape"):
+        chart_constants(pointwise, n_samples=10, rng=0)
