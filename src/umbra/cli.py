@@ -135,40 +135,25 @@ def cmd_project(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
 
-    rank_failed = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             start = projection.solve_boundary_point(omega, lam, seed, tol=args.tol_root)
             trace = projection.trace_boundary(
-                omega, lam, start, step=step, max_steps=args.max_steps, tol=args.tol_root
+                omega,
+                lam,
+                start,
+                step=step,
+                max_steps=args.max_steps,
+                tol=args.tol_root,
+                rank_tol=args.sigma_fail_tol,
             )
         except RankDeficiencyError as exc:
-            rank_failed = str(exc)
-            trace = None
+            print(f"error: rank deficiency: {exc}", file=sys.stderr)
+            return EXIT_RANK
         except (NoConvergenceError, UmbraError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_EMPTY
-
-    if trace is not None:
-        sigma_rel = [
-            p.sigma_min
-            / max(
-                np.linalg.svd(
-                    projection.boundary_jacobian(omega, lam, p.state), compute_uv=False
-                )[0],
-                1e-300,
-            )
-            for p in trace.points
-        ]
-        if min(sigma_rel) < args.sigma_fail_tol:
-            rank_failed = (
-                f"sigma_min/sigma_max fell to {min(sigma_rel):.3g} along the trace"
-            )
-
-    if rank_failed is not None:
-        print(f"error: rank deficiency: {rank_failed}", file=sys.stderr)
-        return EXIT_RANK
 
     trace.to_csv(args.out)
     meta = {

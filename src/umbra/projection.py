@@ -53,7 +53,7 @@ FD_CONSISTENCY_TOL = 1e-3
 # elementary projection operations
 
 
-def _tangential_descent_projection(body: ImplicitBody, x, y0, max_iter: int = 400):
+def _tangential_descent_projection(body: ImplicitBody, x, y0):
     """Nearest-point fallback needing only boundary re-rooting.
 
     Walks the boundary (radial re-rooting keeps iterates on it, the body
@@ -67,7 +67,7 @@ def _tangential_descent_projection(body: ImplicitBody, x, y0, max_iter: int = 40
     scale = max(1.0, body.bounding_radius)
     step = 0.25 * scale
     it = 0
-    while step > 1e-12 * scale and it < max_iter:
+    while step > 1e-12 * scale and it < 400:
         it += 1
         d = x - y
         g = body.gradient_at(y)
@@ -93,7 +93,7 @@ def _tangential_descent_projection(body: ImplicitBody, x, y0, max_iter: int = 40
     return y
 
 
-def project_point(body: ImplicitBody, x, tol: float = TOL_ROOT) -> np.ndarray:
+def project_point(body: ImplicitBody, x) -> np.ndarray:
     """Nearest point of the body to ``x`` (unique by convexity).
 
     Solves the stationarity system ``F(y) = 0``, ``x - y = s grad F(y)`` with
@@ -112,6 +112,7 @@ def project_point(body: ImplicitBody, x, tol: float = TOL_ROOT) -> np.ndarray:
         raise InteriorPointError("point lies inside the body; projection is itself")
 
     n = body.dim
+    tol = TOL_ROOT
     y = boundary_point_along(body, x - body.center)
     g = body.gradient_at(y)
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
@@ -163,15 +164,13 @@ def project_point(body: ImplicitBody, x, tol: float = TOL_ROOT) -> np.ndarray:
     return y
 
 
-def first_hitting_time(
-    body: ImplicitBody, y, nu, t_max: float | None = None, n_march: int = 64
-) -> float | None:
+def first_hitting_time(body: ImplicitBody, y, nu) -> float | None:
     """Smallest t >= 0 with ``y + t nu`` on the body boundary, or None.
 
-    Coarse march for the common transversal hit, then an exact grazing
+    Coarse 64-step march for the common transversal hit, then an exact grazing
     check: G is convex along the ray, so its minimum is found by ternary
     search and the ray misses exactly when that minimum is positive.  The
-    march spans twice the bounding span unless ``t_max`` is given.
+    march spans twice the bounding span.
     """
     y = np.asarray(y, float)
     nu = np.asarray(nu, float)
@@ -181,8 +180,7 @@ def first_hitting_time(
     nu = nu / nn
     if body.value_at(y) < -TOL_BOUNDARY * max(1.0, body.bounding_radius):
         raise ParameterError("ray origin lies inside the body")
-    if t_max is None:
-        t_max = 2.0 * (float(np.linalg.norm(y - body.center)) + body.bounding_radius)
+    t_max = 2.0 * (float(np.linalg.norm(y - body.center)) + body.bounding_radius)
 
     g = lambda t: body.value_at(y + t * nu)
     if g(0.0) <= 0:
@@ -199,7 +197,7 @@ def first_hitting_time(
                 break
         return 0.5 * (lo + hi)
 
-    ts = np.linspace(0.0, t_max, n_march + 1)
+    ts = np.linspace(0.0, t_max, 65)
     prev_t = 0.0
     for t in ts[1:]:
         if g(float(t)) <= 0:
@@ -277,8 +275,10 @@ def boundary_jacobian(omega: ImplicitBody, lam: ImplicitBody, z) -> np.ndarray:
 class ProjectionPoint:
     """Solved boundary configuration: contact x, shadow point y, ray scale t.
 
-    ``residual`` is the max-norm of the defining map, ``sigma_min`` the
-    smallest of the n+3 singular values of its Jacobian there.
+    ``residual`` is the max-norm of the defining map; ``sigma_min`` and
+    ``sigma_max`` are the smallest and largest of the n+3 singular values of
+    its Jacobian there, and ``tangent`` is a unit vector spanning the
+    Jacobian's null space (the curve direction when n = 3; either sign).
     ``hessian_inconsistent`` flags points where finite-difference Hessians
     at two step sizes disagree (boundary not twice differentiable there).
     """
@@ -288,6 +288,8 @@ class ProjectionPoint:
     t: float
     residual: float
     sigma_min: float
+    sigma_max: float
+    tangent: np.ndarray
     iterations: int = 0
     hessian_inconsistent: bool = False
 
@@ -300,20 +302,20 @@ class ProjectionPoint:
         return np.concatenate([self.x, self.y, [self.t]])
 
 
-def certify_rank(
-    omega: ImplicitBody, lam: ImplicitBody, point: ProjectionPoint, sigma_tol: float = SIGMA_RANK_TOL
-):
+def certify_rank(omega: ImplicitBody, lam: ImplicitBody, point: ProjectionPoint):
     """Rank of the defining Jacobian at a solved point, by SVD.
 
     Returns ``(rank, sigma_min)`` where rank counts singular values above
-    ``sigma_tol * sigma_max`` and sigma_min is the smallest of the n+3
+    ``SIGMA_RANK_TOL * sigma_max`` and sigma_min is the smallest of the n+3
     singular values.  Full rank n+3 certifies that the boundary is locally a
-    smooth (n-2)-manifold; a drop flags a flat contact direction.
+    smooth (n-2)-manifold; a drop flags a flat contact direction.  The
+    Jacobian is rebuilt from the point's state, independently of the values
+    the solve stored.
     """
     J = boundary_jacobian(omega, lam, point.state)
     sv = np.linalg.svd(J, compute_uv=False)
     sigma_max = float(sv[0])
-    rank = int(np.sum(sv > sigma_tol * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.sum(sv > SIGMA_RANK_TOL * sigma_max)) if sigma_max > 0 else 0
     return rank, float(sv[-1])
 
 
@@ -322,16 +324,16 @@ def solve_boundary_point(
     lam: ImplicitBody,
     seed,
     tol: float = TOL_ROOT,
-    max_iter: int = MAX_SOLVE_ITER,
-    check_hessian_consistency: bool | None = None,
 ) -> ProjectionPoint:
     """Gauss-Newton solve of the boundary-defining map from a seed (x, y, t).
 
     Uses least-norm steps (pseudoinverse) so iterates stay near the seed on
     the solution manifold.  At convergence the hitting parameter is
-    cross-checked against |x - y| / |grad F(y)| and the smallest singular
-    value of the Jacobian is reported, with a RankDeficiencyWarning when it
-    falls under the rank threshold.
+    cross-checked against |x - y| / |grad F(y)|, and one full SVD of the
+    Jacobian gives the extreme singular values and the null tangent, with a
+    RankDeficiencyWarning when sigma_min falls under the rank threshold.
+    Bodies without an analytic Hessian get a finite-difference consistency
+    probe at the solved point.
     """
     n = omega.dim
     if isinstance(seed, tuple) and len(seed) == 3:
@@ -348,7 +350,7 @@ def solve_boundary_point(
     if not np.all(np.isfinite(r)):
         raise ParameterError("seed residual is not finite")
     iters = 0
-    for iters in range(max_iter + 1):
+    for iters in range(MAX_SOLVE_ITER + 1):
         if float(np.abs(r).max()) <= tol:
             break
         J = boundary_jacobian(omega, lam, z)
@@ -386,23 +388,20 @@ def solve_boundary_point(
             f"{t_implied:.12g}"
         )
 
-    J = boundary_jacobian(omega, lam, z)
-    sv = np.linalg.svd(J, compute_uv=False)
-    sigma_min = float(sv[-1])
-    if sigma_min < SIGMA_RANK_TOL * float(sv[0]):
+    # full SVD: J is (n+3) x (2n+1), so only the full V^T holds the null row
+    _, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, z))
+    sigma_min, sigma_max = float(sv[-1]), float(sv[0])
+    if sigma_min < SIGMA_RANK_TOL * sigma_max:
         warnings.warn(
             f"Jacobian nearly rank deficient at solved point (sigma_min = {sigma_min:.3g})",
             RankDeficiencyWarning,
             stacklevel=2,
         )
 
-    inconsistent = False
-    if check_hessian_consistency is None:
-        check_hessian_consistency = not (omega.has_analytic_hessian and lam.has_analytic_hessian)
-    if check_hessian_consistency:
-        for body, pt in ((omega, x), (lam, y)):
-            if not body.has_analytic_hessian and body.fd_hessian_consistency(pt) > FD_CONSISTENCY_TOL:
-                inconsistent = True
+    inconsistent = any(
+        not body.has_analytic_hessian and body.fd_hessian_consistency(pt) > FD_CONSISTENCY_TOL
+        for body, pt in ((omega, x), (lam, y))
+    )
 
     return ProjectionPoint(
         x=x,
@@ -410,6 +409,8 @@ def solve_boundary_point(
         t=t,
         residual=float(np.abs(r).max()),
         sigma_min=sigma_min,
+        sigma_max=sigma_max,
+        tangent=vt[-1],
         iterations=iters,
         hessian_inconsistent=inconsistent,
     )
@@ -419,7 +420,7 @@ def solve_boundary_point(
 # disjointness and closest pairs
 
 
-def closest_pair(omega: ImplicitBody, lam: ImplicitBody, max_iter: int = 500, tol: float = 1e-12):
+def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
     """Closest boundary points via alternating projections.
 
     Returns ``(x, z, distance)`` with x on omega and z on lam.  Raises
@@ -433,7 +434,7 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody, max_iter: int = 500, to
     except InteriorPointError as exc:
         raise OverlapError(f"bodies overlap: {exc}") from exc
     dist = float(np.linalg.norm(x - z))
-    for _ in range(max_iter):
+    for _ in range(500):
         try:
             z_new = project_point(lam, x)
             x_new = project_point(omega, z_new)
@@ -444,7 +445,7 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody, max_iter: int = 500, to
             float(np.linalg.norm(x_new - x)), float(np.linalg.norm(z_new - z))
         )
         x, z, dist = x_new, z_new, d_new
-        if move < tol * scale:
+        if move < 1e-12 * scale:
             break
     if dist <= 1e-9 * scale:
         raise OverlapError(f"bodies touch or overlap (closest gap {dist:.3g})")
@@ -660,11 +661,6 @@ class BoundaryTrace:
         return np.array(rows)
 
 
-def _null_direction(J: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(J)
-    return vt[-1]
-
-
 def trace_boundary(
     omega: ImplicitBody,
     lam: ImplicitBody,
@@ -691,16 +687,15 @@ def trace_boundary(
     if max_steps <= 0:
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
 
-    J = boundary_jacobian(omega, lam, start.state)
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] < rank_tol * sv[0]:
+    if start.sigma_min < rank_tol * start.sigma_max:
         raise RankDeficiencyError(
-            f"start point is rank deficient (sigma_min/sigma_max = {sv[-1] / sv[0]:.3g})"
+            "start point is rank deficient "
+            f"(sigma_min/sigma_max = {start.sigma_min / start.sigma_max:.3g})"
         )
 
     h = step
     h_min, h_max = step / 16.0, step
-    tangent = _null_direction(J)
+    tangent = start.tangent
     easy = 0
     closed = False
     diagnostics = ""
@@ -718,12 +713,12 @@ def trace_boundary(
                 # certify the failure region: a flat contact direction shows
                 # up as collapsed conditioning at the predictor or at the
                 # last corrected point
-                rel = []
-                for state in (predictor, z):
-                    sv = np.linalg.svd(
-                        boundary_jacobian(omega, lam, state), compute_uv=False
-                    )
-                    rel.append(sv[-1] / sv[0] if sv[0] > 0 else 0.0)
+                sv = np.linalg.svd(boundary_jacobian(omega, lam, predictor), compute_uv=False)
+                last = points[-1]
+                rel = [
+                    sv[-1] / sv[0] if sv[0] > 0 else 0.0,
+                    last.sigma_min / last.sigma_max if last.sigma_max > 0 else 0.0,
+                ]
                 if min(rel) < max(rank_tol, NEAR_SINGULAR_TOL):
                     raise RankDeficiencyError(
                         "corrector failed at minimal step near a rank-deficient "
@@ -735,18 +730,15 @@ def trace_boundary(
             easy = 0
             continue
 
-        sv = np.linalg.svd(boundary_jacobian(omega, lam, pt.state), compute_uv=False)
-        if sv[-1] < rank_tol * sv[0]:
+        if pt.sigma_min < rank_tol * pt.sigma_max:
             raise RankDeficiencyError(
-                f"rank drop along the trace (sigma_min/sigma_max = {sv[-1] / sv[0]:.3g})"
+                "rank drop along the trace "
+                f"(sigma_min/sigma_max = {pt.sigma_min / pt.sigma_max:.3g})"
             )
 
         arc += float(np.linalg.norm(pt.y - points[-1].y))
         points.append(pt)
-        new_tangent = _null_direction(boundary_jacobian(omega, lam, pt.state))
-        if float(np.dot(new_tangent, tangent)) < 0:
-            new_tangent = -new_tangent
-        tangent = new_tangent
+        tangent = -pt.tangent if float(np.dot(pt.tangent, tangent)) < 0 else pt.tangent
         z = pt.state
 
         if pt.iterations <= 3:

@@ -88,6 +88,14 @@ def test_project_coaxial_closed_trace(coaxial_specs, tmp_path):
     assert len(rows) == sidecar["n_points"] + 1
 
 
+@pytest.mark.parametrize("tol, code", [(0.2, 4), (0.1, 0)])
+def test_project_sigma_fail_tol_reaches_the_trace(coaxial_specs, tmp_path, tol, code):
+    # sigma_min/sigma_max is 0.1635 along the coaxial trace
+    om, lam = coaxial_specs
+    out = str(tmp_path / "trace.csv")
+    assert main(["project", om, lam, "--sigma-fail-tol", str(tol), "--out", out]) == code
+
+
 def test_project_cantor_pair_overlap_exit(tmp_path):
     om = write_spec(
         tmp_path,

@@ -232,6 +232,24 @@ def test_trace_closes_on_analytic_circle():
     assert gaps.max() * rho < 3 * trace.step
 
 
+def test_trace_builds_one_jacobian_per_solve_iteration(monkeypatch):
+    # every accepted point reuses the Jacobian factorised at the end of its
+    # solve: no rebuilds for the health check, the tangent or the start check
+    om, lam = coaxial_pair()
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
+    calls = []
+    build = pj.boundary_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(pj, "boundary_jacobian", counted)
+    trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000)
+    assert trace.closed
+    assert len(calls) == sum(p.iterations + 1 for p in trace.points[1:])
+
+
 def test_trace_zero_steps():
     om, lam = coaxial_pair()
     start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
@@ -338,6 +356,13 @@ def test_certify_rank_full_on_coaxial():
     rank, smin = pj.certify_rank(om, lam, pt)
     assert rank == 6
     assert smin > 1e-6
+    # the solve's stored factorisation agrees with a fresh one
+    J = pj.boundary_jacobian(om, lam, pt.state)
+    sv = np.linalg.svd(J, compute_uv=False)
+    assert pt.sigma_max == pytest.approx(sv[0], rel=1e-13)
+    assert pt.sigma_min == pytest.approx(smin, rel=1e-13)
+    assert np.linalg.norm(pt.tangent) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(J @ pt.tangent) <= 1e-12 * pt.sigma_max
 
 
 def test_certify_rank_detects_flat_direction():
