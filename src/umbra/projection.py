@@ -511,7 +511,8 @@ def seed_boundary(
     great arc between an inside and an outside sample.  ``patch_center`` and
     ``patch_angle`` optionally restrict sampling to a cap of directions.
     Raises SeedError when the sampled patch is entirely inside or entirely
-    outside the shadow.
+    outside the shadow, and OverlapError when omega's center lies inside the
+    target.
     """
     rng = np.random.default_rng(rng)
     if patch_center is not None:
@@ -540,10 +541,13 @@ def seed_boundary(
         dirs = rng.normal(size=(n_samples, lam.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     if patch_center is None:
-        # the target point closest to the projected body is always shadowed
-        # (its outward normal ray ends at the closest point of omega), so it
-        # anchors the inside class even when the shadow cap is tiny
-        _, z_close, _ = closest_pair(omega, lam)
+        # the target point nearest omega's center is always shadowed (by KKT
+        # its outward normal ray passes through that center), so it anchors
+        # the inside class even when the shadow cap is tiny
+        try:
+            z_close = project_point(lam, omega.center)
+        except InteriorPointError as exc:
+            raise OverlapError(f"bodies overlap: {exc}") from exc
         d_close = z_close - lam.center
         d_close = d_close / np.linalg.norm(d_close)
         dirs = np.vstack([d_close, dirs])
