@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     ParameterError,
     SpecError,
+    UmbraError,
 )
 
 TOL_BOUNDARY = 1e-10
@@ -271,9 +272,6 @@ class ImplicitBody:
             raise DegeneratePointError("gradient vanishes; no normal direction")
         return g / ng
 
-    def on_boundary(self, x, tol: float = TOL_BOUNDARY) -> bool:
-        return abs(self.value_at(x)) <= tol
-
     def diameter_bound(self) -> float:
         return 2.0 * self.bounding_radius
 
@@ -423,14 +421,6 @@ class ConcaveChart:
         if self.pose is None:
             return nu
         return self.pose.rotate_to_world(nu)
-
-    def with_constants(self, holder_L, concavity_theta, holder_alpha) -> "ConcaveChart":
-        return replace(
-            self,
-            holder_L=holder_L,
-            concavity_theta=concavity_theta,
-            holder_alpha=holder_alpha,
-        )
 
 
 def _safeguarded_fiber_root(f, fprime, lo, hi, tol=TOL_BOUNDARY):
@@ -1315,26 +1305,32 @@ def instantiate(spec: BodySpec) -> ImplicitBody:
     """Build the implicit body described by a spec.
 
     Raises ParameterError for out-of-range parameters (for instance an even
-    Kiselman exponent) and SpecError for malformed documents.
+    Kiselman exponent) and SpecError for malformed documents, including
+    parameters of the wrong type.
     """
     fam, p = spec.family, spec.params
-    if fam == "ellipsoid":
-        return ellipsoid(p["semiaxes"], spec.pose)
-    if fam == "translated_ball":
-        return translated_ball(p["center"], p["radius"], spec.pose)
-    if fam == "kiselman":
-        return kiselman(
-            p["q"],
-            p.get("strip_half_width", 0.49),
-            p.get("clamp_radius"),
-            spec.pose,
-        )
-    if fam == "cone_over_circle":
-        return cone_over_circle(spec.pose)
-    if fam == "cantor_contact":
-        return cantor_contact(p["eps"], p["cantor_depth"], p.get("side", "omega"), spec.pose)
-    if fam == "paraboloid_cap":
-        return paraboloid_cap(p["curvature"], p["height"], spec.pose)
+    try:
+        if fam == "ellipsoid":
+            return ellipsoid(p["semiaxes"], spec.pose)
+        if fam == "translated_ball":
+            return translated_ball(p["center"], p["radius"], spec.pose)
+        if fam == "kiselman":
+            return kiselman(
+                p["q"],
+                p.get("strip_half_width", 0.49),
+                p.get("clamp_radius"),
+                spec.pose,
+            )
+        if fam == "cone_over_circle":
+            return cone_over_circle(spec.pose)
+        if fam == "cantor_contact":
+            return cantor_contact(p["eps"], p["cantor_depth"], p.get("side", "omega"), spec.pose)
+        if fam == "paraboloid_cap":
+            return paraboloid_cap(p["curvature"], p["height"], spec.pose)
+    except UmbraError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad params for {fam}: {exc}") from exc
     raise SpecError(f"unknown family {fam!r}")
 
 

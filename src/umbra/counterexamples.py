@@ -298,18 +298,6 @@ def cone_body_graph_failure(
     return witness
 
 
-def cone_hull_membership(p, n_generators: int = CIRCLE_DISCRETIZATION) -> bool:
-    """Membership in the discretized hull (generator representation).
-
-    The hull of the sampled circle plus apex contains p exactly when p stays
-    inside every supporting half-space of the generator set; for speed this
-    uses the analytic gauge, and the discretized generators are used by the
-    tests to cross-check convexity of the construction.
-    """
-    body = cone_over_circle()
-    return body.value_at(np.asarray(p, float)) <= 1e-12
-
-
 def cone_hull_generators(n: int = CIRCLE_DISCRETIZATION) -> np.ndarray:
     """Apex plus a discretization of the base circle."""
     w = np.linspace(-math.pi, math.pi, n, endpoint=False)

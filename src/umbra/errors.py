@@ -63,7 +63,3 @@ class FlatCurveError(UmbraError):
 
 class RankDeficiencyWarning(UserWarning):
     """A solved point sits near a rank-deficient configuration."""
-
-
-class HessianInconsistencyWarning(UserWarning):
-    """Finite-difference Hessians at two step sizes disagree."""

@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -455,17 +455,12 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
 def assert_disjoint(omega: ImplicitBody, lam: ImplicitBody) -> float:
     """Validate disjoint closures; returns the separation distance.
 
-    Runs the alternating-projection closest-pair search and confirms a
-    separating hyperplane along the closest-pair direction by checking both
-    support values.  Overlapping or touching bodies raise OverlapError.
+    Runs the alternating-projection closest-pair search, which raises
+    OverlapError when an iterate lands inside the other body or the
+    converged gap is at most 1e-9 times the larger bounding radius (floored
+    at 1).
     """
-    x, z, dist = closest_pair(omega, lam)
-    d = (x - z) / dist
-    # support check: omega lies at <d, .> >= <d, x>, lam at <= <d, z>, up to
-    # curvature-limited slack from the finitely converged pair
-    sep = float(np.dot(d, x) - np.dot(d, z))
-    if sep <= 0:
-        raise OverlapError("support-hyperplane check failed: no positive separation")
+    _, _, dist = closest_pair(omega, lam)
     return dist
 
 
@@ -482,10 +477,6 @@ def hitting_time_bound(omega: ImplicitBody, lam: ImplicitBody, chart_radius: flo
 
 # ---------------------------------------------------------------------------
 # seeding
-
-
-def _boundary_on_ray(lam: ImplicitBody, d: np.ndarray) -> np.ndarray:
-    return boundary_point_along(lam, d)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -554,7 +545,7 @@ def seed_boundary(
 
     members = []
     for d in dirs:
-        y = _boundary_on_ray(lam, d)
+        y = boundary_point_along(lam, d)
         members.append((d, in_projection_shadow(omega, lam, y)))
     inside = [d for d, m in members if m]
     outside = [d for d, m in members if not m]
@@ -581,13 +572,13 @@ def seed_boundary(
     lo, hi = 0.0, 1.0  # lo side in shadow
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        y = _boundary_on_ray(lam, slerp(d_in, d_out, mid))
+        y = boundary_point_along(lam, slerp(d_in, d_out, mid))
         if in_projection_shadow(omega, lam, y):
             lo = mid
         else:
             hi = mid
-    y_in = _boundary_on_ray(lam, slerp(d_in, d_out, lo))
-    y0 = _boundary_on_ray(lam, slerp(d_in, d_out, 0.5 * (lo + hi)))
+    y_in = boundary_point_along(lam, slerp(d_in, d_out, lo))
+    y0 = boundary_point_along(lam, slerp(d_in, d_out, 0.5 * (lo + hi)))
     t_in = first_hitting_time(omega, y_in, lam.unit_normal(y_in))
     if t_in is None:
         raise SeedError("in-shadow sample lost its ray hit during bisection")
@@ -616,9 +607,6 @@ class BoundaryTrace:
 
     def y_points(self) -> np.ndarray:
         return np.array([p.y for p in self.points])
-
-    def x_points(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
 
     def to_csv(self, path):
         n = self.points[0].y.shape[0]

@@ -72,6 +72,22 @@ def test_shadow_unknown_spec_fields(tmp_path):
     assert main(["shadow", bad, "--u", "1", "0", "0"]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"family": "ellipsoid", "params": {"semiaxes": "abc"}},
+        {"family": "translated_ball", "params": {"center": [0, 0, 0], "radius": "x"}},
+        {"family": "translated_ball", "params": {"center": [0, 0, 0], "radius": None}},
+    ],
+)
+def test_shadow_wrongly_typed_params(tmp_path, capsys, doc):
+    spec = write_spec(tmp_path, "bad.json", doc)
+    assert main(["shadow", spec, "--u", "1", "0", "0", "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # project
 
