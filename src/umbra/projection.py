@@ -112,7 +112,6 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
         raise InteriorPointError("point lies inside the body; projection is itself")
 
     n = body.dim
-    tol = TOL_ROOT
     y = boundary_point_along(body, x - body.center)
     g = body.gradient_at(y)
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
@@ -124,7 +123,7 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     r = residual(y, s)
     best = (float(np.abs(r).max()), y.copy(), s)
     for _ in range(100):
-        if float(np.abs(r).max()) <= tol * scale:
+        if float(np.abs(r).max()) <= TOL_ROOT * scale:
             break
         g = body.gradient_at(y)
         H = body.hessian_at(y)
@@ -149,7 +148,7 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
             break
         if float(np.abs(r).max()) < best[0]:
             best = (float(np.abs(r).max()), y.copy(), s)
-    if best[0] <= tol * scale:
+    if best[0] <= TOL_ROOT * scale:
         return best[1]
 
     y = _tangential_descent_projection(body, x, best[1])
@@ -157,9 +156,9 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
     kkt = float(np.abs(residual(y, max(s, 0.0))).max())
     near_kink = body.kink_margin is not None and body.kink_margin(y) < 1e-4 * scale
-    if kkt > tol * scale and not near_kink:
+    if kkt > TOL_ROOT * scale and not near_kink:
         raise NoConvergenceError(
-            f"projection residual {min(best[0], kkt):.3g} above tolerance {tol * scale:.3g}"
+            f"projection residual {min(best[0], kkt):.3g} above tolerance {TOL_ROOT * scale:.3g}"
         )
     return y
 
