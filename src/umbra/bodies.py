@@ -279,9 +279,14 @@ class ImplicitBody:
 def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarray:
     """Boundary crossing of the ray from an interior point.
 
-    Marches out to twice the bounding radius and bisects the sign change of
-    G.  Raises ChartError when the ray never leaves the body within range
-    (possible for unbounded patch models).
+    Newton steps ``s -= G / (grad G . d)`` start at twice the bounding
+    radius, where G > 0, and move toward the origin.  G is convex along the
+    ray and negative at the origin, so each step lands where a supporting
+    line of G vanishes (a subgradient's, at a kink): never past the single
+    crossing, so the iterates fall monotonically onto it.  Raises ChartError
+    when the ray never leaves the body within range (possible for unbounded
+    patch models), or when a step shows that G is not convex along the ray:
+    a slope <= 0 where G > 0, or a step reaching back past the origin.
     """
     d = np.asarray(direction, float)
     nd = np.linalg.norm(d)
@@ -291,32 +296,20 @@ def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarr
     x0 = np.asarray(origin, float) if origin is not None else body.center
     if body.value_at(x0) >= 0:
         raise ChartError("ray origin must be interior to the body")
-    s_hi = 2.0 * body.bounding_radius
-    if body.value_at(x0 + s_hi * d) <= 0:
+    s = 2.0 * body.bounding_radius
+    g = body.value_at(x0 + s * d)
+    if g <= 0:
         raise ChartError("ray does not exit the body within the bounding ball")
-    lo, hi = 0.0, s_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if body.value_at(x0 + mid * d) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * s_hi:
+    tol = 1e-15 * s
+    while g > 0:
+        slope = float(np.dot(body.gradient_at(x0 + s * d), d))
+        step = g / slope if slope > 0 else math.inf
+        if not step < s:
+            raise ChartError("G is not convex along the ray")
+        s -= step
+        if step <= tol:
             break
-    s = 0.5 * (lo + hi)
-    # Newton polish against G along the ray
-    for _ in range(5):
-        x = x0 + s * d
-        g = float(np.dot(body.gradient_at(x), d))
-        if g <= 0:
-            break
-        step = body.value_at(x) / g
-        s_new = s - step
-        if not (lo - 1e-12 <= s_new <= hi + 1e-12):
-            break
-        s = s_new
-        if abs(step) < 1e-16 * s_hi:
-            break
+        g = body.value_at(x0 + s * d)
     return x0 + s * d
 
 

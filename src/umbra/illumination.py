@@ -390,14 +390,17 @@ def shadow_boundary_sweep(
 
     Grid points whose fiber has no bracket are omitted and recorded in
     ``failures``.  Raises EmptyCurveError when the grid is empty or every
-    point fails.
+    point fails, and ParameterError for a planar chart (``dim_domain`` 1),
+    whose silhouette is two points with no curve to sweep.
     """
-    frame = align_chart(chart, u)
     m = chart.dim_domain - 1
+    if m == 0:
+        raise ParameterError("a planar silhouette is two points; there is no curve to sweep")
+    frame = align_chart(chart, u)
     grid = np.asarray(grid, float)
     if grid.size == 0:
         raise EmptyCurveError("empty sweep grid")
-    grid = grid.reshape(-1, m) if m > 0 else grid.reshape(-1, 0)
+    grid = grid.reshape(-1, m)
     tol = tol_root if tol_root is not None else TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
 
     kept, gammas, resids, heights, failures = [], [], [], [], []

@@ -166,10 +166,13 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
 def first_hitting_time(body: ImplicitBody, y, nu) -> float | None:
     """Smallest t >= 0 with ``y + t nu`` on the body boundary, or None.
 
-    Coarse 64-step march for the common transversal hit, then an exact grazing
-    check: G is convex along the ray, so its minimum is found by ternary
-    search and the ray misses exactly when that minimum is positive.  The
-    march spans twice the bounding span.
+    G is convex along the ray, so while G(y + t nu) > 0 the Newton step
+    ``t += G / (-grad G . nu)`` lands where a supporting line of G vanishes:
+    at or before the first root.  The iterates therefore increase
+    monotonically to that root and never pass it, across kinks too, since a
+    subgradient supports G as well.  The miss test is exact: once G > 0 and
+    the slope along the ray is >= 0, convexity keeps G positive for all
+    larger t.  Hits beyond twice the bounding span count as misses.
     """
     y = np.asarray(y, float)
     nu = np.asarray(nu, float)
@@ -177,47 +180,24 @@ def first_hitting_time(body: ImplicitBody, y, nu) -> float | None:
     if nn < 1e-14:
         raise ParameterError("zero ray direction")
     nu = nu / nn
-    if body.value_at(y) < -TOL_BOUNDARY * max(1.0, body.bounding_radius):
+    g = body.value_at(y)
+    if g < -TOL_BOUNDARY * max(1.0, body.bounding_radius):
         raise ParameterError("ray origin lies inside the body")
     t_max = 2.0 * (float(np.linalg.norm(y - body.center)) + body.bounding_radius)
-
-    g = lambda t: body.value_at(y + t * nu)
-    if g(0.0) <= 0:
-        return 0.0
-
-    def first_crossing(lo, hi):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-14 * max(1.0, t_max):
-                break
-        return 0.5 * (lo + hi)
-
-    ts = np.linspace(0.0, t_max, 65)
-    prev_t = 0.0
-    for t in ts[1:]:
-        if g(float(t)) <= 0:
-            return first_crossing(prev_t, float(t))
-        prev_t = float(t)
-
-    # no sign change on the march: locate the convex minimum exactly
-    lo, hi = 0.0, t_max
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-14 * max(1.0, t_max):
+    tol = 1e-15 * max(1.0, t_max)
+    t = 0.0
+    while g > 0:
+        slope = float(np.dot(body.gradient_at(y + t * nu), nu))
+        if not slope < 0:
+            return None
+        step = g / -slope
+        t += step
+        if not t <= t_max:
+            return None
+        if step <= tol:
             break
-    t_min = 0.5 * (lo + hi)
-    if g(t_min) > 0:
-        return None
-    return first_crossing(0.0, t_min)
+        g = body.value_at(y + t * nu)
+    return t
 
 
 def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y) -> bool:

@@ -209,21 +209,23 @@ def _posed_quadrics(rng, n):
 
 
 def _counting(body):
-    """The body with oracles that count their calls (quadric kept)."""
-    calls = {"n": 0}
+    """The body with oracles that count their calls (quadric kept): all of
+    them under "n", and each under its field name."""
+    calls = {"n": 0, "value": 0, "gradient": 0, "hessian": 0}
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapped(x):
             calls["n"] += 1
+            calls[name] += 1
             return fn(x)
 
         return wrapped
 
     return replace(
         body,
-        value=counted(body.value),
-        gradient=counted(body.gradient),
-        hessian=counted(body.hessian),
+        value=counted("value", body.value),
+        gradient=counted("gradient", body.gradient),
+        hessian=counted("hessian", body.hessian),
     ), calls
 
 
@@ -347,6 +349,72 @@ def test_stacked_chart_hessian_raises_like_points(n):
                     assert _error_of(fn, stack) == _error_of(fn, bad[0])
                 assert _error_of(fn, np.array([good, miss]))[0] is ChartError
                 assert _error_of(fn, np.array([good, outside]))[0] is DomainError
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_boundary_point_along_posed_ellipsoid_matches_quadratic(n):
+    # from the center c the ray c + s d meets the quadric at s = 1/sqrt(d^T A d)
+    rng = np.random.default_rng(300 + n)
+    semiaxes = rng.uniform(0.6, 1.8, size=n)
+    R = oracles.random_rotation(rng, n)
+    c = rng.normal(size=n)
+    A, _ = oracles.quadric_of_ellipsoid(semiaxes, R, c)
+    body, calls = _counting(bodies.ellipsoid(semiaxes, Pose(R, c)))
+    for _ in range(40):
+        d = rng.normal(size=n)
+        d /= np.linalg.norm(d)
+        calls["value"] = 0
+        p = bodies.boundary_point_along(body, d)
+        assert calls["value"] <= 16
+        assert np.abs(p - (c + d / math.sqrt(d @ A @ d))).max() <= 1e-12
+
+
+def test_boundary_point_along_errors():
+    ball = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ParameterError):
+        bodies.boundary_point_along(ball, [0.0, 0.0, 0.0])
+    with pytest.raises(ChartError, match="interior"):
+        bodies.boundary_point_along(ball, [1.0, 0.0, 0.0], origin=[0.0, 0.0, 2.0])
+    # the unclamped Kiselman patch is unbounded below: no exit within 2R
+    with pytest.raises(ChartError, match="does not exit"):
+        bodies.boundary_point_along(bodies.kiselman(5), [0.0, 0.0, -1.0])
+    # radial profiles that are not convex along the ray: from |x| = 4 the
+    # first falls (slope < 0 where G > 0), the second's Newton step would
+    # land behind the origin
+    for profile, slope in (
+        (lambda r: -math.cos(r), math.sin),
+        (lambda r: 1.0 - 2.0 / (1.0 + r * r), lambda r: 4.0 * r / (1.0 + r * r) ** 2),
+    ):
+        wavy = bodies.ImplicitBody(
+            dim=2,
+            value=lambda p, f=profile: f(float(np.linalg.norm(p))),
+            gradient=lambda p, df=slope: df(float(np.linalg.norm(p))) * p / np.linalg.norm(p),
+            hessian=None,
+            bounding_radius=2.0,
+            center=np.zeros(2),
+            convexity=bodies.Convexity.convex(),
+            smoothness=bodies.Smoothness.smooth(),
+        )
+        with pytest.raises(ChartError, match="not convex"):
+            bodies.boundary_point_along(wavy, [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [bodies.cone_over_circle(), bodies.cantor_contact(1e-3, 4)],
+    ids=["cone_over_circle", "cantor_contact"],
+)
+def test_boundary_point_along_brackets_the_crossing_on_kinked_bodies(body):
+    # G is only piecewise smooth here: the Newton iterates must still land
+    # on the crossing, from the outside and not past it
+    rng = np.random.default_rng(8)
+    h = 1e-12 * body.bounding_radius
+    for _ in range(30):
+        d = rng.normal(size=body.dim)
+        d /= np.linalg.norm(d)
+        s = float(np.linalg.norm(bodies.boundary_point_along(body, d) - body.center))
+        assert body.value_at(body.center + (s - h) * d) <= 0
+        assert body.value_at(body.center + (s + h) * d) > 0
 
 
 def test_quadric_field_reproduces_oracles(rng):

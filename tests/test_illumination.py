@@ -140,6 +140,14 @@ def test_sweep_empty_grid_errors():
         shadow_boundary_sweep(ch, Direction(np.array([1.0, 0.0, 0.0])), [])
 
 
+def test_sweep_rejects_planar_chart():
+    # a planar silhouette is two points: there is no curve to sweep
+    ellipse = bodies.ellipsoid([2.0, 1.0])
+    ch = chart_at(ellipse, [0.0, 1.0])
+    with pytest.raises(ParameterError, match="planar"):
+        shadow_boundary_sweep(ch, [1.0, 0.0], [[0.0]])
+
+
 def test_sweep_all_points_failing_errors():
     # light along the chart normal: no fiber has a boundary bracket
     ch = sphere_chart([0.0, 1.0, 0.0])

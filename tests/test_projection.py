@@ -118,6 +118,83 @@ def test_first_hit_matches_quadratic_formula(rng):
             hits += 1
 
 
+def _counting_values(body):
+    """The body with a value oracle that counts its calls."""
+    calls = {"n": 0}
+
+    def value(x):
+        calls["n"] += 1
+        return body.value(x)
+
+    return replace(body, value=value), calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_first_hit_posed_ellipsoid_matches_quadratic(n):
+    rng = np.random.default_rng(100 + n)
+    semiaxes = rng.uniform(0.6, 1.8, size=n)
+    R = oracles.random_rotation(rng, n)
+    c = rng.normal(size=n)
+    A, _ = oracles.quadric_of_ellipsoid(semiaxes, R, c)
+    body, calls = _counting_values(bodies.ellipsoid(semiaxes, Pose(R, c)))
+    hits = misses = 0
+    for i in range(40):
+        u = rng.normal(size=n)
+        y = c + 3.0 * u / np.linalg.norm(u)
+        nu = c - y + (0.3 if i % 2 else 2.0) * rng.normal(size=n)
+        nu /= np.linalg.norm(nu)
+        want = oracles.ray_quadric_first_hit(y, nu, A, c)
+        calls["n"] = 0
+        got = pj.first_hitting_time(body, y, nu)
+        assert calls["n"] <= 16
+        if want is None:
+            assert got is None
+            misses += 1
+        else:
+            assert got == pytest.approx(want, abs=1e-10)
+            hits += 1
+    assert hits >= 5 and misses >= 5
+
+
+def test_first_hit_exact_tangency():
+    # the ray x = (1, 0, -3 + t) touches the unit sphere at t = 3, a double root
+    ball, calls = _counting_values(bodies.translated_ball([0.0, 0.0, 0.0], 1.0))
+    t = pj.first_hitting_time(ball, [1.0, 0.0, -3.0], [0.0, 0.0, 1.0])
+    assert t == pytest.approx(3.0, abs=1e-6)
+    assert calls["n"] <= 64
+    assert pj.first_hitting_time(ball, [1.0 + 1e-6, 0.0, -3.0], [0.0, 0.0, 1.0]) is None
+    t_in = pj.first_hitting_time(ball, [1.0 - 1e-6, 0.0, -3.0], [0.0, 0.0, 1.0])
+    assert t_in == pytest.approx(3.0 - math.sqrt(2e-6 - 1e-12), abs=1e-9)
+
+
+def test_first_hit_parameter_errors():
+    om, _ = coaxial_pair()
+    with pytest.raises(ParameterError, match="zero ray direction"):
+        pj.first_hitting_time(om, np.zeros(3), np.zeros(3))
+    with pytest.raises(ParameterError, match="inside"):
+        pj.first_hitting_time(om, [0.0, 0.0, 3.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [bodies.cone_over_circle(), bodies.cantor_contact(1e-3, 4)],
+    ids=["cone_over_circle", "cantor_contact"],
+)
+def test_first_hit_brackets_the_crossing_on_kinked_bodies(body):
+    # G is only piecewise smooth here: the Newton iterates must still stop on
+    # the first crossing, not before or after it
+    rng = np.random.default_rng(7)
+    h = 1e-12 * body.bounding_radius
+    for _ in range(30):
+        u = rng.normal(size=body.dim)
+        y = body.center + 2.0 * body.bounding_radius * u / np.linalg.norm(u)
+        nu = (body.center - y) / np.linalg.norm(body.center - y)
+        t = pj.first_hitting_time(body, y, nu)
+        assert t is not None
+        assert body.value_at(y + (t - h) * nu) > 0
+        assert body.value_at(y + (t + h) * nu) <= 0
+
+
 # ---------------------------------------------------------------------------
 # shadow membership
 
