@@ -57,7 +57,9 @@ class Pose:
         n = t.shape[0]
         if R.shape != (n, n):
             raise ParameterError("rotation and translation dimensions disagree")
-        if not np.allclose(R @ R.T, np.eye(n), atol=1e-9):
+        eye = np.eye(n)
+        # np.allclose(R R^T, I, atol=1e-9) as one elementwise comparison
+        if not (np.abs(R @ R.T - eye) <= 1e-9 + 1e-5 * eye).all():
             raise ParameterError("rotation matrix is not orthogonal")
         if np.linalg.det(R) < 0.0:
             raise ParameterError("rotation matrix must have determinant +1")
@@ -198,6 +200,11 @@ class ImplicitBody:
     the body; for local patch models (see ``kiselman``) it bounds the region
     where the oracles are a faithful convex model, and sampling utilities
     stay inside it.
+
+    ``value``, ``gradient`` and ``hessian`` take a point ``(n,)`` or a stack
+    ``(N, n)`` and return a scalar, ``(n,)``, ``(n, n)`` or ``(N,)``,
+    ``(N, n)``, ``(N, n, n)``; charts evaluate whole stacks of fibers
+    through them.
     """
 
     dim: int
@@ -332,9 +339,11 @@ class ConcaveChart:
     concavity modulus
     ``<grad phi(y') - grad phi(z'), y' - z'> <= -theta |y' - z'|^2``.
 
-    ``hessian`` (and ``hess_phi``, when given) takes a point ``(m,)`` and
-    returns ``(m, m)``, or a stack ``(N, m)`` and returns ``(N, m, m)``; a
-    stack raises the error its first bad row raises as a point.
+    ``value``, ``gradient`` and ``hessian`` (and ``phi``, ``grad_phi`` and
+    ``hess_phi``) take a point ``(m,)`` and return a float, ``(m,)`` or
+    ``(m, m)``, or a stack ``(N, m)`` and return ``(N,)``, ``(N, m)`` or
+    ``(N, m, m)``; a stack raises the error its first bad row raises as a
+    point.
     """
 
     dim_domain: int
@@ -358,35 +367,37 @@ class ConcaveChart:
                 f"{self.domain_radius:.3g}"
             )
 
-    def value(self, xp) -> float:
+    def _in_domain(self, fn, xp) -> np.ndarray:
+        """``fn`` at a point ``(m,)`` or at the rows of a stack ``(N, m)``,
+        after the domain check."""
         xp = np.atleast_1d(np.asarray(xp, float))
-        self._check_domain(xp)
-        return float(self.phi(xp))
-
-    def gradient(self, xp) -> np.ndarray:
-        xp = np.atleast_1d(np.asarray(xp, float))
-        self._check_domain(xp)
-        return np.asarray(self.grad_phi(xp), float)
-
-    def hessian(self, xp) -> np.ndarray:
-        """Hessian at a point ``(m,)``, or Hessians ``(N, m, m)`` at a stack
-        ``(N, m)``."""
-        xp = np.atleast_1d(np.asarray(xp, float))
-        m = self.dim_domain
         if xp.ndim == 2:
-            if self.hess_phi is None:
-                return np.array([self.hessian(x) for x in xp]).reshape(len(xp), m, m)
             r2 = self.domain_radius * self.domain_radius
             outside = np.flatnonzero(np.einsum("ij,ij->i", xp, xp) >= r2)
             if outside.size:
                 k = outside[0]
                 if k:
-                    self.hessian(xp[:k])  # earlier rows raise their own errors first
+                    self._in_domain(fn, xp[:k])  # earlier rows raise their own errors first
                 self._check_domain(xp[k])
-            return np.asarray(self.hess_phi(xp), float)
-        self._check_domain(xp)
-        if self.hess_phi is not None:
-            return np.asarray(self.hess_phi(xp), float)
+        else:
+            self._check_domain(xp)
+        return np.asarray(fn(xp), float)
+
+    def value(self, xp):
+        v = self._in_domain(self.phi, xp)
+        return float(v) if v.ndim == 0 else v
+
+    def gradient(self, xp) -> np.ndarray:
+        return self._in_domain(self.grad_phi, xp)
+
+    def hessian(self, xp) -> np.ndarray:
+        return self._in_domain(self.hess_phi or self._fd_hessian, xp)
+
+    def _fd_hessian(self, xp) -> np.ndarray:
+        """Central differences of the gradient, row by row for a stack."""
+        m = self.dim_domain
+        if xp.ndim == 2:
+            return np.array([self.hessian(x) for x in xp]).reshape(len(xp), m, m)
         h = 1e-6 * self.domain_radius
         H = np.empty((m, m))
         for j in range(m):
@@ -452,63 +463,23 @@ def _safeguarded_fiber_root(f, fprime, lo, hi, tol=TOL_BOUNDARY):
     raise ChartError("fiber root-finding did not converge")
 
 
-def _quadric_fiber_root(quad, xp, s_max):
-    """Upper root s of G on the fiber above ``xp`` for a quadric in chart
-    coordinates, ``G(xp, s) = a2 s^2 + 2 a1 s + a0``.
-
-    Raises ChartError where the iterative solve would: the fiber misses the
-    body, the root lies outside ``|s| <= s_max``, or its residual exceeds
-    the boundary tolerance.
+def _quadric_fiber_roots(quad, xp):
+    """Upper roots s of G on the fibers above the rows of ``xp`` ``(N, m)``
+    for a quadric in chart coordinates, ``G(xp, s) = a2 s^2 + 2 a1 s + a0``,
+    and the residuals of G there; NaN where the fiber misses the body.
     """
     Ac, cc, rhs = quad
-    d = np.empty(cc.shape[0])
-    d[:-1] = xp
-    d[-1] = 0.0
-    d -= cc
-    Ad = Ac @ d
-    a2, a1, a0 = Ac[-1, -1], float(Ad[-1]), float(d @ Ad) - rhs
-    disc = a1 * a1 - a2 * a0
-    if disc < 0:
-        raise ChartError("fiber does not cross the boundary in range")
-    sq = math.sqrt(disc)
-    # cancellation-free upper root
-    root = -a0 / (a1 + sq) if a1 > 0 else (sq - a1) / a2
-    if not -s_max <= root <= s_max:
-        raise ChartError("fiber root lies outside the chart height range")
-    if abs(a0 + root * (2.0 * a1 + a2 * root)) > TOL_BOUNDARY:
-        raise ChartError("fiber root-finding did not converge")
-    return root
-
-
-def _quadric_fiber_gradients(quad, xp, r, s_max):
-    """Chart-frame gradients ``2 Ac (v - cc)`` of a quadric G at the graph
-    points above the rows of ``xp`` ``(N, m)``, in one vectorised pass.
-
-    Also returns which rows pass the point path's checks: inside the domain
-    radius ``r``, a fiber that meets the body, a root within ``s_max`` and
-    the boundary tolerance, and a transversal fiber.
-    """
-    Ac, cc, rhs = quad
-    d = np.empty((xp.shape[0], cc.shape[0]))
+    d = np.empty((len(xp), cc.shape[0]))
     d[:, :-1] = xp
     d[:, -1] = 0.0
     d -= cc
     Ad = d @ Ac
     a2, a1 = Ac[-1, -1], Ad[:, -1]
-    a0 = np.einsum("ij,ij->i", d, Ad) - rhs
-    disc = a1 * a1 - a2 * a0
-    sq = np.sqrt(disc)  # NaN where the fiber misses the body: fails the range check
+    a0 = np.vecdot(d, Ad) - rhs
+    sq = np.sqrt(a1 * a1 - a2 * a0)
     # cancellation-free upper root
     root = np.where(a1 > 0, -a0 / (a1 + sq), (sq - a1) / a2)
-    d[:, -1] += root
-    gc = 2.0 * (d @ Ac)
-    ok = (
-        (np.einsum("ij,ij->i", xp, xp) < r * r)
-        & (np.abs(root) <= s_max)
-        & (np.abs(a0 + root * (2.0 * a1 + a2 * root)) <= TOL_BOUNDARY)
-        & (gc[:, -1] > 0)
-    )
-    return gc, ok
+    return root, a0 + root * (2.0 * a1 + a2 * root)
 
 
 def _graph_hessian(gc, Hc):
@@ -533,18 +504,20 @@ def chart_at(
     """Concave chart of the body boundary at a boundary point.
 
     The chart frame sends ``p`` to the origin and the outward normal to
-    ``+e_n``; phi is the upper root of G along each vertical fiber.  Bodies
-    carrying ``quadric`` solve that root, and take the derivatives of G, in
-    closed form; other bodies use safeguarded Newton root-finding.
-    ``hess_phi`` takes a point ``(m,)`` or a stack ``(N, m)`` and returns
-    ``(m, m)`` or ``(N, m, m)``: quadric charts evaluate a stack in one
-    vectorised pass, other charts row by row.
+    ``+e_n``; phi is the upper root of G along each vertical fiber.
+    ``phi``, ``grad_phi`` and ``hess_phi`` take a point ``(m,)`` or a stack
+    ``(N, m)`` and solve all its fibers in one vectorised pass: in closed
+    form for bodies carrying ``quadric``, else by a parabola fit along each
+    fiber, checked against G.  Rows that pass fails go through the point
+    path, safeguarded Newton after a downward march, which raises the row's
+    error.
     ``tangent_hint`` forces the (n-1)-st tangent axis to the (normalized,
     tangentially projected) hint direction.
 
     When ``domain_radius`` is omitted it is probed: starting from half the
     bounding radius, the radius is halved until fiber solves succeed on a
-    ring of test points.
+    ring of test points in the first two tangent axes and at 0.95 of the
+    radius along both directions of every other tangent axis.
     """
     p = np.asarray(p, float)
     if abs(body.value_at(p)) > 10 * TOL_BOUNDARY * max(1.0, body.bounding_radius):
@@ -595,130 +568,163 @@ def chart_at(
         v[-1] = s
         return R @ v + p
 
+    def G(v):
+        """G at chart-frame points ``(N, n)``."""
+        f = np.asarray(body.value(v @ Rt + p), float)
+        if f.shape != (len(v),):
+            raise ParameterError(f"body value of a ({len(v)}, {n}) stack has shape {f.shape}")
+        return f
+
+    def lift(xp, s):
+        """Chart-frame points ``(N, n)`` at heights s above the rows of xp."""
+        v = np.empty((len(xp), n))
+        v[:, :-1] = xp
+        v[:, -1] = s
+        return v
+
+    def parabola_roots(xp, s_max):
+        """Upper roots of parabolas fitted to G through the fiber samples at
+        s = 0, -h, -2h above the rows of ``xp`` ``(N, m)``, and which of them
+        a fourth sample confirms.  G is convex along each fiber, so a fit
+        that is not convex is rounding noise on a line: it takes the linear
+        root."""
+        N, h = len(xp), s_max / 48.0
+        v = np.empty((3, N, n))
+        v[..., :-1] = xp
+        v[..., -1] = np.array([[0.0], [-h], [-2.0 * h]])
+        f0, f1, f2 = G(v.reshape(3 * N, n)).reshape(3, N)
+        gam = (f2 - 2.0 * f1 + f0) / (2.0 * h * h)
+        bet = (f2 - 4.0 * f1 + 3.0 * f0) / (2.0 * h)
+        q = -0.5 * (bet + np.copysign(np.sqrt(bet * bet - 4.0 * gam * f0), bet))
+        root = np.where(
+            gam < 1e-14 * np.maximum(1.0, np.abs(bet)),
+            np.where(bet > 0, -f0 / bet, np.nan),
+            np.where(q != 0, np.maximum(q / gam, f0 / q), q / gam),
+        )
+        ok = (f0 >= -TOL_BOUNDARY) & (-s_max <= root) & (root <= TOL_BOUNDARY)
+        ok[ok] = np.abs(G(lift(xp[ok], root[ok]))) <= TOL_BOUNDARY
+        return root, ok
+
     # fiber solve: G is convex along the fiber, >= 0 on the tangent plane
-    # (s = 0), negative inside.  March downward to bracket the upper
-    # crossing.  The height range is set by the body scale, not the chart
-    # radius: the domain constraint applies to tangent coordinates only.
+    # (s = 0), negative inside.  Where the parabola fit misses, march
+    # downward to bracket the upper crossing.  The height range is set by
+    # the body scale, not the chart radius: the domain constraint applies to
+    # tangent coordinates only.
     normal_col = R[:, -1]
 
-    def solve_fiber(xp, r):
-        xp = np.asarray(xp, float)
-        if float(np.dot(xp, xp)) >= r * r:
-            raise DomainError("fiber base point outside chart domain")
-        s_max = 2.0 * body.bounding_radius + r
-        if quad is not None:
-            return _quadric_fiber_root(quad, xp, s_max)
+    def march(xp, s_max):
         f = lambda s: float(body.value(world_of(xp, s)))
         fp = lambda s: float(np.dot(body.gradient(world_of(xp, s)), normal_col))
-
-        # fast path: fit a parabola through three fiber samples and verify
-        # its upper root; it serves non-quadric bodies only (quadrics
-        # returned above) and is harmless where it misses
-        f0 = f(0.0)
-        if f0 >= -TOL_BOUNDARY:
-            h = s_max / 48.0
-            f1, f2 = f(-h), f(-2.0 * h)
-            gam = (f2 - 2.0 * f1 + f0) / (2.0 * h * h)
-            bet = (f2 - 4.0 * f1 + 3.0 * f0) / (2.0 * h)
-            root = None
-            if abs(gam) < 1e-14 * max(1.0, abs(bet)):
-                if bet > 0:
-                    root = -f0 / bet
-            elif gam > 0:
-                disc = bet * bet - 4.0 * gam * f0
-                if disc >= 0:
-                    q = -0.5 * (bet + math.copysign(math.sqrt(disc), bet))
-                    cands = [q / gam] + ([f0 / q] if q != 0 else [])
-                    root = max(c for c in cands)
-            if root is not None and -s_max <= root <= TOL_BOUNDARY:
-                if abs(f(root)) <= TOL_BOUNDARY:
-                    return root
-
-        k, steps = 1, 48
-        s_prev = 0.0
-        if f0 < -TOL_BOUNDARY:
+        if f(0.0) < -TOL_BOUNDARY:
             # base fiber point already inside: bracket upward instead
             if f(s_max) <= 0:
                 raise ChartError("fiber does not cross the boundary in range")
             return _safeguarded_fiber_root(f, fp, 0.0, s_max)
-        while k <= steps:
-            s = -s_max * k / steps
+        s_prev = 0.0
+        for k in range(1, 49):
+            s = -s_max * k / 48
             if f(s) <= 0:
                 return _safeguarded_fiber_root(f, fp, s, s_prev)
             s_prev = s
-            k += 1
         raise ChartError("fiber root-finding failed inside the chart domain")
 
-    # probe / fix the domain radius
+    def fiber_heights(xp, r):
+        """Heights of the boundary above the rows of ``xp`` ``(N, m)`` in a
+        chart of radius r, and ``{row: error}`` for rows without one.
+
+        One vectorised pass: the closed form for quadrics, else the
+        parabola fit; rows it misses march down their fiber one by one.
+        """
+        s_max = 2.0 * body.bounding_radius + r
+        if quad is not None:
+            root, resid = _quadric_fiber_roots(quad, xp)
+            ok = (np.abs(root) <= s_max) & (np.abs(resid) <= TOL_BOUNDARY)
+        else:
+            root, ok = parabola_roots(xp, s_max)
+        inside = np.vecdot(xp, xp) < r * r
+        errors = {}
+        for k in np.flatnonzero(~(ok & inside)):
+            if not inside[k]:
+                errors[k] = DomainError("fiber base point outside chart domain")
+            elif quad is not None:
+                errors[k] = ChartError(
+                    "fiber does not cross the boundary in range" if np.isnan(root[k])
+                    else "fiber root lies outside the chart height range" if abs(root[k]) > s_max
+                    else "fiber root-finding did not converge"
+                )
+            else:
+                try:
+                    root[k] = march(xp[k], s_max)
+                except ChartError as exc:
+                    errors[k] = exc
+        return root, errors
+
+    # probe / fix the domain radius on a ring in the first two tangent axes
+    # and at both ends of every further tangent axis
+    m = n - 1
     if domain_radius is None:
+        angles = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])[:, :m]
+        probes = np.zeros((8 + 2 * max(m - 2, 0), m))
+        probes[:8, : ring.shape[1]] = ring
+        for j in range(2, m):
+            probes[2 * j + 4, j], probes[2 * j + 5, j] = 1.0, -1.0
         r = 0.5 * body.bounding_radius
-        ring = np.array([[math.cos(a), math.sin(a)] for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)])
         for _ in range(8):
-            try:
-                for q in ring:
-                    xp = np.zeros(body.dim - 1)
-                    xp[: min(2, body.dim - 1)] = q[: min(2, body.dim - 1)] * 0.95 * r
-                    solve_fiber(xp, r * 1.0001)
-                break
-            except (ChartError, DomainError):
-                r *= 0.5
+            with np.errstate(all="ignore"):  # fibers without a root hold NaN
+                if not fiber_heights(probes * (0.95 * r), r * 1.0001)[1]:
+                    break
+            r *= 0.5
         else:
             raise ChartError("no workable chart domain radius found")
         domain_radius = r
-
     r_dom = float(domain_radius)
 
-    # gradient (and Hessian) of G in chart coordinates at the fiber point
+    # gradient and Hessian of G in chart coordinates at chart-frame points
     if quad is not None:
         H2 = 2.0 * quad[0]
-
-        def frame_derivatives(xp, hessian):
-            v = np.empty(n)
-            v[:-1] = xp
-            v[-1] = solve_fiber(xp, r_dom)
-            return H2 @ (v - quad[1]), H2
-
+        frame_gradient = lambda v: (v - quad[1]) @ H2
+        frame_hessian = lambda v: H2
     else:
+        frame_gradient = lambda v: np.asarray(body.gradient(v @ Rt + p), float) @ R
+        frame_hessian = lambda v: Rt @ np.asarray(body.hessian(v @ Rt + p), float) @ R
 
-        def frame_derivatives(xp, hessian):
-            w = world_of(xp, solve_fiber(xp, r_dom))
-            gc = Rt @ np.asarray(body.gradient(w), float)
-            return gc, (Rt @ np.asarray(body.hessian(w), float) @ R if hessian else None)
-
-    def phi(xp):
-        return solve_fiber(xp, r_dom)
-
-    def grad_phi(xp):
-        gc, _ = frame_derivatives(xp, False)
-        if gc[-1] <= 0:
-            raise ChartError("chart gradient degenerate: fiber is not transversal")
-        return -gc[:-1] / gc[-1]
+    def graph(xp, order):
+        """phi, grad phi or hess phi (order 0, 1, 2) above a point ``(m,)``
+        or the rows of a stack ``(N, m)``, raising the first bad row's
+        error."""
+        x = np.asarray(xp, float)
+        rows = x.reshape(-1, m)
+        try:
+            with np.errstate(all="ignore"):  # rows without a height hold NaN
+                heights, errors = fiber_heights(rows, r_dom)
+                v = lift(rows, heights)
+                if order == 0:
+                    out, transversal = heights, np.ones(len(rows), bool)
+                else:
+                    gc = frame_gradient(v)
+                    transversal = gc[:, -1] > 0
+                    out = -gc[:, :-1] / gc[:, -1:] if order == 1 else _graph_hessian(gc, frame_hessian(v))
+        except ChartError:  # a body oracle refused some row: find it row by row
+            if len(rows) == 1:
+                raise
+            out = np.array([graph(row, order) for row in rows])
+            return out if x.ndim == 2 else out[0]
+        what = "gradient" if order == 1 else "Hessian"
+        for k in np.flatnonzero(~transversal):
+            errors.setdefault(k, ChartError(f"chart {what} degenerate: fiber is not transversal"))
+        if errors:
+            raise errors[min(errors)]
+        return out if x.ndim == 2 else out[0]
 
     hess_phi = None
     if quad is not None or body.has_analytic_hessian:
-        m = n - 1
-
-        def hess_phi(xp):
-            xp = np.asarray(xp, float)
-            if xp.ndim == 2:
-                if quad is None:
-                    return np.array([hess_phi(x) for x in xp]).reshape(len(xp), m, m)
-                # rows failing the checks may hold NaN or divide by zero
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    gc, ok = _quadric_fiber_gradients(quad, xp, r_dom, 2.0 * body.bounding_radius + r_dom)
-                    H = _graph_hessian(gc, H2)
-                for k in np.flatnonzero(~ok):
-                    H[k] = hess_phi(xp[k])  # the point path raises this row's error
-                return H
-            gc, Hc = frame_derivatives(xp, True)
-            if gc[-1] <= 0:
-                raise ChartError("chart Hessian degenerate: fiber is not transversal")
-            return _graph_hessian(gc, Hc)
+        hess_phi = lambda xp: graph(xp, 2)
 
     return ConcaveChart(
-        dim_domain=body.dim - 1,
-        phi=phi,
-        grad_phi=grad_phi,
+        dim_domain=m,
+        phi=lambda xp: graph(xp, 0),
+        grad_phi=lambda xp: graph(xp, 1),
         hess_phi=hess_phi,
         domain_radius=r_dom,
         pose=pose,
@@ -734,16 +740,17 @@ def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
         return base
     if pose.dim != base.dim:
         raise SpecError("pose dimension does not match the body dimension")
-    R, Rt = pose.rotation, pose.rotation.T
+    R, Rt, t = pose.rotation, pose.rotation.T, pose.translation
 
-    value = lambda x: base.value(pose.to_local(x))
-    gradient = lambda x: R @ base.gradient(pose.to_local(x))
+    # (x - t) @ R maps a point, or each row of a stack, to local coordinates
+    value = lambda x: base.value((x - t) @ R)
+    gradient = lambda x: base.gradient((x - t) @ R) @ Rt
     hessian = None
     if base.hessian is not None:
-        hessian = lambda x: R @ base.hessian(pose.to_local(x)) @ Rt
+        hessian = lambda x: R @ base.hessian((x - t) @ R) @ Rt
     kink = None
     if base.kink_margin is not None:
-        kink = lambda x: base.kink_margin(pose.to_local(x))
+        kink = lambda x: base.kink_margin((x - t) @ R)
     quadric = None
     if base.quadric is not None:
         A, c, rhs = base.quadric
@@ -772,9 +779,9 @@ def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
     A = np.diag(w)
     body = ImplicitBody(
         dim=a.shape[0],
-        value=lambda x: float(np.dot(x, w * x) - 1.0),
+        value=lambda x: np.vecdot(x, w * x) - 1.0,
         gradient=lambda x: 2.0 * w * x,
-        hessian=lambda x: 2.0 * A,
+        hessian=lambda x: np.zeros(np.shape(x)[:-1] + A.shape) + 2.0 * A,
         bounding_radius=float(a.max()),
         center=np.zeros(a.shape[0]),
         convexity=Convexity.uniformly_convex(2.0 * float(w.min())),
@@ -791,11 +798,12 @@ def translated_ball(center, radius: float, pose: Pose | None = None) -> Implicit
     r = float(radius)
     if r <= 0:
         raise ParameterError("radius must be positive")
+    eye = np.eye(c.shape[0])
     body = ImplicitBody(
         dim=c.shape[0],
-        value=lambda x: float(np.dot(x - c, x - c) - r * r),
+        value=lambda x: np.vecdot(x - c, x - c) - r * r,
         gradient=lambda x: 2.0 * (x - c),
-        hessian=lambda x: 2.0 * np.eye(c.shape[0]),
+        hessian=lambda x: np.zeros(np.shape(x)[:-1] + eye.shape) + 2.0 * eye,
         bounding_radius=r,
         center=c,
         convexity=Convexity.uniformly_convex(2.0),
@@ -858,21 +866,24 @@ def kiselman(
         raise ParameterError("strip_half_width must lie in (0, 1/2)")
     f, fx, fy, fxx, fxy, fyy = _kiselman_profile(int(q))
 
+    # x, y, z = p.T unpacks the coordinates of a point, or the columns of a
+    # stack (N, 3)
     def patch_value(p):
-        return p[2] + f(p[0], p[1])
+        x, y, z = p.T
+        return z + f(x, y)
 
     def patch_grad(p):
-        return np.array([fx(p[0], p[1]), fy(p[0], p[1]), 1.0])
+        x, y, _ = p.T
+        g = np.empty(np.shape(p))
+        g[..., 0], g[..., 1], g[..., 2] = fx(x, y), fy(x, y), 1.0
+        return g
 
     def patch_hess(p):
-        x, y = p[0], p[1]
-        return np.array(
-            [
-                [fxx(x, y), fxy(x, y), 0.0],
-                [fxy(x, y), fyy(x, y), 0.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
+        x, y, _ = p.T
+        H = np.zeros(np.shape(p) + (3,))
+        H[..., 0, 0], H[..., 1, 1] = fxx(x, y), fyy(x, y)
+        H[..., 0, 1] = H[..., 1, 0] = fxy(x, y)
+        return H
 
     if clamp_radius is None:
         body = ImplicitBody(
@@ -893,21 +904,20 @@ def kiselman(
     if not (0 < rv <= strip_half_width):
         raise ParameterError("clamp_radius must lie in (0, strip_half_width]")
 
+    ball_value = lambda p: np.vecdot(p, p) - rv * rv
+    on_patch = lambda p: patch_value(p) >= ball_value(p)
+
     def value(p):
-        return max(patch_value(p), float(np.dot(p, p)) - rv * rv)
+        return np.maximum(patch_value(p), ball_value(p))
 
     def gradient(p):
-        if patch_value(p) >= float(np.dot(p, p)) - rv * rv:
-            return patch_grad(p)
-        return 2.0 * p
+        return np.where(on_patch(p)[..., None], patch_grad(p), 2.0 * p)
 
     def hessian(p):
-        if patch_value(p) >= float(np.dot(p, p)) - rv * rv:
-            return patch_hess(p)
-        return 2.0 * np.eye(3)
+        return np.where(on_patch(p)[..., None, None], patch_hess(p), 2.0 * np.eye(3))
 
     def kink(p):
-        return abs(patch_value(p) - (float(np.dot(p, p)) - rv * rv))
+        return np.abs(patch_value(p) - ball_value(p))
 
     body = ImplicitBody(
         dim=3,
@@ -934,36 +944,36 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
     strictly convex, and the boundary has an edge along the base rim.
     """
 
-    def parts(p):
-        u = np.array([p[0] + p[1] - 1.0, p[2]])
-        rho = float(np.linalg.norm(u))
-        return u, rho
+    def parts(p, what=None):
+        """u = (x + y - 1, z), |u|, which points are on the lateral side,
+        and |u| with 1 off that side; ``what`` names the oracle that is
+        undefined on the cone axis."""
+        u0, u1 = p[..., 0] + p[..., 1] - 1.0, p[..., 2]
+        rho = np.sqrt(u0 * u0 + u1 * u1)
+        lateral = rho + p[..., 1] - 1.0 >= -p[..., 1]
+        if what is not None and np.any(lateral & (rho < 1e-14)):
+            raise DegeneratePointError(f"gauge {what} undefined on the cone axis")
+        return u0, u1, rho, lateral, np.where(lateral, rho, 1.0)
 
     def value(p):
-        u, rho = parts(p)
-        return max(rho + p[1] - 1.0, -p[1])
+        _, _, rho, _, _ = parts(p)
+        return np.maximum(rho + p[..., 1] - 1.0, -p[..., 1])
 
     def gradient(p):
-        u, rho = parts(p)
-        if rho + p[1] - 1.0 >= -p[1]:
-            if rho < 1e-14:
-                raise DegeneratePointError("gauge gradient undefined on the cone axis")
-            return np.array([u[0] / rho, u[0] / rho + 1.0, u[1] / rho])
-        return np.array([0.0, -1.0, 0.0])
+        u0, u1, _, lateral, r = parts(p, "gradient")
+        g = np.stack([u0 / r, u0 / r + 1.0, u1 / r], axis=-1)
+        return np.where(lateral[..., None], g, [0.0, -1.0, 0.0])
 
     def hessian(p):
-        u, rho = parts(p)
-        if rho + p[1] - 1.0 >= -p[1]:
-            if rho < 1e-14:
-                raise DegeneratePointError("gauge Hessian undefined on the cone axis")
-            L = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-            M = np.eye(2) / rho - np.outer(u, u) / rho**3
-            return L.T @ M @ L
-        return np.zeros((3, 3))
+        # L^T M L with L = [[1, 1, 0], [0, 0, 1]], M = I/rho - u u^T/rho^3
+        u0, u1, _, lateral, r = parts(p, "Hessian")
+        a, b, c = 1.0 / r - u0 * u0 / r**3, -u0 * u1 / r**3, 1.0 / r - u1 * u1 / r**3
+        H = np.stack([a, a, b, a, a, b, b, b, c], axis=-1).reshape(np.shape(p) + (3,))
+        return np.where(lateral[..., None, None], H, 0.0)
 
     def kink(p):
-        u, rho = parts(p)
-        return abs((rho + p[1] - 1.0) - (-p[1]))
+        _, _, rho, _, _ = parts(p)
+        return np.abs((rho + p[..., 1] - 1.0) - (-p[..., 1]))
 
     body = ImplicitBody(
         dim=3,
@@ -1115,16 +1125,20 @@ def cantor_contact(
     if side == "omega":
         cap = 6.0
 
+        def gap_at(x):
+            x = np.asarray(x, float)
+            return gap.value(x.ravel()).reshape(x.shape)
+
         def profile(x):
-            return x * x + eps * float(gap.value(x)[0])
+            return x * x + eps * gap_at(x)
 
         def profile_d(x):
             h = 1e-7
             # g is analytic but its closed-form first derivative is not worth
             # carrying; use a high-order central difference of the smooth sum
-            vals = gap.value(np.array([x - 2 * h, x - h, x + h, x + 2 * h]))
+            vals = gap_at(np.stack([x - 2 * h, x - h, x + h, x + 2 * h]))
             g1 = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-            return 2.0 * x + eps * float(g1)
+            return 2.0 * x + eps * g1
 
         name = f"cantor_contact_omega(eps={eps}, depth={cantor_depth})"
     else:
@@ -1134,15 +1148,16 @@ def cantor_contact(
         name = f"cantor_contact_lambda(depth={cantor_depth})"
 
     def value(p):
-        return max(profile(p[0]) - p[1], p[1] - cap)
+        return np.maximum(profile(p[..., 0]) - p[..., 1], p[..., 1] - cap)
 
     def gradient(p):
-        if profile(p[0]) - p[1] >= p[1] - cap:
-            return np.array([profile_d(p[0]), -1.0])
-        return np.array([0.0, 1.0])
+        x = p[..., 0]
+        on_graph = profile(x) - p[..., 1] >= p[..., 1] - cap
+        g = np.stack([profile_d(x), np.full(np.shape(x), -1.0)], axis=-1)
+        return np.where(on_graph[..., None], g, [0.0, 1.0])
 
     def kink(p):
-        return abs((profile(p[0]) - p[1]) - (p[1] - cap))
+        return np.abs((profile(p[..., 0]) - p[..., 1]) - (p[..., 1] - cap))
 
     half_span = math.sqrt(cap)
     center = np.array([0.0, 0.6 * cap])
@@ -1168,25 +1183,24 @@ def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, di
     if kappa <= 0 or H <= 0:
         raise ParameterError("curvature and height must be positive")
 
+    bowl = lambda p: 0.5 * kappa * np.vecdot(p[..., :-1], p[..., :-1]) - p[..., -1]
+    lid = lambda p: p[..., -1] - H
+    e_n = np.eye(dim)[-1]
+    H_bowl = kappa * np.diag(1.0 - e_n)
+
     def value(p):
-        return max(0.5 * kappa * float(np.dot(p[:-1], p[:-1])) - p[-1], p[-1] - H)
+        return np.maximum(bowl(p), lid(p))
 
     def gradient(p):
-        if 0.5 * kappa * float(np.dot(p[:-1], p[:-1])) - p[-1] >= p[-1] - H:
-            return np.append(kappa * p[:-1], -1.0)
-        g = np.zeros(dim)
-        g[-1] = 1.0
-        return g
+        g = kappa * p
+        g[..., -1] = -1.0
+        return np.where((bowl(p) >= lid(p))[..., None], g, e_n)
 
     def hessian(p):
-        if 0.5 * kappa * float(np.dot(p[:-1], p[:-1])) - p[-1] >= p[-1] - H:
-            Hm = kappa * np.eye(dim)
-            Hm[-1, -1] = 0.0
-            return Hm
-        return np.zeros((dim, dim))
+        return np.where((bowl(p) >= lid(p))[..., None, None], H_bowl, 0.0)
 
     def kink(p):
-        return abs((0.5 * kappa * float(np.dot(p[:-1], p[:-1])) - p[-1]) - (p[-1] - H))
+        return np.abs(bowl(p) - lid(p))
 
     rim = math.sqrt(2.0 * H / kappa)
     center = np.zeros(dim)

@@ -30,6 +30,7 @@ from .errors import (
     NoConvergenceError,
     NotStrictlyConvexError,
     ParameterError,
+    UmbraError,
 )
 
 TOL_ROOT_COEFF = 1e-10
@@ -172,11 +173,11 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
     else:
         Q = rotation_with_last_axis(up / norm_up)
 
-    phi_a = lambda z: chart.phi(Q @ z)
-    grad_a = lambda z: Q.T @ np.asarray(chart.grad_phi(Q @ z), float)
+    # z @ Q.T maps a point or each row of a stack to Q z
+    phi_a = lambda z: chart.phi(z @ Q.T)
+    grad_a = lambda z: np.asarray(chart.grad_phi(z @ Q.T), float) @ Q
     hess_a = None
     if chart.hess_phi is not None:
-        # z @ Q.T maps a point or each row of a stack to Q z
         hess_a = lambda z: Q.T @ np.asarray(chart.hess_phi(z @ Q.T), float) @ Q
 
     pose = None
@@ -193,113 +194,211 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
 # boundary graph solves
 
 
-def _gamma_in_frame(frame: AlignedFrame, ypp, tol_root: float | None = None):
-    ch = frame.chart
-    ypp = np.atleast_1d(np.asarray(ypp, float))
-    if ypp.shape[0] != ch.dim_domain - 1:
-        raise ParameterError(
-            f"y'' has dimension {ypp.shape[0]}, expected {ch.dim_domain - 1}"
-        )
-    rr = ch.domain_radius**2 - float(np.dot(ypp, ypp))
-    if rr <= 0:
-        raise DomainError("y'' lies outside the chart domain")
-    T = 0.999 * math.sqrt(rr)
-    tol = tol_root if tol_root is not None else TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
+# sweep stages of a fiber, in the order each fiber passes through them
+_BRACKET, _ENDPOINTS, _REFINE, _PROBE, _DONE = range(5)
+# failures a sweep records per grid point; any other error ends the sweep
+_SWEEP_SKIPS = (BoundaryNotInChartError, DomainError, NoConvergenceError)
 
-    slope = lambda t: frame.slope(ypp, t)
 
-    # Expanding bracket search: the slope is strictly decreasing along the
-    # fiber, so a bracket is any pair t- < t+ with slope(t-) > 0 > slope(t+).
-    t_neg = t_pos = None
-    s_neg = s_pos = None
-    for k in range(1, BRACKET_EXPANSIONS + 1):
-        tau = T * (1.0 - 2.0 ** (-k))
-        if t_neg is None:
-            s = slope(-tau)
-            if s > 0:
-                t_neg, s_neg = -tau, s
-        if t_pos is None:
-            s = slope(tau)
-            if s < 0:
-                t_pos, s_pos = tau, s
-        if t_neg is not None and t_pos is not None:
-            break
-    if t_neg is None or t_pos is None:
-        # distinguish inverted monotonicity from a genuinely one-sided fiber
-        lo, hi = slope(-T * (1.0 - 2.0**-BRACKET_EXPANSIONS)), slope(
-            T * (1.0 - 2.0**-BRACKET_EXPANSIONS)
-        )
-        if lo < -tol and hi > tol:
-            raise NotStrictlyConvexError(
-                "slope increases along the fiber; chart is not strictly concave"
-            )
-        raise BoundaryNotInChartError(
-            "no shadow-boundary bracket on this fiber within the chart domain "
-            f"(expansion cap {BRACKET_EXPANSIONS} hit; endpoint slopes "
-            f"{lo:.3g}, {hi:.3g})"
-        )
+def _at_fibers(fn, ypp, segments):
+    """``fn``, a chart oracle reduced to one number per point, at the points
+    ``(y''[fibers], t)`` of every segment ``(fibers, t)``, in one stacked
+    call; per segment, the values and ``{fiber: error}``.  If the stacked
+    call raises, its points are redone one by one through the point path,
+    so each point gets the error it raises alone.
+    """
+    rows = np.concatenate([r for r, _ in segments])
+    if not rows.size:
+        return [(np.empty(0), {}) for _ in segments]
+    Z = np.column_stack([ypp[rows], np.concatenate([t for _, t in segments])])
+    errors = {}
+    try:
+        values = np.asarray(fn(Z), float)
+    except UmbraError:
+        values = np.full(len(Z), np.nan)
+        for j, z in enumerate(Z):
+            try:
+                values[j] = fn(z)
+            except UmbraError as exc:
+                errors[j] = exc
+    if values.shape != (len(Z),):
+        raise ParameterError(f"chart oracle of a {Z.shape} stack gave shape {values.shape}")
+    out, start = [], 0
+    for r, _ in segments:
+        end = start + len(r)
+        out.append((values[start:end], {rows[j]: e for j, e in errors.items() if start <= j < end}))
+        start = end
+    return out
 
-    lo, hi = t_neg, t_pos
-    width_floor = 1e-15 * max(1.0, T)
-    best_t, best_s = (lo, s_neg) if abs(s_neg) < abs(s_pos) else (hi, s_pos)
 
-    def fiber_curvature(t):
-        z = np.empty(ch.dim_domain)
-        z[:-1] = ypp
-        z[-1] = t
-        return float(ch.hessian(z)[-1, -1])
+def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
+    """Shadow-boundary heights over the rows of ``ypp`` ``(K, m - 1)``.
 
-    # bisection narrows the bracket; once the chart has a Hessian, Newton
-    # steps (safeguarded by the bracket, which keeps shrinking) finish the
-    # root at quadratic rate where the slope is nondegenerate
-    newton_ready = ch.has_hessian
-    t = None
-    for it in range(120):
-        if abs(best_s) <= tol or hi - lo < width_floor:
-            break
-        t_newton = None
-        if newton_ready and it >= 8 and t is not None:
-            d2 = fiber_curvature(t)
-            if d2 < -1e-300:
-                cand = t - s_at_t / d2
-                if lo + width_floor < cand < hi - width_floor:
-                    t_newton = cand
-        t = t_newton if t_newton is not None else 0.5 * (lo + hi)
-        s_at_t = slope(t)
-        if abs(s_at_t) < abs(best_s):
-            best_t, best_s = t, s_at_t
-        if s_at_t > 0:
-            lo = t
-        else:
-            hi = t
+    Every fiber follows the same rule as if it were solved alone, but all
+    fibers advance in lockstep: each round makes one stacked slope call for
+    every fiber still working (and, once fibers reach their Newton steps,
+    one stacked curvature call).  Per fiber, with T = 0.999 times the
+    half-chord of the domain over ``y''``:
 
-    gamma, resid = best_t, best_s
-    if abs(resid) > tol:
-        raise NoConvergenceError(
-            f"fiber root residual {resid:.3g} above tolerance {tol:.3g}"
-        )
+    1. expanding bracket: the slope is strictly decreasing along the fiber,
+       so probe -+T(1 - 2^-k), k = 1..BRACKET_EXPANSIONS, until
+       slope(t-) > 0 > slope(t+); without a bracket, the slopes at the last
+       probes tell inverted monotonicity (NotStrictlyConvexError) from a
+       one-sided fiber (BoundaryNotInChartError);
+    2. 8 bisections, then Newton steps on the chart Hessian (when it has
+       one), safeguarded by the shrinking bracket, until the residual is
+       within ``tol``, the bracket is narrower than 1e-15 max(1, T), or 120
+       steps have passed; a residual above ``tol`` is NoConvergenceError;
+    3. sign probes a small offset below and above the root: slope > 0 below
+       and < 0 above within 10 tol, else NotStrictlyConvexError.
 
-    # sign structure around the root: slope > threshold below gamma and
-    # < threshold above (strict concavity), probed at a small offset
-    delta = min(0.01 * T, 0.25 * (T - abs(gamma)) + 1e-18)
-    probe_tol = 10 * tol
-    if delta > width_floor:
-        if gamma - delta > -T and slope(gamma - delta) < -probe_tol:
-            raise NotStrictlyConvexError("slope sign below the root is wrong")
-        if gamma + delta < T and slope(gamma + delta) > probe_tol:
-            raise NotStrictlyConvexError("slope sign above the root is wrong")
-    return float(gamma), float(resid)
+    Returns gamma, residual and each row's error (None where solved).
+    """
+    ch, c = frame.chart, frame.threshold
+    if not np.isfinite(ypp).all():
+        raise ParameterError("y'' has a non-finite coordinate")
+    K = len(ypp)
+    slope = lambda z: ch.gradient(z)[..., -1] - c
+    curvature = lambda z: ch.hessian(z)[..., -1, -1]
+
+    errors = [None] * K
+    rr = ch.domain_radius**2 - np.einsum("ij,ij->i", ypp, ypp)
+    stage = np.where(rr > 0, _BRACKET, _DONE)
+    for i in np.flatnonzero(rr <= 0):
+        errors[i] = DomainError("y'' lies outside the chart domain")
+    T = 0.999 * np.sqrt(np.maximum(rr, 0.0))
+    floor = 1e-15 * np.maximum(1.0, T)  # bracket width floor
+    T_end = T * (1.0 - 2.0**-BRACKET_EXPANSIONS)
+    t_neg, s_neg, t_pos, s_pos, lo, hi, best_t, best_s, t_last, s_last, gamma, delta = np.full((12, K), np.nan)
+    steps = np.zeros(K, int)
+
+    def fail(errs):
+        """Records ``{fiber: error}``; a fiber keeps its first error."""
+        for i, exc in errs.items():
+            if stage[i] != _DONE:
+                errors[i], stage[i] = exc, _DONE
+
+    k = 0  # bracket expansion step, shared by every fiber still bracketing
+    while (stage != _DONE).any():
+        k += 1
+        # refinement ends: accept the best point or give up
+        ref = np.flatnonzero(stage == _REFINE)
+        end = (np.abs(best_s[ref]) <= tol) | (hi[ref] - lo[ref] < floor[ref]) | (steps[ref] >= 120)
+        for i in ref[end]:
+            if abs(best_s[i]) > tol:
+                fail({i: NoConvergenceError(f"fiber root residual {best_s[i]:.3g} above tolerance {tol:.3g}")})
+                continue
+            gamma[i] = best_t[i]
+            delta[i] = min(0.01 * T[i], 0.25 * (T[i] - abs(gamma[i])) + 1e-18)
+            stage[i] = _PROBE if delta[i] > floor[i] else _DONE
+        ref = ref[~end]
+
+        # next point of each refining fiber: bisection, or a Newton step on
+        # the curvature at its last point once past 8 bisections
+        t_new = 0.5 * (lo[ref] + hi[ref])
+        past = np.flatnonzero(steps[ref] >= 8) if ch.has_hessian else []
+        if len(past):
+            newton = ref[past]
+            ((d2, errs),) = _at_fibers(curvature, ypp, [(newton, t_last[newton])])
+            fail(errs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = t_last[newton] - s_last[newton] / d2
+            take = (d2 < -1e-300) & (lo[newton] + floor[newton] < cand) & (cand < hi[newton] - floor[newton])
+            t_new[past[take]] = cand[take]
+            live = stage[ref] == _REFINE
+            ref, t_new = ref[live], t_new[live]
+
+        # one stacked slope call for every fiber still working, in the order
+        # each fiber takes its points: lower then upper bracket probe, lower
+        # then upper endpoint, refinement point, lower then upper sign probe
+        bra = np.flatnonzero(stage == _BRACKET)
+        tau = T[bra] * (1.0 - 2.0**-k)
+        neg, pos = np.isnan(t_neg[bra]), np.isnan(t_pos[bra])
+        ends = np.flatnonzero(stage == _ENDPOINTS)
+        prb = np.flatnonzero(stage == _PROBE)
+        below = prb[gamma[prb] - delta[prb] > -T[prb]]
+        above = prb[gamma[prb] + delta[prb] < T[prb]]
+        results = _at_fibers(slope, ypp, [
+            (bra[neg], -tau[neg]), (bra[pos], tau[pos]), (ends, -T_end[ends]), (ends, T_end[ends]),
+            (ref, t_new), (below, gamma[below] - delta[below]), (above, gamma[above] + delta[above]),
+        ])
+        (s_neg_k, e_neg), (s_pos_k, e_pos), (s_lo, e_lo), (s_hi, e_hi), (s_ref, e_ref) = results[:5]
+        (s_below, e_below), (s_above, e_above) = results[5:]
+
+        if bra.size:
+            fail(e_neg)
+            hit = bra[neg][s_neg_k > 0]
+            t_neg[hit], s_neg[hit] = -tau[neg][s_neg_k > 0], s_neg_k[s_neg_k > 0]
+            fail(e_pos)
+            hit = bra[pos][s_pos_k < 0]
+            t_pos[hit], s_pos[hit] = tau[pos][s_pos_k < 0], s_pos_k[s_pos_k < 0]
+            bra = bra[stage[bra] == _BRACKET]
+            both = ~np.isnan(t_neg[bra]) & ~np.isnan(t_pos[bra])
+            new = bra[both]
+            lo[new], hi[new] = t_neg[new], t_pos[new]
+            lower = np.abs(s_neg[new]) < np.abs(s_pos[new])
+            best_t[new] = np.where(lower, t_neg[new], t_pos[new])
+            best_s[new] = np.where(lower, s_neg[new], s_pos[new])
+            stage[new] = _REFINE
+            if k == BRACKET_EXPANSIONS:
+                stage[bra[~both]] = _ENDPOINTS
+
+        # no bracket: inverted monotonicity or a one-sided fiber
+        fail(e_lo)
+        fail(e_hi)
+        for j in np.flatnonzero(stage[ends] == _ENDPOINTS):
+            if s_lo[j] < -tol and s_hi[j] > tol:
+                exc = NotStrictlyConvexError("slope increases along the fiber; chart is not strictly concave")
+            else:
+                exc = BoundaryNotInChartError(
+                    "no shadow-boundary bracket on this fiber within the chart domain "
+                    f"(expansion cap {BRACKET_EXPANSIONS} hit; endpoint slopes "
+                    f"{s_lo[j]:.3g}, {s_hi[j]:.3g})"
+                )
+            fail({ends[j]: exc})
+
+        if ref.size:
+            fail(e_ref)
+            live = stage[ref] == _REFINE
+            ref, t_new, s_ref = ref[live], t_new[live], s_ref[live]
+            t_last[ref], s_last[ref] = t_new, s_ref
+            better = np.abs(s_ref) < np.abs(best_s[ref])
+            best_t[ref[better]], best_s[ref[better]] = t_new[better], s_ref[better]
+            up = s_ref > 0
+            lo[ref[up]], hi[ref[~up]] = t_new[up], t_new[~up]
+            steps[ref] += 1
+
+        # sign probes: slope > 0 below the root and < 0 above, within 10 tol
+        if prb.size:
+            fail(e_below)
+            for j in np.flatnonzero(s_below < -10 * tol):
+                fail({below[j]: NotStrictlyConvexError("slope sign below the root is wrong")})
+            fail(e_above)
+            for j in np.flatnonzero(s_above > 10 * tol):
+                fail({above[j]: NotStrictlyConvexError("slope sign above the root is wrong")})
+            stage[prb[stage[prb] == _PROBE]] = _DONE
+    return gamma, best_s, errors
 
 
 def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = None):
     """Height of the shadow boundary over ``ypp`` and the root residual.
 
     Solves ``d phi / d t (y'', t) = u_n`` (threshold in the normalized
-    tangential gauge) by bisection on the strictly decreasing fiber slope,
-    with a Newton polish when the chart has a Hessian oracle.
+    tangential gauge) on the strictly decreasing fiber slope: the one-row
+    case of ``shadow_boundary_sweep``, raising the error that sweep would
+    record or raise for the row.
     """
     frame = align_chart(chart, u)
-    return _gamma_in_frame(frame, ypp, tol_root)
+    ypp = np.atleast_1d(np.asarray(ypp, float))
+    if ypp.ndim != 1 or ypp.shape[0] != chart.dim_domain - 1:
+        raise ParameterError(
+            f"y'' has dimension {ypp.shape[0]}, expected {chart.dim_domain - 1}"
+        )
+    tol = tol_root if tol_root is not None else TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
+    gamma, resid, errors = _gamma_rows(frame, ypp[None], tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(gamma[0]), float(resid[0])
 
 
 @dataclass(frozen=True)
@@ -388,10 +487,15 @@ def shadow_boundary_sweep(
 ) -> ShadowCurve:
     """Solve the shadow boundary over a grid of base points ``y''``.
 
-    Grid points whose fiber has no bracket are omitted and recorded in
-    ``failures``.  Raises EmptyCurveError when the grid is empty or every
-    point fails, and ParameterError for a planar chart (``dim_domain`` 1),
-    whose silhouette is two points with no curve to sweep.
+    All fibers are solved in lockstep (see ``_gamma_rows``), so each round
+    costs one stacked chart call whatever the grid size.  Grid points whose
+    fiber has no bracket, or whose solve does not converge, are omitted and
+    recorded in ``failures``; any other error of a grid point is raised, the
+    first in grid order.  Raises EmptyCurveError when the grid is empty or
+    every point fails, and ParameterError for a planar chart (``dim_domain``
+    1), whose silhouette is two points with no curve to sweep, and for a
+    grid that does not split into points of dimension ``dim_domain - 1`` or
+    has a non-finite entry.
     """
     m = chart.dim_domain - 1
     if m == 0:
@@ -400,32 +504,33 @@ def shadow_boundary_sweep(
     grid = np.asarray(grid, float)
     if grid.size == 0:
         raise EmptyCurveError("empty sweep grid")
+    if grid.size % m:
+        raise ParameterError(f"a sweep grid of {grid.size} values does not split into points of dimension {m}")
     grid = grid.reshape(-1, m)
     tol = tol_root if tol_root is not None else TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
 
-    kept, gammas, resids, heights, failures = [], [], [], [], []
-    for ypp in grid:
-        try:
-            g, r = _gamma_in_frame(frame, ypp, tol)
-        except (BoundaryNotInChartError, DomainError, NoConvergenceError) as exc:
-            failures.append((np.array(ypp), str(exc)))
-            continue
-        kept.append(np.array(ypp))
-        gammas.append(g)
-        resids.append(r)
-        heights.append(frame.chart.value(np.append(ypp, g)))
-    if not kept:
+    gammas, resids, errors = _gamma_rows(frame, grid, tol)
+    kept = np.flatnonzero([e is None for e in errors])
+    ((heights, fatal),) = _at_fibers(frame.chart.value, grid, [(kept, gammas[kept])])
+    failures = []
+    for i, exc in enumerate(errors):  # the first error not recorded ends the sweep
+        exc = fatal.get(i, exc)
+        if isinstance(exc, _SWEEP_SKIPS) and i not in fatal:
+            failures.append((grid[i].copy(), str(exc)))
+        elif exc is not None:
+            raise exc
+    if not kept.size:
         raise EmptyCurveError(
             f"all {len(grid)} grid points failed; first reason: {failures[0][1]}"
         )
     curve = ShadowCurve(
-        ypp=np.array(kept),
-        gamma=np.array(gammas),
-        residual=np.array(resids),
+        ypp=grid[kept],
+        gamma=gammas[kept],
+        residual=resids[kept],
         direction=frame.direction,
         chart_frame=frame.chart.pose,
         tol_root=tol,
-        surface_height=np.array(heights),
+        surface_height=heights,
         failures=failures,
     )
     # every retained sample must sit inside the chart domain

@@ -744,7 +744,7 @@ def barrier_chart(chart: ConcaveChart, t_star: float) -> ConcaveChart:
     if t_star <= 0:
         raise ParameterError("t_star must be positive")
     inv = 1.0 / t_star
-    psi = lambda z: chart.phi(z) - 0.5 * inv * float(np.dot(z, z))
+    psi = lambda z: chart.phi(z) - 0.5 * inv * np.vecdot(z, z)
     grad = lambda z: np.asarray(chart.grad_phi(z), float) - inv * np.asarray(z, float)
     hess = None
     if chart.hess_phi is not None:

@@ -145,6 +145,37 @@ def coaxial_tangency_angle(center_distance, r_lam, r_om, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def quadric_shadow_gamma(A, c, rhs, u, frame_rotation, frame_origin, ypp):
+    """Shadow-boundary height over ``ypp`` on ``{(x-c)^T A (x-c) <= rhs}``
+    lit along ``u``, in an aligned chart frame ``x = R z + origin`` with
+    ``z = (y'', t, s)``; None where the fiber plane misses the silhouette.
+
+    The silhouette lies in the plane ``A(x - c) . u = 0``.  The fiber plane
+    over ``y''`` (spanned by the t and s axes) meets that plane in a line,
+    and the line meets the quadric in at most two points: one quadratic.
+    The point whose normal has a positive s component is on the chart's
+    upper sheet; gamma is its t coordinate.
+    """
+    R = np.asarray(frame_rotation, float)
+    m = R.shape[0] - 1
+    A, u = np.asarray(A, float), np.asarray(u, float)
+    b = np.asarray(frame_origin, float) + R[:, : m - 1] @ np.asarray(ypp, float) - c
+    e_t, e_s = R[:, m - 1], R[:, m]
+    w = A @ u
+    wt, ws = float(w @ e_t), float(w @ e_s)
+    x0 = b - float(w @ b) / (wt * wt + ws * ws) * (wt * e_t + ws * e_s)
+    d = ws * e_t - wt * e_s
+    q2, q1, q0 = float(d @ A @ d), 2.0 * float(x0 @ A @ d), float(x0 @ A @ x0) - rhs
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if disc < 0:
+        return None
+    for lam in ((-q1 - math.sqrt(disc)) / (2 * q2), (-q1 + math.sqrt(disc)) / (2 * q2)):
+        x = x0 + lam * d
+        if float((A @ x) @ e_s) > 0:
+            return float((x - b) @ e_t)
+    return None
+
+
 def fd_jacobian(func, x, h):
     """Central-difference Jacobian of a vector map."""
     x = np.asarray(x, float)

@@ -197,6 +197,15 @@ def test_chart_errors():
         chart_at(cone, [0.0, 1.0, 0.0])  # apex: gauge gradient undefined
 
 
+def test_chart_radius_probe_covers_every_tangent_axis():
+    # at e4 the thin semiaxis 0.2 lies along the third tangent axis, which
+    # a ring in the first two tangent coordinates never tests
+    body = bodies.ellipsoid([3.0, 3.0, 0.2, 1.0])
+    ch = chart_at(body, [0.0, 0.0, 0.0, 1.0])
+    for s in (1.0, -1.0):
+        ch.value(0.9 * s * ch.domain_radius * np.eye(3)[2])
+
+
 def _posed_quadrics(rng, n):
     """A posed ellipsoid and a posed translated ball in dimension n."""
     semiaxes = rng.uniform(0.6, 1.8, size=n)
@@ -500,6 +509,87 @@ def test_pose_validation():
     R[0, 0] = -1.0  # determinant -1
     with pytest.raises(ParameterError):
         Pose(R, np.zeros(3))
+
+
+def test_pose_orthogonality_check_matches_allclose():
+    # the elementwise test accepts exactly what np.allclose(R R^T, I,
+    # atol=1e-9) accepts, including near the tolerance and on NaN
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in (2, 3, 4):
+        for scale in (0.0, 1e-11, 1e-10, 4e-10, 1e-9, 3e-9, 1e-6):
+            R = oracles.random_rotation(rng, n)
+            cases.append(R + scale * rng.normal(size=(n, n)))
+    cases += [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.diag([1.0 + 4.9e-6, 1.0, 1.0])]
+    seen = set()
+    for R in cases:
+        with np.errstate(invalid="ignore"):
+            want = bool(np.allclose(R @ R.T, np.eye(len(R)), atol=1e-9))
+        try:
+            with np.errstate(invalid="ignore"):
+                Pose(R, np.zeros(len(R)))
+            got = True
+        except ParameterError as exc:
+            got = "determinant" in str(exc)
+        assert got == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _posed_catalog():
+    """Every catalog family, posed, in each dimension it allows."""
+    rng = np.random.default_rng(12)
+    pose = lambda n: Pose(oracles.random_rotation(rng, n), rng.normal(size=n))
+    cases = []
+    for n in (2, 3, 4, 5):
+        cases.append(pytest.param(bodies.ellipsoid(rng.uniform(0.6, 1.8, n), pose(n)), id=f"ellipsoid-n{n}"))
+        cases.append(pytest.param(bodies.translated_ball(rng.normal(size=n), 1.3, pose(n)), id=f"ball-n{n}"))
+        cases.append(pytest.param(bodies.paraboloid_cap(1.5, 0.8, pose(n), dim=n), id=f"paraboloid_cap-n{n}"))
+    cases.append(pytest.param(bodies.kiselman(5, pose=pose(3)), id="kiselman"))
+    cases.append(pytest.param(bodies.kiselman(3, clamp_radius=0.45, pose=pose(3)), id="kiselman-clamped"))
+    cases.append(pytest.param(bodies.cone_over_circle(pose(3)), id="cone_over_circle"))
+    for side in ("omega", "lambda"):
+        cases.append(pytest.param(bodies.cantor_contact(1e-3, 3, side, pose(2)), id=f"cantor_contact-{side}"))
+    return cases
+
+
+@pytest.mark.parametrize("body", _posed_catalog())
+def test_stacked_oracles_match_points(body):
+    # body and chart oracles on a stack agree with the same calls row by
+    # row, and a chart stack raises what its first bad row raises
+    rng = np.random.default_rng(13)
+    n = body.dim
+    x = body.center + body.bounding_radius * rng.uniform(-1.0, 1.0, size=(30, n))
+    oracles_ = [body.value, body.gradient] + ([body.hessian] if body.hessian else [])
+    for oracle in oracles_:
+        stacked = oracle(x)
+        for xi, got in zip(x, stacked):
+            want = oracle(xi)
+            assert np.shape(got) == np.shape(want)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+    ch = chart_at(body, sample_boundary_points(body, rng, 1)[0])
+    z = rng.normal(size=(30, n - 1))
+    z *= (rng.random(30) * 0.9 * ch.domain_radius / np.linalg.norm(z, axis=1))[:, None]
+    for query in (ch.value, ch.gradient):
+        stacked = query(z)
+        for zi, got in zip(z, stacked):
+            want = query(zi)
+            assert np.abs(got - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))
+        outside = np.zeros(n - 1)
+        outside[-1] = 1.5 * ch.domain_radius
+        assert _error_of(query, np.vstack([z[:3], outside, -outside])) == _error_of(query, outside)
+
+
+def test_stacked_cone_oracles_raise_on_the_axis():
+    cone = bodies.cone_over_circle()
+    apex = np.array([0.0, 1.0, 0.0])
+    stack = np.array([[0.5, 0.2, 0.1], apex])
+    for oracle in (cone.gradient, cone.hessian):
+        with pytest.raises(DegeneratePointError) as point:
+            oracle(apex)
+        with pytest.raises(DegeneratePointError) as stacked:
+            oracle(stack)
+        assert str(stacked.value) == str(point.value)
 
 
 def test_catalog_self_checks(rng):

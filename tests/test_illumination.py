@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from umbra.errors import (
     EmptyCurveError,
     NotStrictlyConvexError,
     ParameterError,
+    UmbraError,
 )
 from umbra.illumination import (
     Direction,
@@ -165,7 +167,7 @@ def test_not_strictly_concave_detected():
     # a convex graph masquerading as a chart flips the fiber monotonicity
     bad = ConcaveChart(
         dim_domain=2,
-        phi=lambda z: 0.5 * float(np.dot(z, z)),
+        phi=lambda z: 0.5 * np.vecdot(z, z),
         grad_phi=lambda z: np.asarray(z, float),
         hess_phi=None,
         domain_radius=1.0,
@@ -305,3 +307,120 @@ def test_samples_stay_in_domain():
     curve = shadow_boundary_sweep(ch, u, np.linspace(-0.45, 0.45, 31))
     radii = np.sqrt(curve.ypp[:, 0] ** 2 + curve.gamma**2)
     assert np.all(radii < ch.domain_radius)
+
+
+# ---------------------------------------------------------------------------
+# lockstep sweeps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sweep_matches_quadric_closed_form(n):
+    # posed ellipsoids: gamma against the plane-line-quadric closed form
+    rng = np.random.default_rng(500 + n)
+    semiaxes = rng.uniform(0.8, 1.6, size=n)
+    R = oracles.random_rotation(rng, n)
+    c = rng.normal(size=n)
+    A, _ = oracles.quadric_of_ellipsoid(semiaxes, R, c)
+    body = bodies.ellipsoid(semiaxes, bodies.Pose(R, c))
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    # a horizon point: x - c orthogonal to A u, scaled onto the boundary
+    v = rng.normal(size=n)
+    v -= (v @ A @ u) / (u @ A @ A @ u) * (A @ u)
+    p = c + v / math.sqrt(v @ A @ v)
+    chart = chart_at(body, p, domain_radius=0.3 * semiaxes.min())
+    grid = rng.normal(size=(40, n - 2))
+    grid *= (rng.random(40) * 0.3 * chart.domain_radius / np.linalg.norm(grid, axis=1))[:, None]
+    curve = shadow_boundary_sweep(chart, u, grid, tol_root=1e-10)
+    assert len(curve) == len(grid) and not curve.failures
+    frame = curve.chart_frame
+    for ypp, g in zip(curve.ypp, curve.gamma):
+        want = oracles.quadric_shadow_gamma(A, c, 1.0, u, frame.rotation, frame.translation, ypp)
+        assert abs(g - want) <= 1e-8
+    for ypp, g in zip(grid[:5], curve.gamma[:5]):
+        assert shadow_boundary_gamma(chart, u, ypp, tol_root=1e-10)[0] == pytest.approx(g, abs=1e-10)
+
+
+def _sweep_outcome(chart, u, grid, tol):
+    try:
+        return shadow_boundary_sweep(chart, u, grid, tol_root=tol)
+    except UmbraError as exc:
+        return exc
+
+
+def _assert_rows_match_one_row_sweeps(chart, u, grid, tol=1e-10):
+    """A sweep over N rows keeps, drops and raises as N one-row sweeps do."""
+    grid = np.asarray(grid, float).reshape(len(grid), -1)
+    full = _sweep_outcome(chart, u, grid, tol)
+    kept, gammas, failures = [], [], []
+    reason = "all 1 grid points failed; first reason: "
+    for row in grid:
+        one = _sweep_outcome(chart, u, row, tol)
+        if isinstance(one, ShadowCurve):
+            kept.append(row)
+            gammas.append(one.gamma[0])
+        elif isinstance(one, EmptyCurveError) and str(one).startswith(reason):
+            failures.append((row, str(one)[len(reason):]))
+        else:  # the first error a sweep does not record ends it
+            assert type(full) is type(one) and str(full) == str(one)
+            return
+    if not kept:
+        assert isinstance(full, EmptyCurveError)
+        return
+    assert isinstance(full, ShadowCurve)
+    assert np.array_equal(full.ypp, np.array(kept))
+    assert np.abs(full.gamma - np.array(gammas)).max() <= tol
+    assert [(tuple(r), s) for r, s in full.failures] == [(tuple(r), s) for r, s in failures]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_kiselman_sweep_rows_match_one_row_sweeps(q):
+    # the benchmark's uniform and dyadic grids, on its chart
+    chart = chart_at(bodies.kiselman(q), [0.0, 0.0, 0.0], domain_radius=0.48)
+    u = [0.0, 1.0, 0.0]
+    _assert_rows_match_one_row_sweeps(chart, u, np.linspace(-0.45, 0.45, 257))
+    dyadic = [s * 2.0**-k for k in range(3, 15) for s in (1.0, -1.0)] + [0.0]
+    _assert_rows_match_one_row_sweeps(chart, u, dyadic)
+
+
+def test_kinked_body_sweep_rows_match_one_row_sweeps():
+    cap = bodies.paraboloid_cap(1.5, 0.8)
+    chart = chart_at(cap, [0.0, 0.0, 0.0], domain_radius=0.6)
+    _assert_rows_match_one_row_sweeps(chart, Direction.normalized([0.8, 0.3, -0.5]), np.linspace(-0.55, 0.55, 41))
+    # light across the ruling through p: the gentler tilt keeps every row,
+    # the steeper one reaches fibers that leave the cone (ChartError)
+    cone = bodies.cone_over_circle()
+    p = bodies.boundary_point_along(cone, [0.3, 0.2, 0.5])
+    chart = chart_at(cone, p)
+    nu = cone.unit_normal(p)
+    ruling = np.array([0.0, 1.0, 0.0]) - p
+    across = np.cross(nu, ruling - (ruling @ nu) * nu)
+    for tilt in (0.1, 0.5):
+        u = Direction.normalized(across / np.linalg.norm(across) + tilt * nu)
+        _assert_rows_match_one_row_sweeps(chart, u, np.linspace(-0.9, 0.9, 41) * chart.domain_radius)
+
+
+@pytest.mark.parametrize("n_grid", [257, 1025])
+def test_sweep_slope_calls_do_not_grow_with_the_grid(n_grid):
+    # one stacked slope call per round: the worst fiber of a 257-point
+    # Kiselman q = 5 sweep needs 23 slope evaluations alone, so a sweep that
+    # loops over fibers makes hundreds of calls
+    chart = chart_at(bodies.kiselman(5), [0.0, 0.0, 0.0], domain_radius=0.48)
+    calls = []
+    counted = replace(chart, grad_phi=lambda z: calls.append(1) or chart.grad_phi(z))
+    curve = shadow_boundary_sweep(counted, [0.0, 1.0, 0.0], np.linspace(-0.45, 0.45, n_grid), tol_root=1e-10)
+    assert len(curve) > 0.3 * n_grid
+    assert len(calls) <= 46
+
+
+def test_sweep_rejects_malformed_grids():
+    ch = chart_at(bodies.ellipsoid([1.0, 1.2, 0.9, 1.1]), [0.0, 0.0, 0.0, 1.1], domain_radius=0.4)
+    u = Direction.normalized([1.0, 0.2, 0.0, 0.3])
+    with pytest.raises(ParameterError, match="dimension 2"):
+        shadow_boundary_sweep(ch, u, [0.0, 0.1, 0.2])
+    sphere = sphere_chart([0.0, 1.0, 0.0])
+    for grid in ([0.0, math.nan], [math.inf, 0.0]):
+        with pytest.raises(ParameterError, match="non-finite"):
+            shadow_boundary_sweep(sphere, [1.0, 0.0, 0.0], grid)
+    with pytest.raises(ParameterError, match="non-finite"):
+        shadow_boundary_gamma(sphere, [1.0, 0.0, 0.0], [math.nan])

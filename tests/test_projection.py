@@ -527,9 +527,9 @@ def test_hitting_time_bound_coaxial():
 def test_barrier_flat_chart():
     flat = bodies.ConcaveChart(
         dim_domain=2,
-        phi=lambda z: 0.0,
-        grad_phi=lambda z: np.zeros(2),
-        hess_phi=lambda z: np.zeros((2, 2)),
+        phi=lambda z: np.zeros(np.shape(z)[:-1]),
+        grad_phi=lambda z: np.zeros(np.shape(z)),
+        hess_phi=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2)),
         domain_radius=1.0,
     )
     z = np.array([0.3, -0.4])
@@ -537,6 +537,7 @@ def test_barrier_flat_chart():
     bc = pj.barrier_chart(flat, 1.0)
     assert bc.concavity_theta == pytest.approx(1.0)
     assert np.allclose(bc.hess_phi(z), -np.eye(2))
+    assert np.allclose(bc.value(np.array([z, 0.5 * z])), [-0.125, -0.03125])
     with pytest.raises(ParameterError):
         pj.barrier_psi(flat, 0.0, z)
 

@@ -240,8 +240,8 @@ def test_chart_constants_sphere():
 def test_chart_constants_require_uniform_concavity():
     flat = bodies.ConcaveChart(
         dim_domain=2,
-        phi=lambda z: 0.0,
-        grad_phi=lambda z: np.zeros(2),
+        phi=lambda z: np.zeros(np.shape(z)[:-1]),
+        grad_phi=lambda z: np.zeros(np.shape(z)),
         hess_phi=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2)),
         domain_radius=1.0,
     )
