@@ -708,8 +708,7 @@ def chart_at(
         except ChartError:  # a body oracle refused some row: find it row by row
             if len(rows) == 1:
                 raise
-            out = np.array([graph(row, order) for row in rows])
-            return out if x.ndim == 2 else out[0]
+            return np.array([graph(row, order) for row in rows])
         what = "gradient" if order == 1 else "Hessian"
         for k in np.flatnonzero(~transversal):
             errors.setdefault(k, ChartError(f"chart {what} degenerate: fiber is not transversal"))

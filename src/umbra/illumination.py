@@ -196,8 +196,6 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
 
 # sweep stages of a fiber, in the order each fiber passes through them
 _BRACKET, _ENDPOINTS, _REFINE, _PROBE, _DONE = range(5)
-# failures a sweep records per grid point; any other error ends the sweep
-_SWEEP_SKIPS = (BoundaryNotInChartError, DomainError, NoConvergenceError)
 
 
 def _at_fibers(fn, ypp, segments):
@@ -514,8 +512,9 @@ def shadow_boundary_sweep(
     ((heights, fatal),) = _at_fibers(frame.chart.value, grid, [(kept, gammas[kept])])
     failures = []
     for i, exc in enumerate(errors):  # the first error not recorded ends the sweep
-        exc = fatal.get(i, exc)
-        if isinstance(exc, _SWEEP_SKIPS) and i not in fatal:
+        if i in fatal:
+            raise fatal[i]
+        if isinstance(exc, (BoundaryNotInChartError, DomainError, NoConvergenceError)):
             failures.append((grid[i].copy(), str(exc)))
         elif exc is not None:
             raise exc
