@@ -366,6 +366,7 @@ def _assert_rows_match_one_row_sweeps(chart, u, grid, tol=1e-10):
             return
     if not kept:
         assert isinstance(full, EmptyCurveError)
+        assert str(full) == f"all {len(grid)} grid points failed; first reason: {failures[0][1]}"
         return
     assert isinstance(full, ShadowCurve)
     assert np.array_equal(full.ypp, np.array(kept))
