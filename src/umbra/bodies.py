@@ -34,7 +34,6 @@ from .errors import (
 
 TOL_BOUNDARY = 1e-10
 FD_HESSIAN_STEP = 1e-5  # relative to the body scale
-MAX_FIBER_ITER = 100
 
 Scalar = float
 VecOracle = Callable[[np.ndarray], np.ndarray]
@@ -57,6 +56,8 @@ class Pose:
         n = t.shape[0]
         if R.shape != (n, n):
             raise ParameterError("rotation and translation dimensions disagree")
+        if not np.isfinite(t).all():
+            raise ParameterError("translation must be finite")
         eye = np.eye(n)
         # np.allclose(R R^T, I, atol=1e-9) as one elementwise comparison
         if not (np.abs(R @ R.T - eye) <= 1e-9 + 1e-5 * eye).all():
@@ -227,7 +228,7 @@ class ImplicitBody:
     def __post_init__(self):
         if self.dim < 2:
             raise ParameterError("bodies live in dimension >= 2")
-        if self.bounding_radius <= 0:
+        if not self.bounding_radius > 0:
             raise ParameterError("bounding_radius must be positive")
         object.__setattr__(self, "center", np.asarray(self.center, float))
 
@@ -357,7 +358,7 @@ class ConcaveChart:
     holder_alpha: float | None = None
 
     def __post_init__(self):
-        if self.domain_radius <= 0:
+        if not self.domain_radius > 0:
             raise ParameterError("domain_radius must be positive")
 
     def _check_domain(self, xp: np.ndarray):
@@ -427,42 +428,6 @@ class ConcaveChart:
         return self.pose.rotate_to_world(nu)
 
 
-def _safeguarded_fiber_root(f, fprime, lo, hi, tol=TOL_BOUNDARY):
-    """Root of a continuous f with f(lo) <= 0 <= f(hi).
-
-    Newton from the midpoint, falling back to bisection whenever the Newton
-    iterate leaves the bracket.  f is convex along body fibers so the
-    bracketed root is the unique upper crossing.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo > tol or fhi < -tol:
-        raise ChartError("fiber bracket does not straddle the boundary")
-    # endpoints already within tolerance count as the root (the chart base
-    # point itself is only known to boundary tolerance)
-    if fhi < 0:
-        return hi
-    if flo > 0:
-        return lo
-    x = 0.5 * (lo + hi)
-    for _ in range(MAX_FIBER_ITER):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        if fx < 0:
-            lo = x
-        else:
-            hi = x
-        d = fprime(x)
-        x_newton = x - fx / d if d > 0 else math.inf
-        if lo < x_newton < hi:
-            x = x_newton
-        else:
-            x = 0.5 * (lo + hi)
-        if hi - lo < 1e-17 * max(1.0, abs(hi) + abs(lo)):
-            return 0.5 * (lo + hi)
-    raise ChartError("fiber root-finding did not converge")
-
-
 def _quadric_fiber_roots(quad, xp):
     """Upper roots s of G on the fibers above the rows of ``xp`` ``(N, m)``
     for a quadric in chart coordinates, ``G(xp, s) = a2 s^2 + 2 a1 s + a0``,
@@ -506,11 +471,10 @@ def chart_at(
     The chart frame sends ``p`` to the origin and the outward normal to
     ``+e_n``; phi is the upper root of G along each vertical fiber.
     ``phi``, ``grad_phi`` and ``hess_phi`` take a point ``(m,)`` or a stack
-    ``(N, m)`` and solve all its fibers in one vectorised pass: in closed
-    form for bodies carrying ``quadric``, else by a parabola fit along each
-    fiber, checked against G.  Rows that pass fails go through the point
-    path, safeguarded Newton after a downward march, which raises the row's
-    error.
+    ``(N, m)`` and solve all its fibers at once: in closed form for bodies
+    carrying ``quadric``, else by one-sided Newton run down every fiber of
+    the stack in lockstep.  Both paths map a failed fiber to the same
+    ChartError.
     ``tangent_hint`` forces the (n-1)-st tangent axis to the (normalized,
     tangentially projected) hint direction.
 
@@ -562,12 +526,6 @@ def chart_at(
         if Ac[-1, -1] > 0:  # G is a parabola along fibers; a flat A keeps iterating
             quad = (Ac, Rt @ (c - p), float(rhs))
 
-    def world_of(xp, s):
-        v = np.empty(n)
-        v[:-1] = xp
-        v[-1] = s
-        return R @ v + p
-
     def G(v):
         """G at chart-frame points ``(N, n)``."""
         f = np.asarray(body.value(v @ Rt + p), float)
@@ -582,81 +540,66 @@ def chart_at(
         v[:, -1] = s
         return v
 
-    def parabola_roots(xp, s_max):
-        """Upper roots of parabolas fitted to G through the fiber samples at
-        s = 0, -h, -2h above the rows of ``xp`` ``(N, m)``, and which of them
-        a fourth sample confirms.  G is convex along each fiber, so a fit
-        that is not convex is rounding noise on a line: it takes the linear
-        root."""
-        N, h = len(xp), s_max / 48.0
-        v = np.empty((3, N, n))
-        v[..., :-1] = xp
-        v[..., -1] = np.array([[0.0], [-h], [-2.0 * h]])
-        f0, f1, f2 = G(v.reshape(3 * N, n)).reshape(3, N)
-        gam = (f2 - 2.0 * f1 + f0) / (2.0 * h * h)
-        bet = (f2 - 4.0 * f1 + 3.0 * f0) / (2.0 * h)
-        q = -0.5 * (bet + np.copysign(np.sqrt(bet * bet - 4.0 * gam * f0), bet))
-        root = np.where(
-            gam < 1e-14 * np.maximum(1.0, np.abs(bet)),
-            np.where(bet > 0, -f0 / bet, np.nan),
-            np.where(q != 0, np.maximum(q / gam, f0 / q), q / gam),
-        )
-        ok = (f0 >= -TOL_BOUNDARY) & (-s_max <= root) & (root <= TOL_BOUNDARY)
-        ok[ok] = np.abs(G(lift(xp[ok], root[ok]))) <= TOL_BOUNDARY
-        return root, ok
+    # gradient and Hessian of G in chart coordinates at chart-frame points
+    if quad is not None:
+        H2 = 2.0 * quad[0]
+        frame_gradient = lambda v: (v - quad[1]) @ H2
+        frame_hessian = lambda v: H2
+    else:
+        frame_gradient = lambda v: np.asarray(body.gradient(v @ Rt + p), float) @ R
+        frame_hessian = lambda v: Rt @ np.asarray(body.hessian(v @ Rt + p), float) @ R
 
-    # fiber solve: G is convex along the fiber, >= 0 on the tangent plane
-    # (s = 0), negative inside.  Where the parabola fit misses, march
-    # downward to bracket the upper crossing.  The height range is set by
-    # the body scale, not the chart radius: the domain constraint applies to
-    # tangent coordinates only.
-    normal_col = R[:, -1]
-
-    def march(xp, s_max):
-        f = lambda s: float(body.value(world_of(xp, s)))
-        fp = lambda s: float(np.dot(body.gradient(world_of(xp, s)), normal_col))
-        if f(0.0) < -TOL_BOUNDARY:
-            # base fiber point already inside: bracket upward instead
-            if f(s_max) <= 0:
-                raise ChartError("fiber does not cross the boundary in range")
-            return _safeguarded_fiber_root(f, fp, 0.0, s_max)
-        s_prev = 0.0
-        for k in range(1, 49):
-            s = -s_max * k / 48
-            if f(s) <= 0:
-                return _safeguarded_fiber_root(f, fp, s, s_prev)
-            s_prev = s
-        raise ChartError("fiber root-finding failed inside the chart domain")
+    # fiber solve: G is convex along each fiber and >= 0 on the tangent plane
+    # (s = 0), so Newton steps s -= G / (dG/ds) from there fall monotonically
+    # onto the upper crossing without passing it, as in boundary_point_along.
+    # The height range is set by the body scale, not the chart radius: the
+    # domain constraint applies to tangent coordinates only.
+    def newton_roots(xp, s_max):
+        """Upper roots s of G on the fibers above the rows of ``xp``
+        ``(N, m)`` and the residuals of G there, all fibers in lockstep: NaN
+        where a fiber does not cross the body, below ``-s_max`` where a step
+        left the height range."""
+        s = np.zeros(len(xp))
+        f = G(lift(xp, s))
+        up = f < -TOL_BOUNDARY  # base point already inside: start above it
+        if up.any():
+            s[up] = s_max
+            f[up] = G(lift(xp[up], s_max))
+            s[up & (f <= 0)] = np.nan
+        work = np.flatnonzero(f > 0)
+        tol = 1e-15 * max(1.0, s_max)
+        while work.size:
+            slope = frame_gradient(lift(xp[work], s[work]))[:, -1]
+            # where G > 0 and the slope is <= 0, convexity keeps G > 0 below: no crossing
+            step = np.where(slope > 0, f[work] / slope, np.nan)
+            s[work] -= step
+            work = work[(step > tol) & (s[work] >= -s_max)]
+            if work.size:
+                f[work] = G(lift(xp[work], s[work]))
+                work = work[f[work] > 0]
+        return s, f
 
     def fiber_heights(xp, r):
         """Heights of the boundary above the rows of ``xp`` ``(N, m)`` in a
-        chart of radius r, and ``{row: error}`` for rows without one.
-
-        One vectorised pass: the closed form for quadrics, else the
-        parabola fit; rows it misses march down their fiber one by one.
-        """
+        chart of radius r, and ``{row: error}`` for rows without one."""
         s_max = 2.0 * body.bounding_radius + r
+        inside = np.vecdot(xp, xp) < r * r
         if quad is not None:
             root, resid = _quadric_fiber_roots(quad, xp)
-            ok = (np.abs(root) <= s_max) & (np.abs(resid) <= TOL_BOUNDARY)
         else:
-            root, ok = parabola_roots(xp, s_max)
-        inside = np.vecdot(xp, xp) < r * r
+            root, resid = np.full((2, len(xp)), np.nan)
+            root[inside], resid[inside] = newton_roots(xp[inside], s_max)
+        ok = inside & (np.abs(root) <= s_max) & (np.abs(resid) <= TOL_BOUNDARY)
         errors = {}
-        for k in np.flatnonzero(~(ok & inside)):
+        for k in np.flatnonzero(~ok):
             if not inside[k]:
                 errors[k] = DomainError("fiber base point outside chart domain")
-            elif quad is not None:
+            else:
                 errors[k] = ChartError(
                     "fiber does not cross the boundary in range" if np.isnan(root[k])
                     else "fiber root lies outside the chart height range" if abs(root[k]) > s_max
                     else "fiber root-finding did not converge"
                 )
-            else:
-                try:
-                    root[k] = march(xp[k], s_max)
-                except ChartError as exc:
-                    errors[k] = exc
         return root, errors
 
     # probe / fix the domain radius on a ring in the first two tangent axes
@@ -671,23 +614,17 @@ def chart_at(
             probes[2 * j + 4, j], probes[2 * j + 5, j] = 1.0, -1.0
         r = 0.5 * body.bounding_radius
         for _ in range(8):
-            with np.errstate(all="ignore"):  # fibers without a root hold NaN
-                if not fiber_heights(probes * (0.95 * r), r * 1.0001)[1]:
-                    break
+            try:
+                with np.errstate(all="ignore"):  # fibers without a root hold NaN
+                    if not fiber_heights(probes * (0.95 * r), r * 1.0001)[1]:
+                        break
+            except ChartError:  # a body oracle refused a probe fiber
+                pass
             r *= 0.5
         else:
             raise ChartError("no workable chart domain radius found")
         domain_radius = r
     r_dom = float(domain_radius)
-
-    # gradient and Hessian of G in chart coordinates at chart-frame points
-    if quad is not None:
-        H2 = 2.0 * quad[0]
-        frame_gradient = lambda v: (v - quad[1]) @ H2
-        frame_hessian = lambda v: H2
-    else:
-        frame_gradient = lambda v: np.asarray(body.gradient(v @ Rt + p), float) @ R
-        frame_hessian = lambda v: Rt @ np.asarray(body.hessian(v @ Rt + p), float) @ R
 
     def graph(xp, order):
         """phi, grad phi or hess phi (order 0, 1, 2) above a point ``(m,)``
@@ -772,8 +709,8 @@ def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
     monotonicity inequality.
     """
     a = np.asarray(semiaxes, float)
-    if a.ndim != 1 or a.shape[0] < 2 or np.any(a <= 0):
-        raise ParameterError("semiaxes must be >= 2 positive numbers")
+    if a.ndim != 1 or a.shape[0] < 2 or not np.all((a > 0) & (a < math.inf)):
+        raise ParameterError("semiaxes must be >= 2 positive finite numbers")
     w = 1.0 / a**2
     A = np.diag(w)
     body = ImplicitBody(
@@ -795,8 +732,10 @@ def translated_ball(center, radius: float, pose: Pose | None = None) -> Implicit
     """Ball ``|x - c|^2 <= r^2`` through the quadratic defining function."""
     c = np.asarray(center, float)
     r = float(radius)
-    if r <= 0:
-        raise ParameterError("radius must be positive")
+    if c.ndim != 1 or c.shape[0] < 2 or not np.isfinite(c).all():
+        raise ParameterError("center must be a finite point of dimension >= 2")
+    if not 0 < r < math.inf:
+        raise ParameterError("radius must be positive and finite")
     eye = np.eye(c.shape[0])
     body = ImplicitBody(
         dim=c.shape[0],
@@ -1111,7 +1050,7 @@ def cantor_contact(
     """
     if side not in ("omega", "lambda"):
         raise ParameterError("side must be 'omega' or 'lambda'")
-    if eps < 0:
+    if not eps >= 0:
         raise ParameterError("eps must be nonnegative")
     gap = _CantorGap(cantor_depth)
     if eps > 0:
@@ -1179,8 +1118,8 @@ def cantor_contact(
 def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, dim: int = 3) -> ImplicitBody:
     """Paraboloid ``x_n >= kappa |x'|^2 / 2`` capped by ``x_n <= height``."""
     kappa, H = float(curvature), float(height)
-    if kappa <= 0 or H <= 0:
-        raise ParameterError("curvature and height must be positive")
+    if not (0 < kappa < math.inf and 0 < H < math.inf):
+        raise ParameterError("curvature and height must be positive and finite")
 
     bowl = lambda p: 0.5 * kappa * np.vecdot(p[..., :-1], p[..., :-1]) - p[..., -1]
     lid = lambda p: p[..., -1] - H
@@ -1251,7 +1190,7 @@ class BodySpec:
     pose: Pose | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
+        if not isinstance(self.family, str) or self.family not in _FAMILY_PARAMS:
             raise SpecError(f"unknown family {self.family!r}")
         allowed = _FAMILY_PARAMS[self.family]
         unknown = set(self.params) - allowed
@@ -1277,7 +1216,7 @@ class BodySpec:
                 raise SpecError("pose must carry exactly rotation and translation")
             try:
                 pose = Pose(np.asarray(pd["rotation"], float), np.asarray(pd["translation"], float))
-            except (KeyError, ValueError, ParameterError) as exc:
+            except (KeyError, TypeError, ValueError, ParameterError) as exc:
                 raise SpecError(f"bad pose: {exc}") from exc
         params = d.get("params", {})
         if not isinstance(params, dict):

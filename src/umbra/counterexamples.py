@@ -31,6 +31,7 @@ from .bodies import (
     cone_over_circle,
 )
 from .errors import ParameterError
+from .illumination import Direction
 
 CIRCLE_DISCRETIZATION = 1 << 10
 
@@ -265,8 +266,7 @@ def cone_body_graph_failure(
     """
     rng = np.random.default_rng(rng)
     body = cone_over_circle()
-    u = np.asarray(u, float)
-    u = u / np.linalg.norm(u)
+    u = Direction.normalized(u).u
 
     axes = [np.eye(3)[i] for i in range(3)]
     for _ in range(n_random_frames):
@@ -328,8 +328,6 @@ def cantor_contact_pair(eps: float, depth: int) -> CantorContactPair:
     the deepest removed interval.  ``eps = 0`` collapses the two parabolas
     and is flagged degenerate (contact along the whole arc).
     """
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
     omega = cantor_contact(eps, depth, side="omega")
     lam = cantor_contact(eps, depth, side="lambda")
     if eps == 0.0:

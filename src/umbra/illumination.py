@@ -45,7 +45,7 @@ class Direction:
 
     def __post_init__(self):
         u = np.asarray(self.u, float).ravel()
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(u) - 1.0) <= 1e-12:
             raise ParameterError("direction must be a unit vector (|u| = 1 within 1e-12)")
         object.__setattr__(self, "u", u)
 
@@ -53,8 +53,8 @@ class Direction:
     def normalized(v) -> "Direction":
         v = np.asarray(v, float).ravel()
         n = np.linalg.norm(v)
-        if n < 1e-14:
-            raise ParameterError("cannot normalize the zero vector")
+        if not 1e-14 <= n < math.inf:
+            raise ParameterError("cannot normalize a zero or non-finite vector")
         return Direction(v / n)
 
     @property
@@ -110,6 +110,8 @@ def shadow_horizon_point(body, u, rng=None) -> np.ndarray:
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the arc is down to one float: later steps repeat
+            break
         if float(np.dot(body.gradient_at(at(mid)), d.u)) > 0:
             lo = mid
         else:

@@ -551,6 +551,8 @@ def seed_boundary(
     lo, hi = 0.0, 1.0  # lo side in shadow
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the arc is down to one float: later steps repeat
+            break
         y = boundary_point_along(lam, slerp(d_in, d_out, mid))
         if in_projection_shadow(omega, lam, y):
             lo = mid

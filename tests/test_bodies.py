@@ -22,6 +22,7 @@ from umbra.errors import (
     DomainError,
     ParameterError,
     SpecError,
+    UmbraError,
 )
 from umbra.illumination import align_chart
 from umbra.projection import barrier_chart
@@ -197,6 +198,30 @@ def test_chart_errors():
         chart_at(cone, [0.0, 1.0, 0.0])  # apex: gauge gradient undefined
 
 
+def test_chart_solves_a_fiber_thinner_than_a_fixed_step():
+    # the fiber lies inside the cap only for s in [-0.0946, -0.0613]; a march
+    # in steps of s_max / 48 = 0.054 steps over it
+    body = bodies.paraboloid_cap(1.2, 0.6, dim=4)
+    p = bodies.boundary_point_along(body, [0.6, -0.07, -0.21, -0.05])
+    ch = chart_at(body, p, domain_radius=0.5)
+    s = ch.value([-0.48, 0.0, 0.0])
+    assert s == pytest.approx(-0.06127, abs=1e-5)
+    assert abs(body.value_at(ch.to_world([-0.48, 0.0, 0.0]))) <= 1e-15
+
+
+def test_stacked_fiber_solve_makes_few_oracle_calls():
+    # every fiber of a stack advances in the same Newton round, so the calls
+    # do not grow with the rows, including those crossing the cap's rim
+    body, calls = _counting(bodies.paraboloid_cap(1.5, 0.8))
+    ch = chart_at(body, bodies.boundary_point_along(body, [1.0, 0.5, 0.2]))
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=(500, 2))
+    z *= (rng.random(500) * 0.9 * ch.domain_radius / np.linalg.norm(z, axis=1))[:, None]
+    calls["n"] = 0
+    assert ch.gradient(z).shape == (500, 2)
+    assert calls["n"] <= 16
+
+
 def test_chart_radius_probe_covers_every_tangent_axis():
     # at e4 the thin semiaxis 0.2 lies along the third tangent axis, which
     # a ring in the first two tangent coordinates never tests
@@ -238,9 +263,9 @@ def _counting(body):
     ), calls
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_quadric_chart_matches_iterative_chart(n):
-    # closed-form fibers against the safeguarded-Newton path of the same body
+    # closed-form fibers against the Newton path of the same body
     rng = np.random.default_rng(40 + n)
     for body in _posed_quadrics(rng, n):
         counted, calls = _counting(body)
@@ -485,6 +510,34 @@ def test_bodyspec_rejects_unknown_fields():
         BodySpec.from_json('{"family": "dodecahedron", "params": {}}')
     with pytest.raises(SpecError):
         BodySpec.from_json("not json at all")
+
+
+_numbers = st.floats() | st.integers(-3, 13)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+# numbers, points and square matrices, so that specs also get past the type checks
+_arrays = _numbers | st.lists(_numbers, max_size=5) | st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_numbers, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def _spec_document(family):
+    allowed = bodies._FAMILY_PARAMS.get(family, ()) if isinstance(family, str) else ()
+    params = st.fixed_dictionaries({}, optional={k: _arrays | _json for k in sorted(allowed)})
+    pose = st.none() | st.fixed_dictionaries({"rotation": _arrays, "translation": _arrays}) | _json
+    return st.fixed_dictionaries({"family": st.just(family), "params": params | _json, "pose": pose})
+
+
+@given((st.sampled_from(sorted(bodies._FAMILY_PARAMS)) | _json).flatmap(_spec_document))
+def test_instantiate_returns_a_body_or_raises_umbra_error(doc):
+    try:
+        body = instantiate(BodySpec.from_dict(doc))
+    except UmbraError:
+        return
+    assert isinstance(body, bodies.ImplicitBody)
 
 
 def test_bodyspec_posed_instantiation(rng):

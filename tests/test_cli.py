@@ -88,6 +88,54 @@ def test_shadow_wrongly_typed_params(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+_SHADOW = ["shadow", "{spec}", "--u", "1", "0", "0"]
+_ELLIPSOID = {"family": "ellipsoid", "params": {"semiaxes": [1.0, 1.0, 1.0]}}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, names",
+    [
+        pytest.param(
+            {**_ELLIPSOID, "pose": {"rotation": np.eye(3).tolist(), "translation": {"x": 1.0}}},
+            _SHADOW, "pose", id="pose-translation-object",
+        ),
+        pytest.param(
+            {"family": "translated_ball", "params": {"center": 1.0, "radius": 1.0}},
+            _SHADOW, "center", id="ball-center-scalar",
+        ),
+        pytest.param({**_ELLIPSOID, "family": ["ellipsoid"]}, _SHADOW, "family", id="family-list"),
+        pytest.param(
+            {"family": "ellipsoid", "params": {"semiaxes": [float("nan"), 1.0, 1.0]}},
+            _SHADOW, "semiaxes", id="semiaxes-nan",
+        ),
+        pytest.param(
+            {"family": "paraboloid_cap", "params": {"curvature": float("nan"), "height": 0.5}},
+            _SHADOW, "curvature", id="cap-curvature-nan",
+        ),
+        pytest.param(
+            {"family": "paraboloid_cap", "params": {"curvature": 1.0, "height": float("inf")}},
+            _SHADOW, "height", id="cap-height-inf",
+        ),
+        pytest.param(None, ["counterexample", "cantor-contact", "--eps", "nan"], "eps", id="cantor-eps-nan"),
+        pytest.param(
+            None, ["counterexample", "cone-graph-failure", "--u", "0", "0", "0"], "vector", id="cone-u-zero"
+        ),
+        pytest.param(
+            None, ["counterexample", "cone-graph-failure", "--u", "nan", "1", "0"], "vector", id="cone-u-nan"
+        ),
+    ],
+)
+def test_malformed_numeric_input_exits_1(tmp_path, capsys, doc, argv, names):
+    # the error names the bad input, instead of a traceback, a misleading
+    # later failure or a wrong answer with exit 0
+    spec = write_spec(tmp_path, "bad.json", doc) if doc is not None else None
+    argv = [spec if a == "{spec}" else a for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # project
 

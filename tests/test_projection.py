@@ -289,6 +289,62 @@ def test_seed_boundary_random_poses(rng):
 
 
 # ---------------------------------------------------------------------------
+# dimensions 4 and 5 against closed forms
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _coaxial_pair_in(n, rng):
+    """Unit balls in R^n: omega at distance 3 along a random axis a, the
+    target at the origin.  By rotational symmetry about a, the shadow
+    boundary is the tangency angle of the 3-D coaxial pair."""
+    a = _unit(rng.normal(size=n))
+    return bodies.translated_ball(3.0 * a, 1.0), bodies.translated_ball(np.zeros(n), 1.0), a
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_project_point_and_closest_pair_on_balls(n):
+    rng = np.random.default_rng(400 + n)
+    c, r = rng.normal(size=n), 0.7
+    ball = bodies.translated_ball(c, r)
+    for _ in range(10):
+        x = c + rng.uniform(1.2, 3.0) * r * _unit(rng.normal(size=n))
+        assert np.abs(pj.project_point(ball, x) - (c + r * _unit(x - c))).max() <= 1e-10
+    # the gap between two balls is d - r1 - r2, along the line of centers
+    d = _unit(rng.normal(size=n))
+    other = bodies.translated_ball(c + 2.5 * d, 0.9)
+    x, z, dist = pj.closest_pair(other, ball)
+    assert dist == pytest.approx(2.5 - 0.9 - r, abs=1e-10)
+    assert np.abs(z - (c + r * d)).max() <= 1e-8
+    assert np.abs(x - (c + (2.5 - 0.9) * d)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_membership_flips_at_tangency_angle(n):
+    rng = np.random.default_rng(410 + n)
+    om, lam, a = _coaxial_pair_in(n, rng)
+    theta_star = oracles.coaxial_tangency_angle(3.0, 1.0, 1.0)
+    for _ in range(5):
+        w = _unit(rng.normal(size=n))
+        w = _unit(w - np.dot(w, a) * a)
+        at = lambda theta: math.sin(theta) * w + math.cos(theta) * a
+        assert pj.in_projection_shadow(om, lam, at(theta_star - 1e-4))
+        assert not pj.in_projection_shadow(om, lam, at(theta_star + 1e-4))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_seed_and_solve_land_on_tangency_angle(n):
+    rng = np.random.default_rng(420 + n)
+    om, lam, a = _coaxial_pair_in(n, rng)
+    pt = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam, rng=rng))
+    theta_star = oracles.coaxial_tangency_angle(3.0, 1.0, 1.0)
+    assert abs(math.acos(np.dot(_unit(pt.y), a)) - theta_star) <= 1e-10
+    assert abs(np.linalg.norm(pt.y) - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # tracing
 
 
