@@ -209,6 +209,28 @@ def test_chart_solves_a_fiber_thinner_than_a_fixed_step():
     assert abs(body.value_at(ch.to_world([-0.48, 0.0, 0.0]))) <= 1e-15
 
 
+def test_a_refused_fiber_fails_alone():
+    # the gradient oracle refuses points with x > 0.4, as the cone's gauge
+    # does on its axis: a fiber there fails with the oracle's error, and so
+    # does a radius probe that meets one, while the other fibers are solved
+    ball = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+
+    def gradient(x):
+        if np.any(np.asarray(x)[..., 0] > 0.4):
+            raise DegeneratePointError("refused")
+        return ball.gradient(x)
+
+    body = replace(ball, gradient=gradient, quadric=None)
+    p = [0.0, 0.0, -1.0]
+    assert chart_at(body, p).domain_radius == 0.25  # the probe ring at r = 0.5 reaches x = 0.475
+    ch = chart_at(body, p, domain_radius=0.6)
+    good, bad = ch.pose.to_local([-0.2, 0.1, -1.0])[:-1], ch.pose.to_local([0.45, 0.0, -1.0])[:-1]
+    for query in (ch.value, ch.gradient):
+        assert np.array_equal(query(np.array([good, good])), [query(good)] * 2)
+        with pytest.raises(DegeneratePointError, match="refused"):
+            query(np.array([good, bad, good]))
+
+
 def test_stacked_fiber_solve_makes_few_oracle_calls():
     # every fiber of a stack advances in the same Newton round, so the calls
     # do not grow with the rows, including those crossing the cap's rim
