@@ -481,7 +481,8 @@ def chart_at(
     When ``domain_radius`` is omitted it is probed: starting from half the
     bounding radius, the radius is halved until fiber solves succeed on a
     ring of test points in the first two tangent axes and at 0.95 of the
-    radius along both directions of every other tangent axis.
+    radius along both directions of every other tangent axis; a fiber a
+    body oracle refuses counts as a failed solve.
     """
     p = np.asarray(p, float)
     if abs(body.value_at(p)) > 10 * TOL_BOUNDARY * max(1.0, body.bounding_radius):
