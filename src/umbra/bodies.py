@@ -16,6 +16,7 @@ a strictly-but-not-uniformly convex patch with a controllable flat direction
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -30,6 +31,7 @@ from .errors import (
     ParameterError,
     SpecError,
     UmbraError,
+    check_positive,
 )
 
 TOL_BOUNDARY = 1e-10
@@ -334,10 +336,7 @@ class ConcaveChart:
     coordinates.  ``phi`` is concave on the open ball ``|x'| < domain_radius``
     with ``phi(0) = 0`` and ``grad phi(0) = 0``.
 
-    ``holder_L``, ``concavity_theta`` and ``holder_alpha`` are optional
-    regularity constants: a gradient Hoelder bound
-    ``|grad phi(y') - grad phi(z')| <= L |y' - z'|^alpha`` and a uniform
-    concavity modulus
+    ``concavity_theta`` is an optional uniform concavity modulus
     ``<grad phi(y') - grad phi(z'), y' - z'> <= -theta |y' - z'|^2``.
 
     ``value``, ``gradient`` and ``hessian`` (and ``phi``, ``grad_phi`` and
@@ -353,13 +352,10 @@ class ConcaveChart:
     hess_phi: VecOracle | None
     domain_radius: float
     pose: Pose | None = None
-    holder_L: float | None = None
     concavity_theta: float | None = None
-    holder_alpha: float | None = None
 
     def __post_init__(self):
-        if not self.domain_radius > 0:
-            raise ParameterError("domain_radius must be positive")
+        check_positive("domain_radius", self.domain_radius)
 
     def _check_domain(self, xp: np.ndarray):
         if float(np.dot(xp, xp)) >= self.domain_radius * self.domain_radius:
@@ -485,6 +481,8 @@ def chart_at(
     body oracle refuses counts as a failed solve.
     """
     p = np.asarray(p, float)
+    if not np.isfinite(p).all():
+        raise ParameterError(f"chart base point p must be finite, got {p}")
     if abs(body.value_at(p)) > 10 * TOL_BOUNDARY * max(1.0, body.bounding_radius):
         raise ChartError(f"point is not on the boundary (G = {body.value_at(p):.3g})")
     g = body.gradient_at(p)
@@ -558,8 +556,9 @@ def chart_at(
     def newton_roots(xp, s_max):
         """Upper roots s of G on the fibers above the rows of ``xp``
         ``(N, m)`` and the residuals of G there, all fibers in lockstep: NaN
-        where a fiber does not cross the body, below ``-s_max`` where a step
-        left the height range."""
+        or below ``-s_max`` where a fiber does not cross the body in the
+        height range (a step leaving the range passed only points where
+        G > 0, by convexity)."""
         s = np.zeros(len(xp))
         f = G(lift(xp, s))
         up = f < -TOL_BOUNDARY  # base point already inside: start above it
@@ -597,8 +596,7 @@ def chart_at(
                 errors[k] = DomainError("fiber base point outside chart domain")
             else:
                 errors[k] = ChartError(
-                    "fiber does not cross the boundary in range" if np.isnan(root[k])
-                    else "fiber root lies outside the chart height range" if abs(root[k]) > s_max
+                    "fiber does not cross the boundary in range" if not abs(root[k]) <= s_max
                     else "fiber root-finding did not converge"
                 )
         return root, errors
@@ -1163,23 +1161,18 @@ def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, di
 # serializable specs
 
 
-_FAMILY_PARAMS = {
-    "ellipsoid": {"semiaxes"},
-    "translated_ball": {"center", "radius"},
-    "kiselman": {"q", "strip_half_width", "clamp_radius"},
-    "cone_over_circle": set(),
-    "cantor_contact": {"eps", "cantor_depth", "side"},
-    "paraboloid_cap": {"curvature", "height"},
-}
+_FAMILIES = (
+    "ellipsoid", "translated_ball", "kiselman", "cone_over_circle", "cantor_contact", "paraboloid_cap",
+)
 
-_FAMILY_REQUIRED = {
-    "ellipsoid": {"semiaxes"},
-    "translated_ball": {"center", "radius"},
-    "kiselman": {"q"},
-    "cone_over_circle": set(),
-    "cantor_contact": {"eps", "cantor_depth"},
-    "paraboloid_cap": {"curvature", "height"},
-}
+
+def _spec_params(family: str) -> tuple[set, set]:
+    """Allowed and required spec parameters of a family: the arguments of
+    its constructor, the function of the same name, less ``pose`` and
+    ``dim``."""
+    params = inspect.signature(globals()[family]).parameters.values()
+    args = [a for a in params if a.name not in ("pose", "dim")]
+    return {a.name for a in args}, {a.name for a in args if a.default is a.empty}
 
 
 @dataclass(frozen=True)
@@ -1191,13 +1184,13 @@ class BodySpec:
     pose: Pose | None = None
 
     def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in _FAMILY_PARAMS:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise SpecError(f"unknown family {self.family!r}")
-        allowed = _FAMILY_PARAMS[self.family]
+        allowed, required = _spec_params(self.family)
         unknown = set(self.params) - allowed
         if unknown:
             raise SpecError(f"unknown params for {self.family}: {sorted(unknown)}")
-        missing = _FAMILY_REQUIRED[self.family] - set(self.params)
+        missing = required - set(self.params)
         if missing:
             raise SpecError(f"missing params for {self.family}: {sorted(missing)}")
 
@@ -1248,36 +1241,19 @@ class BodySpec:
 
 
 def instantiate(spec: BodySpec) -> ImplicitBody:
-    """Build the implicit body described by a spec.
+    """Build the implicit body described by a spec: its family's
+    constructor, looked up at call time, called with its params and pose.
 
     Raises ParameterError for out-of-range parameters (for instance an even
     Kiselman exponent) and SpecError for malformed documents, including
     parameters of the wrong type.
     """
-    fam, p = spec.family, spec.params
     try:
-        if fam == "ellipsoid":
-            return ellipsoid(p["semiaxes"], spec.pose)
-        if fam == "translated_ball":
-            return translated_ball(p["center"], p["radius"], spec.pose)
-        if fam == "kiselman":
-            return kiselman(
-                p["q"],
-                p.get("strip_half_width", 0.49),
-                p.get("clamp_radius"),
-                spec.pose,
-            )
-        if fam == "cone_over_circle":
-            return cone_over_circle(spec.pose)
-        if fam == "cantor_contact":
-            return cantor_contact(p["eps"], p["cantor_depth"], p.get("side", "omega"), spec.pose)
-        if fam == "paraboloid_cap":
-            return paraboloid_cap(p["curvature"], p["height"], spec.pose)
+        return globals()[spec.family](**spec.params, pose=spec.pose)
     except UmbraError:
         raise
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad params for {fam}: {exc}") from exc
-    raise SpecError(f"unknown family {fam!r}")
+        raise SpecError(f"bad params for {spec.family}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

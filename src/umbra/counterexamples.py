@@ -54,9 +54,7 @@ def kiselman_identity_check(q: int, grid=None) -> float:
         ys = np.linspace(-0.45, 0.45, 32)
         grid = [(x, y) for x in xs for y in ys]
 
-    def profile(x, y):
-        return x * x * (4.0 - y + 0.5 * y * y) + y ** (q + 1) / (q + 1) - y ** (q + 2) / (q + 2)
-
+    profile = _kiselman_profile(q)[0]  # polynomial, so complex y works
     h = 1e-100
     worst = 0.0
     for x, y in grid:
@@ -249,7 +247,6 @@ def _pair_for_axis(body, a, u, radius, tol_proj=1e-11, sep_tol=1e-5):
 
 
 def cone_body_graph_failure(
-    n_samples: int = 256,
     u=(0.0, 1.0, 0.0),
     radius: float = 0.55,
     rng=None,

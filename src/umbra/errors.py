@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check that a
+numeric parameter is positive and finite."""
+
+import math
 
 
 class UmbraError(Exception):
@@ -7,6 +10,16 @@ class UmbraError(Exception):
 
 class ParameterError(UmbraError, ValueError):
     """A parameter is outside its documented range."""
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float; ParameterError naming it unless it is finite
+    and > 0 (NaN fails every comparison, so ``value <= 0`` would let it
+    through)."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class SpecError(UmbraError, ValueError):

@@ -31,6 +31,7 @@ from .errors import (
     NotStrictlyConvexError,
     ParameterError,
     UmbraError,
+    check_positive,
 )
 
 TOL_ROOT_COEFF = 1e-10
@@ -380,6 +381,14 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
     return gamma, best_s, errors
 
 
+def _root_tol(frame, tol_root):
+    """The slope-residual tolerance of a sweep: ``tol_root``, or a default
+    scaled by the frame's slope threshold."""
+    if tol_root is None:
+        return TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
+    return check_positive("tol_root", tol_root)
+
+
 def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = None):
     """Height of the shadow boundary over ``ypp`` and the root residual.
 
@@ -394,11 +403,31 @@ def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = 
         raise ParameterError(
             f"y'' has dimension {ypp.shape[0]}, expected {chart.dim_domain - 1}"
         )
-    tol = tol_root if tol_root is not None else TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
+    tol = _root_tol(frame, tol_root)
     gamma, resid, errors = _gamma_rows(frame, ypp[None], tol)
     if errors[0] is not None:
         raise errors[0]
     return float(gamma[0]), float(resid[0])
+
+
+def read_csv_table(path) -> tuple[list, np.ndarray]:
+    """Header and numeric rows ``(N, columns)`` of a CSV file; ParameterError
+    for an empty file, a file without rows, a non-numeric cell or a row of
+    the wrong length."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParameterError(f"CSV file {path} is empty")
+        rows = [row for row in reader if row]
+    if not rows:
+        raise ParameterError(f"CSV file {path} has no rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ParameterError(f"CSV file {path} has a row without {len(header)} cells")
+    try:
+        return header, np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ParameterError(f"CSV file {path} has a non-numeric cell: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -454,23 +483,13 @@ class ShadowCurve:
 
     @staticmethod
     def from_csv(path) -> "ShadowCurve":
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyCurveError("CSV file is empty") from None
-            ncols = len(header)
-            if (
-                ncols < 3
-                or header[-2:] != ["gamma", "residual"]
-                or any(h != f"ypp_{i + 1}" for i, h in enumerate(header[:-2]))
-            ):
-                raise ParameterError(f"not a shadow-curve CSV header: {header}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        if not rows:
-            raise EmptyCurveError("shadow-curve CSV has no samples")
-        data = np.array(rows)
+        header, data = read_csv_table(path)
+        if (
+            len(header) < 3
+            or header[-2:] != ["gamma", "residual"]
+            or any(h != f"ypp_{i + 1}" for i, h in enumerate(header[:-2]))
+        ):
+            raise ParameterError(f"not a shadow-curve CSV header: {header}")
         resid = data[:, -1]
         return ShadowCurve(
             ypp=data[:, :-2],
@@ -507,7 +526,7 @@ def shadow_boundary_sweep(
     if grid.size % m:
         raise ParameterError(f"a sweep grid of {grid.size} values does not split into points of dimension {m}")
     grid = grid.reshape(-1, m)
-    tol = tol_root if tol_root is not None else TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
+    tol = _root_tol(frame, tol_root)
 
     gammas, resids, errors = _gamma_rows(frame, grid, tol)
     kept = np.flatnonzero([e is None for e in errors])

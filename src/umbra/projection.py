@@ -27,7 +27,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import illumination
-from .bodies import ConcaveChart, ImplicitBody, boundary_point_along, chart_at
+from .bodies import (
+    TOL_BOUNDARY,
+    ConcaveChart,
+    ImplicitBody,
+    boundary_point_along,
+    chart_at,
+    rotation_with_last_axis,
+)
 from .errors import (
     ChartError,
     DomainError,
@@ -38,10 +45,10 @@ from .errors import (
     RankDeficiencyError,
     RankDeficiencyWarning,
     SeedError,
+    check_positive,
 )
 
 TOL_ROOT = 1e-10
-TOL_BOUNDARY = 1e-10
 SIGMA_RANK_TOL = 1e-8  # relative threshold for rank counting
 SIGMA_TRACE_TOL = 1e-6  # relative health threshold while tracing
 NEAR_SINGULAR_TOL = 1e-3  # conditioning collapse classifying step failures
@@ -314,6 +321,7 @@ def solve_boundary_point(
     Bodies without an analytic Hessian get a finite-difference consistency
     probe at the solved point.
     """
+    check_positive("tol", tol)
     n = omega.dim
     if isinstance(seed, tuple) and len(seed) == 3:
         z = np.concatenate(
@@ -458,14 +466,6 @@ def hitting_time_bound(omega: ImplicitBody, lam: ImplicitBody, chart_radius: flo
 # seeding
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n) + 0.5
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    ct = 1.0 - 2.0 * i / n
-    st = np.sqrt(1.0 - ct**2)
-    return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-
-
 def seed_boundary(
     omega: ImplicitBody,
     lam: ImplicitBody,
@@ -481,32 +481,36 @@ def seed_boundary(
     great arc between an inside and an outside sample.  ``patch_center`` and
     ``patch_angle`` optionally restrict sampling to a cap of directions.
     Raises SeedError when the sampled patch is entirely inside or entirely
-    outside the shadow, and OverlapError when omega's center lies inside the
-    target.
+    outside the shadow, OverlapError when omega's center lies inside the
+    target, and ParameterError for a patch center that is not a nonzero
+    finite vector of the target's dimension or a non-finite patch angle.
     """
     rng = np.random.default_rng(rng)
-    if patch_center is not None:
+    if patch_center is None:  # in R^3 the cap of angle pi around e_3: the whole sphere
+        c, ang = np.eye(lam.dim)[-1], math.pi
+    else:
         c = np.asarray(patch_center, float)
-        c = c / np.linalg.norm(c)
         ang = patch_angle if patch_angle is not None else math.pi / 4
-        if lam.dim == 3:
-            # Fibonacci points on the cap around c of the given angular radius
-            i = np.arange(n_samples) + 0.5
-            az = math.pi * (3.0 - math.sqrt(5.0)) * i
-            ct = 1.0 - (1.0 - math.cos(ang)) * i / n_samples
-            st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
-            cap = np.column_stack([st * np.cos(az), st * np.sin(az), ct])
-            from .bodies import rotation_with_last_axis
-
-            dirs = cap @ rotation_with_last_axis(c).T
-        else:
-            dirs = c + math.tan(ang) * rng.normal(size=(n_samples, lam.dim))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            dirs = dirs[dirs @ c >= math.cos(ang)]
-            if len(dirs) == 0:
-                raise SeedError("direction patch is empty")
-    elif lam.dim == 3:
-        dirs = _fibonacci_sphere(n_samples)
+    norm_c = float(np.linalg.norm(c))
+    if c.shape != (lam.dim,) or not 0 < norm_c < math.inf:
+        raise ParameterError(f"patch_center must be a nonzero vector in R^{lam.dim} of finite norm: {c}")
+    if patch_angle is not None and not math.isfinite(patch_angle):
+        raise ParameterError(f"patch_angle must be finite, got {patch_angle}")
+    c = c / norm_c
+    if lam.dim == 3:
+        # Fibonacci points on the cap around c of the given angular radius
+        i = np.arange(n_samples) + 0.5
+        az = math.pi * (3.0 - math.sqrt(5.0)) * i
+        ct = 1.0 - (1.0 - math.cos(ang)) * i / n_samples
+        st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
+        cap = np.column_stack([st * np.cos(az), st * np.sin(az), ct])
+        dirs = cap @ rotation_with_last_axis(c).T
+    elif patch_center is not None:
+        dirs = c + math.tan(ang) * rng.normal(size=(n_samples, lam.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = dirs[dirs @ c >= math.cos(ang)]
+        if len(dirs) == 0:
+            raise SeedError("direction patch is empty")
     else:
         dirs = rng.normal(size=(n_samples, lam.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -623,15 +627,10 @@ class BoundaryTrace:
     @staticmethod
     def read_trace_csv(path) -> np.ndarray:
         """Columns of a trace CSV as an array; validates the header shape."""
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[-3:] != ["t", "residual", "sigma_min"] or (len(header) - 3) % 2:
-                raise ParameterError(f"not a boundary-trace CSV header: {header}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        if not rows:
-            raise ParameterError("trace CSV has no rows")
-        return np.array(rows)
+        header, data = illumination.read_csv_table(path)
+        if header[-3:] != ["t", "residual", "sigma_min"] or (len(header) - 3) % 2:
+            raise ParameterError(f"not a boundary-trace CSV header: {header}")
+        return data
 
 
 def trace_boundary(
@@ -654,8 +653,8 @@ def trace_boundary(
     """
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
-    if step <= 0:
-        raise ParameterError("step must be positive")
+    for name, value in (("step", step), ("tol", tol), ("rank_tol", rank_tol)):
+        check_positive(name, value)
     points = [start]
     if max_steps <= 0:
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
@@ -752,16 +751,7 @@ def barrier_chart(chart: ConcaveChart, t_star: float) -> ConcaveChart:
     if chart.hess_phi is not None:
         hess = lambda z: np.asarray(chart.hess_phi(z), float) - inv * np.eye(chart.dim_domain)
     theta = (chart.concavity_theta or 0.0) + inv
-    L = (chart.holder_L + inv) if chart.holder_L is not None else None
-    return replace(
-        chart,
-        phi=psi,
-        grad_phi=grad,
-        hess_phi=hess,
-        concavity_theta=theta,
-        holder_L=L,
-        holder_alpha=1.0 if chart.holder_alpha in (None, 1.0) else chart.holder_alpha,
-    )
+    return replace(chart, phi=psi, grad_phi=grad, hess_phi=hess, concavity_theta=theta)
 
 
 def barrier_psi(chart: ConcaveChart, t_star: float, z_prime) -> float:

@@ -157,8 +157,8 @@ def cusp_check(curve, center, L, theta, alpha, tol: float = 1e-9) -> ConeCertifi
     """
     if L is None or theta is None or alpha is None:
         raise ParameterError("cusp_check needs L, theta and alpha")
-    if L <= 0 or theta <= 0 or not (0 < alpha <= 1):
-        raise ParameterError("need L > 0, theta > 0 and alpha in (0, 1]")
+    if not (0 < L < math.inf and 0 < theta < math.inf and 0 < alpha <= 1 and 0 <= tol < math.inf):
+        raise ParameterError("need finite L > 0, theta > 0 and tol >= 0, and alpha in (0, 1]")
     ypp = np.atleast_2d(np.asarray(curve.ypp, float))
     gamma = np.asarray(curve.gamma, float)
     center = np.atleast_1d(np.asarray(center, float))
@@ -193,8 +193,8 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
     scales = np.sort(np.asarray(scales, float))
     if len(scales) < 4:
         raise ParameterError("need >= 4 scales")
-    if scales[0] <= 0:
-        raise ParameterError("scales must be positive")
+    if not (scales[0] > 0 and np.isfinite(scales).all()):
+        raise ParameterError("scales must be positive and finite")
     if scales[-1] / scales[0] < 10.0:
         raise ParameterError("scales must span at least a decade")
     rng = np.random.default_rng(rng)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbra import cli, errors
 from umbra.cli import main
 from umbra.illumination import ShadowCurve
 
@@ -123,6 +128,17 @@ _ELLIPSOID = {"family": "ellipsoid", "params": {"semiaxes": [1.0, 1.0, 1.0]}}
         pytest.param(
             None, ["counterexample", "cone-graph-failure", "--u", "nan", "1", "0"], "vector", id="cone-u-nan"
         ),
+        pytest.param(
+            _ELLIPSOID, [*_SHADOW, "--grid", "8", "--tol-root", "nan"], "tol_root", id="shadow-tol-root-nan"
+        ),
+        pytest.param(
+            _ELLIPSOID, [*_SHADOW, "--grid", "8", "--chart-point", "nan", "0", "0"], "chart base point",
+            id="shadow-chart-point-nan",
+        ),
+        pytest.param(
+            _ELLIPSOID, [*_SHADOW, "--grid", "8", "--chart-radius", "inf"], "domain_radius",
+            id="shadow-chart-radius-inf",
+        ),
     ],
 )
 def test_malformed_numeric_input_exits_1(tmp_path, capsys, doc, argv, names):
@@ -134,6 +150,158 @@ def test_malformed_numeric_input_exits_1(tmp_path, capsys, doc, argv, names):
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
     assert "Traceback" not in err
+
+
+def _write_input_files(tmp_path):
+    """Paths for the placeholders of the flag tests: two disjoint balls on
+    a common axis, the flat-contact pair (clamped Kiselman patch and a
+    ball), an ellipsoid, a shadow-curve CSV of the cusp |y|^(2/3), CSVs
+    that are empty, hold a non-numeric cell or a short row, and a file that
+    is not UTF-8 text."""
+    ball = lambda c: {"family": "translated_ball", "params": {"center": c, "radius": 1.0}}
+    files = {
+        "{om}": write_spec(tmp_path, "om.json", ball([0, 0, 3.0])),
+        "{lam}": write_spec(tmp_path, "lam.json", ball([0, 0, 0])),
+        "{kis}": write_spec(
+            tmp_path, "kis.json", {"family": "kiselman", "params": {"q": 3, "clamp_radius": 0.45}}
+        ),
+        "{ball}": write_spec(tmp_path, "ball.json", ball([0, -3.0, 0])),
+        "{ell}": write_spec(tmp_path, "ell.json", _ELLIPSOID),
+    }
+    ypp = np.linspace(-0.5, 0.5, 129)
+    cusp = "".join(f"{y:.17g},{abs(y) ** (2 / 3):.17g},0\n" for y in ypp)
+    for key, text in (
+        ("{curve}", "ypp_1,gamma,residual\n" + cusp),
+        ("{empty}", ""),
+        ("{text}", "ypp_1,gamma,residual\n0.1,x,0\n"),
+        ("{short}", "x_1,x_2,x_3,y_1,y_2,y_3,t,residual,sigma_min\n1,2,3,4,5,6,7,8\n"),
+    ):
+        path = tmp_path / (key.strip("{}") + ".csv")
+        path.write_text(text)
+        files[key] = str(path)
+    files["{binary}"] = str(tmp_path / "binary.dat")
+    (tmp_path / "binary.dat").write_bytes(b"x_1,\xd0\x00\xff\n")
+    files["{out}"] = str(tmp_path / "out.csv")
+    return files
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    return _write_input_files(tmp_path)
+
+
+_FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", "0", "1", "0",
+         "--seed-patch-angle", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        pytest.param([*_FLAT, "--sigma-fail-tol", "nan"], "rank_tol", id="project-sigma-fail-tol-nan"),
+        pytest.param(["project", "{om}", "{lam}", "--tol-root", "nan"], "tol", id="project-tol-root-nan"),
+        pytest.param(["project", "{om}", "{lam}", "--step", "nan"], "step", id="project-step-nan"),
+        pytest.param(["project", "{om}", "{lam}", "--step", "0"], "step", id="project-step-0"),
+        pytest.param(
+            ["project", "{om}", "{lam}", "--seed-patch", "0", "0", "0"], "patch_center", id="seed-patch-zero"
+        ),
+        pytest.param(
+            ["project", "{om}", "{lam}", "--seed-patch", "nan", "0", "1"], "patch_center", id="seed-patch-nan"
+        ),
+        pytest.param(
+            ["project", "{om}", "{lam}", "--seed-patch", "0", "0", "-1", "--seed-patch-angle", "nan"],
+            "patch_angle", id="seed-patch-angle-nan",
+        ),
+        pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--rng-seed", "-1"], "--rng-seed", id="shadow-rng"),
+        pytest.param(["project", "{om}", "{lam}", "--rng-seed", "-1"], "--rng-seed", id="project-rng"),
+        pytest.param(["counterexample", "cone-graph-failure", "--rng-seed", "-1"], "--rng-seed", id="cone-rng"),
+        pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--grid", "-5"], "--grid", id="grid-negative"),
+        pytest.param(["project", "{om}", "{lam}", "--seed-samples", "-1"], "--seed-samples", id="seed-samples"),
+        pytest.param(["project", "{om}", "{lam}", "--max-steps", "-1"], "--max-steps", id="max-steps"),
+        pytest.param(
+            ["diagnose", "{curve}", "cusp", "--L", "inf", "--theta", "1", "--alpha", "1"], "L", id="cusp-L-inf"
+        ),
+        pytest.param(
+            ["diagnose", "{curve}", "cusp", "--L", "1", "--theta", "1", "--alpha", "1", "--cusp-tol", "nan"],
+            "tol", id="cusp-tol-nan",
+        ),
+        pytest.param(
+            ["diagnose", "{curve}", "boxdim", "--scales", "nan", "0.01", "0.05", "0.1"], "scales",
+            id="boxdim-scale-nan",
+        ),
+        pytest.param(["diagnose", "{empty}", "boxdim"], "empty", id="diagnose-empty"),
+        pytest.param(["diagnose", "{text}", "holder"], "non-numeric", id="diagnose-non-numeric"),
+        pytest.param(["diagnose", "{short}", "boxdim"], "cells", id="diagnose-short-row"),
+        pytest.param(["diagnose", "{binary}", "boxdim"], "decode", id="diagnose-binary"),
+        pytest.param(["shadow", "{binary}", "--u", "1", "0", "0"], "decode", id="shadow-binary-spec"),
+    ],
+)
+def test_malformed_flags_exit_1(input_files, tmp_path, capsys, argv, names):
+    # a bad flag value ends in an error line naming it, never a traceback,
+    # a misleading later failure or an answer with a check switched off
+    argv = [input_files.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    (line,) = [l for l in err.splitlines() if l.startswith("error:")]
+    assert names in line
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--grid", "8"], id="shadow"),
+        pytest.param(["project", "{om}", "{lam}"], id="project"),
+        pytest.param(["diagnose", "{curve}", "boxdim", "--scales", "0.01", "0.02", "0.05", "0.1"], id="diagnose"),
+        pytest.param(["counterexample", "kiselman-identity"], id="counterexample"),
+    ],
+)
+def test_output_into_a_missing_directory_exits_1(input_files, tmp_path, capsys, argv):
+    argv = [input_files.get(a, a) for a in argv] + ["--out", str(tmp_path / "missing" / "out.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["shadow", "{ell}"], id="shadow-without-u"),
+        pytest.param(["shadow", "{ell}", "--u", "1", "0"], id="shadow-short-u"),
+        pytest.param(["counterexample", "no-such-construction"], id="unknown-choice"),
+        pytest.param([], id="no-subcommand"),
+    ],
+)
+def test_usage_errors_exit_1(input_files, capsys, argv):
+    # argparse's own exit code 2 would read as "empty curve or seed failure"
+    assert main([input_files.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: umbra")
+    assert err[-1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (errors.OverlapError("x"), 3, "error: x"),
+        (errors.RankDeficiencyError("x"), 4, "error: rank deficiency: x"),
+        (errors.EmptyCurveError("x"), 2, "error: x"),
+        (errors.SeedError("x"), 2, "error: x"),
+        (errors.NoConvergenceError("x"), 2, "error: x"),
+        (errors.ParameterError("x"), 1, "error: x"),
+        (errors.ChartError("x"), 1, "error: x"),
+        (errors.DegeneratePointError("x"), 1, "error: x"),
+        (errors.FlatCurveError("x"), 1, "error: x"),
+        (FileNotFoundError("x"), 1, "error: x"),
+    ],
+)
+def test_exit_code_table(monkeypatch, capsys, exc, code, prefix):
+    def fail(q):
+        raise exc
+
+    monkeypatch.setattr(cli.counterexamples, "kiselman_identity_check", fail)
+    assert main(["counterexample", "kiselman-identity"]) == code
+    assert capsys.readouterr().err == prefix + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +518,84 @@ def test_shadow_deterministic_output(ell_spec, tmp_path):
     assert main(argv + ["--out", a]) == 0
     assert main(argv + ["--out", b]) == 0
     assert open(a).read() == open(b).read()
+
+
+# ---------------------------------------------------------------------------
+# numeric flags: every run ends in a documented exit code
+
+
+_EDGE = ("nan", "inf", "-inf", "0", "-1", "1e300")
+
+
+def _argv(head, options):
+    """``head`` then each ``(flag, valid values)`` option, absent or given
+    with each value either its valid one or an edge value."""
+    parts = [st.just(list(head))]
+    for flag, valid in options:
+        values = st.tuples(*(st.just(v) | st.sampled_from(_EDGE) for v in valid))
+        parts.append(st.just([]) | values.map(lambda vs, flag=flag: [flag, *vs]))
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_SHADOW_FLAGS = _argv(
+    ["shadow", "{ell}"],
+    [("--u", ("1", "0.2", "0.1")), ("--grid", ("5",)), ("--span", ("0.3",)), ("--dyadic", ("3", "6")),
+     ("--chart-point", ("1", "0", "0")), ("--chart-radius", ("0.4",)), ("--tol-root", ("1e-10",)),
+     ("--rng-seed", ("3",))],
+)
+_DIAGNOSE_FLAGS = st.sampled_from(
+    [["diagnose", "{curve}", "holder"], ["diagnose", "{curve}", "cusp"], ["diagnose", "{curve}", "boxdim"]]
+).flatmap(lambda head: _argv(
+    head,
+    [("--center", ("0",)), ("--L", ("9.5",)), ("--theta", ("4",)), ("--alpha", ("1",)),
+     ("--cusp-tol", ("1e-9",)), ("--scales", ("0.01", "0.03", "0.1", "0.3")), ("--rng-seed", ("1",))],
+))
+_COUNTEREXAMPLE_FLAGS = st.sampled_from(["kiselman-identity", "cone-graph-failure", "cantor-contact"]).flatmap(
+    lambda name: _argv(
+        ["counterexample", name],
+        [("--q", ("3",)), ("--eps", ("1e-4",)), ("--depth", ("2",)), ("--u", ("0", "1", "0")),
+         ("--rng-seed", ("0",))],
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _write_input_files(tmp_path_factory.mktemp("fuzz"))
+
+
+def _exits_with_a_documented_code(files, argv):
+    argv = [files.get(a, a) for a in argv] + ["--out", files["{out}"]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)  # no exception may escape
+    assert code in (0, 1, 2, 3, 4)
+    assert code == 0 or any(line.startswith("error:") for line in err.getvalue().splitlines())
+
+
+@pytest.mark.parametrize(
+    "flags", [_SHADOW_FLAGS, _DIAGNOSE_FLAGS, _COUNTEREXAMPLE_FLAGS], ids=["shadow", "diagnose", "counterexample"]
+)
+def test_numeric_flags_end_in_a_documented_exit_code(fuzz_files, flags):
+    @settings(max_examples=60, deadline=None)
+    @given(flags)
+    def run(argv):
+        _exits_with_a_documented_code(fuzz_files, argv)
+
+    run()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--step", "1e300"],
+        ["--step", "inf"],
+        ["--max-steps", "0"],
+        ["--tol-root", "1e300"],
+        ["--sigma-fail-tol", "inf"],
+        ["--seed-patch", "0", "0", "1e300", "--seed-patch-angle", "1e300"],
+        ["--seed-samples", "1"],
+    ],
+)
+def test_project_flags_end_in_a_documented_exit_code(fuzz_files, flags):
+    _exits_with_a_documented_code(fuzz_files, ["project", "{om}", "{lam}", *flags])
