@@ -116,24 +116,14 @@ def cmd_project(args) -> int:
 
     step = args.step if args.step is not None else 0.02 * max(1.0, lam.bounding_radius)
     seed = projection.seed_boundary(
-        omega,
-        lam,
-        n_samples=args.seed_samples,
-        rng=args.rng_seed,
-        patch_center=args.seed_patch,
-        patch_angle=args.seed_patch_angle,
+        omega, lam, n_samples=args.seed_samples, rng=args.rng_seed,
+        patch_center=args.seed_patch, patch_angle=args.seed_patch_angle,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         start = projection.solve_boundary_point(omega, lam, seed, tol=args.tol_root)
         trace = projection.trace_boundary(
-            omega,
-            lam,
-            start,
-            step=step,
-            max_steps=args.max_steps,
-            tol=args.tol_root,
-            rank_tol=args.sigma_fail_tol,
+            omega, lam, start, step, args.max_steps, tol=args.tol_root, rank_tol=args.sigma_fail_tol
         )
 
     trace.to_csv(args.out)

@@ -53,10 +53,10 @@ class Direction:
     @staticmethod
     def normalized(v) -> "Direction":
         v = np.asarray(v, float).ravel()
-        n = np.linalg.norm(v)
-        if not 1e-14 <= n < math.inf:
+        m = float(np.abs(v).max(initial=0.0))  # scaled first: |v| itself may overflow
+        if not 0 < m < math.inf or m * np.linalg.norm(v / m) < 1e-14:
             raise ParameterError("cannot normalize a zero or non-finite vector")
-        return Direction(v / n)
+        return Direction(v / m / np.linalg.norm(v / m))
 
     @property
     def dim(self) -> int:

@@ -10,10 +10,11 @@ boundary of that shadow is, for smooth bodies, the zero set of the map
 from R^(2n+1) to R^(n+3): x runs over the projected body's boundary, y over
 the target's boundary, the third component forces tangency of the hitting
 ray, and the last block forces colinearity with hitting parameter t > 0.
-Solving is done with least-norm Gauss-Newton steps (the solution set is an
-(n-2)-manifold, not a point), curves are traced in R^3 by predictor steps
-along the one-dimensional null space of DPhi, and full rank n+3 of DPhi is
-certified through its singular values.
+Seeds are solved with least-norm Gauss-Newton steps (the solution set is an
+(n-2)-manifold, not a point).  Curves are traced in R^3 by predictor steps
+along the one-dimensional null space of DPhi and a chord corrector with the
+pseudo-inverse of the SVD that each accepted point takes anyway; that SVD
+also certifies full rank n+3 of DPhi through its singular values.
 """
 
 from __future__ import annotations
@@ -128,44 +129,39 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
         return np.concatenate([[body.value_at(y)], (x - y) - s * body.gradient_at(y)])
 
     r = residual(y, s)
-    best = (float(np.abs(r).max()), y.copy(), s)
+    res = float(np.abs(r).max())
     for _ in range(100):
-        if float(np.abs(r).max()) <= TOL_ROOT * scale:
+        if res <= TOL_ROOT * scale:
             break
         g = body.gradient_at(y)
-        H = body.hessian_at(y)
         J = np.zeros((n + 1, n + 1))
         J[0, :n] = g
-        J[1:, :n] = -np.eye(n) - s * H
+        J[1:, :n] = -np.eye(n) - s * body.hessian_at(y)
         J[1:, n] = -g
         try:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
-        lam = 1.0
-        for _ in range(30):
-            y_new = y + lam * step[:n]
-            s_new = max(s + lam * step[n], 1e-14)
+        for k in range(30):  # backtracking: the iterate is always the best so far
+            y_new, s_new = y + 0.5**k * step[:n], max(s + 0.5**k * step[n], 1e-14)
             r_new = residual(y_new, s_new)
-            if float(np.abs(r_new).max()) < float(np.abs(r).max()):
-                y, s, r = y_new, s_new, r_new
+            res_new = float(np.abs(r_new).max())
+            if res_new < res:
+                y, s, r, res = y_new, s_new, r_new, res_new
                 break
-            lam *= 0.5
         else:
             break
-        if float(np.abs(r).max()) < best[0]:
-            best = (float(np.abs(r).max()), y.copy(), s)
-    if best[0] <= TOL_ROOT * scale:
-        return best[1]
+    if res <= TOL_ROOT * scale:
+        return y
 
-    y = _tangential_descent_projection(body, x, best[1])
+    y = _tangential_descent_projection(body, x, y)
     g = body.gradient_at(y)
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
     kkt = float(np.abs(residual(y, max(s, 0.0))).max())
     near_kink = body.kink_margin is not None and body.kink_margin(y) < 1e-4 * scale
     if kkt > TOL_ROOT * scale and not near_kink:
         raise NoConvergenceError(
-            f"projection residual {min(best[0], kkt):.3g} above tolerance {TOL_ROOT * scale:.3g}"
+            f"projection residual {min(res, kkt):.3g} above tolerance {TOL_ROOT * scale:.3g}"
         )
     return y
 
@@ -314,12 +310,12 @@ def solve_boundary_point(
     """Gauss-Newton solve of the boundary-defining map from a seed (x, y, t).
 
     Uses least-norm steps (pseudoinverse) so iterates stay near the seed on
-    the solution manifold.  At convergence the hitting parameter is
-    cross-checked against |x - y| / |grad F(y)|, and one full SVD of the
-    Jacobian gives the extreme singular values and the null tangent, with a
-    RankDeficiencyWarning when sigma_min falls under the rank threshold.
-    Bodies without an analytic Hessian get a finite-difference consistency
-    probe at the solved point.
+    the solution manifold.  At convergence (checks shared with the trace)
+    the hitting parameter is cross-checked against |x - y| / |grad F(y)|,
+    and one full SVD of the Jacobian gives the extreme singular values and
+    the null tangent, with a RankDeficiencyWarning when sigma_min falls
+    under the rank threshold.  Bodies without an analytic Hessian get a
+    finite-difference consistency probe at the solved point.
     """
     check_positive("tol", tol)
     n = omega.dim
@@ -336,34 +332,42 @@ def solve_boundary_point(
     r = boundary_map(omega, lam, z)
     if not np.all(np.isfinite(r)):
         raise ParameterError("seed residual is not finite")
-    iters = 0
+    res, iters = float(np.abs(r).max()), 0
     for iters in range(MAX_SOLVE_ITER + 1):
-        if float(np.abs(r).max()) <= tol:
+        if res <= tol:
             break
-        J = boundary_jacobian(omega, lam, z)
-        step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        ns = float(np.linalg.norm(step))
-        if ns > 0.5 * scale:
-            step *= 0.5 * scale / ns
-        lam_ls = 1.0
-        improved = False
-        r_norm = float(np.abs(r).max())
-        for _ in range(25):
-            z_new = z + lam_ls * step
+        step = np.linalg.lstsq(boundary_jacobian(omega, lam, z), -r, rcond=None)[0]
+        step *= min(1.0, 0.5 * scale / max(float(np.linalg.norm(step)), 1e-300))
+        for k in range(25):  # backtracking: accept the first strict decrease
+            z_new = z + 0.5**k * step
             r_new = boundary_map(omega, lam, z_new)
-            if np.all(np.isfinite(r_new)) and float(np.abs(r_new).max()) < r_norm:
-                z, r = z_new, r_new
-                improved = True
+            res_new = float(np.abs(r_new).max())  # inf or NaN: never a decrease
+            if res_new < res:
+                z, r, res = z_new, r_new, res_new
                 break
-            lam_ls *= 0.5
-        if not improved:
+        else:
             break
-    if float(np.abs(r).max()) > tol:
-        raise NoConvergenceError(
-            f"boundary solve stalled at residual {float(np.abs(r).max()):.3g} "
-            f"after {iters} iterations"
-        )
+    if res > tol:
+        raise NoConvergenceError(f"boundary solve stalled at residual {res:.3g} after {iters} iterations")
+    return _finish(omega, lam, z, res, iters)[0]
 
+
+def _factor(omega: ImplicitBody, lam: ImplicitBody, z):
+    """Full SVD of the Jacobian at z (only the full V^T of the (n+3) x (2n+1)
+    matrix holds the null rows) and its pseudo-inverse V_r S^-1 U^T."""
+    u, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, z))
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 0)
+    return sv, vt, (vt[: sv.shape[0]].T * inv) @ u.T
+
+
+def _finish(omega: ImplicitBody, lam: ImplicitBody, z, residual: float, iters: int):
+    """Checks and factorisation of a corrected state, shared by the seed
+    solve and the trace: t > 0, the |x - y| / |grad F| cross-check, one full
+    SVD (extreme singular values, null tangent, RankDeficiencyWarning) and
+    the finite-difference Hessian probe.  Returns the point and the
+    pseudo-inverse of its Jacobian, the chord map for the next trace step.
+    """
+    n = omega.dim
     x, y, t = z[:n], z[n : 2 * n], float(z[2 * n])
     if t <= 0:
         raise NoConvergenceError(f"solve converged to nonpositive hitting scale t = {t:.3g}")
@@ -371,36 +375,22 @@ def solve_boundary_point(
     t_implied = float(np.linalg.norm(x - y)) / max(float(np.linalg.norm(gF)), 1e-300)
     if abs(t - t_implied) > 1e-8 * max(1.0, t):
         raise NoConvergenceError(
-            f"hitting-parameter cross-check failed: t = {t:.12g} vs |x-y|/|grad F| = "
-            f"{t_implied:.12g}"
+            f"hitting-parameter cross-check failed: t = {t:.12g} vs |x-y|/|grad F| = {t_implied:.12g}"
         )
 
-    # full SVD: J is (n+3) x (2n+1), so only the full V^T holds the null row
-    _, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, z))
+    sv, vt, pinv = _factor(omega, lam, z)
     sigma_min, sigma_max = float(sv[-1]), float(sv[0])
     if sigma_min < SIGMA_RANK_TOL * sigma_max:
         warnings.warn(
             f"Jacobian nearly rank deficient at solved point (sigma_min = {sigma_min:.3g})",
             RankDeficiencyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-
     inconsistent = any(
         not body.has_analytic_hessian and body.fd_hessian_consistency(pt) > FD_CONSISTENCY_TOL
         for body, pt in ((omega, x), (lam, y))
     )
-
-    return ProjectionPoint(
-        x=x,
-        y=y,
-        t=t,
-        residual=float(np.abs(r).max()),
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        tangent=vt[-1],
-        iterations=iters,
-        hessian_inconsistent=inconsistent,
-    )
+    return ProjectionPoint(x, y, t, residual, sigma_min, sigma_max, vt[-1], iters, inconsistent), pinv
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +481,12 @@ def seed_boundary(
     else:
         c = np.asarray(patch_center, float)
         ang = patch_angle if patch_angle is not None else math.pi / 4
-    norm_c = float(np.linalg.norm(c))
-    if c.shape != (lam.dim,) or not 0 < norm_c < math.inf:
-        raise ParameterError(f"patch_center must be a nonzero vector in R^{lam.dim} of finite norm: {c}")
+    m = float(np.abs(c).max(initial=0.0))  # scaled first: |c| itself may overflow
+    if c.shape != (lam.dim,) or not 0 < m < math.inf:
+        raise ParameterError(f"patch_center must be a nonzero vector in R^{lam.dim} with finite entries: {c}")
     if patch_angle is not None and not math.isfinite(patch_angle):
         raise ParameterError(f"patch_angle must be finite, got {patch_angle}")
-    c = c / norm_c
+    c = c / m / np.linalg.norm(c / m)
     if lam.dim == 3:
         # Fibonacci points on the cap around c of the given angular radius
         i = np.arange(n_samples) + 0.5
@@ -644,17 +634,28 @@ def trace_boundary(
 ) -> BoundaryTrace:
     """Predictor-corrector continuation of the shadow boundary curve (n = 3).
 
-    The predictor walks along the one-dimensional null space of the defining
-    Jacobian; the corrector is the least-norm Gauss-Newton solve.  The step
-    halves on corrector failure, doubles after three easy successes, and is
-    clamped to [step/16, step].  Tracing stops on closure (returning within
-    step/2 of the start after at least 10 steps), on ``max_steps``, or with
+    The predictor walks along the null space of the defining Jacobian.  The
+    corrector is the chord iteration ``w <- w - J+ Phi(w)``, J+ the
+    pseudo-inverse from the full SVD the last accepted point took for its
+    singular values and tangent, so a step builds no new factorisation.  J+
+    maps into the row space, orthogonal to that tangent: the bordered row
+    ``tangent . (w - predictor) = 0`` holds by construction.  The corrector
+    fails unless each chord step at least halves max|Phi|, within
+    ``MAX_SOLVE_ITER`` steps, and lands at most 3 steps from the last point.
+    Accepted points go through the checks of ``solve_boundary_point``.  The
+    step halves on failure, doubles after three easy successes, and is
+    clamped to [step/16, step].  Tracing stops on closure (within step/2 of
+    the start after at least 10 steps), on ``max_steps``, or with
     RankDeficiencyError when sigma_min falls under ``rank_tol * sigma_max``.
+    A step of twice the target's diameter bound or more raises
+    ParameterError: every target point would pass the closure test.
     """
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
     for name, value in (("step", step), ("tol", tol), ("rank_tol", rank_tol)):
         check_positive(name, value)
+    if step >= 2.0 * lam.diameter_bound():
+        raise ParameterError(f"step = {step:.6g} is not below twice the target's diameter bound")
     points = [start]
     if max_steps <= 0:
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
@@ -665,22 +666,28 @@ def trace_boundary(
             f"(sigma_min/sigma_max = {start.sigma_min / start.sigma_max:.3g})"
         )
 
-    h = step
-    h_min, h_max = step / 16.0, step
-    tangent = start.tangent
-    easy = 0
-    closed = False
-    diagnostics = ""
-    z = start.state
-    arc = 0.0
+    h, h_min, h_max = step, step / 16.0, step
+    tangent, z, pinv = start.tangent, start.state, _factor(omega, lam, start.state)[2]
+    easy, closed, diagnostics, arc = 0, False, "", 0.0
     for k in range(max_steps):
         predictor = z + h * tangent
         try:
-            pt = solve_boundary_point(omega, lam, predictor, tol=tol)
-            jump = float(np.linalg.norm(pt.state - z))
+            w, r = predictor, boundary_map(omega, lam, predictor)
+            res, iters = float(np.abs(r).max()), 0
+            while not res <= tol:
+                if iters == MAX_SOLVE_ITER:
+                    raise NoConvergenceError(f"chord corrector at residual {res:.3g} after {iters} steps")
+                w = w - pinv @ r
+                r = boundary_map(omega, lam, w)
+                res_new, iters = float(np.abs(r).max()), iters + 1
+                if not res_new <= 0.5 * res:
+                    raise NoConvergenceError(f"chord step did not contract: residual {res:.3g} -> {res_new:.3g}")
+                res = res_new
+            jump = float(np.linalg.norm(w - z))
             if jump > 3.0 * h + 1e-12:
                 raise NoConvergenceError(f"corrector jumped {jump:.3g} for step {h:.3g}")
-        except (NoConvergenceError, InteriorPointError) as exc:
+            pt, pinv = _finish(omega, lam, w, res, iters)
+        except NoConvergenceError as exc:
             if h <= h_min * 1.0001:
                 # certify the failure region: a flat contact direction shows
                 # up as collapsed conditioning at the predictor or at the

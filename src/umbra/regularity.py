@@ -88,7 +88,9 @@ class DimensionEstimate:
 
 
 def _center_value(ypp: np.ndarray, gamma: np.ndarray, center: np.ndarray):
-    d = np.linalg.norm(ypp - center, axis=1)
+    diff = ypp - center
+    m = float(np.abs(diff).max(initial=0.0))  # scaled first: the distances themselves may overflow
+    d = m * np.linalg.norm(diff / m, axis=1) if 0 < m < math.inf else np.linalg.norm(diff, axis=1)
     i = int(np.argmin(d))
     scale = 1.0 + float(np.abs(ypp).max())
     if d[i] > 1e-9 * scale:

@@ -47,6 +47,16 @@ def ray_quadric_first_hit(origin, direction, A, c):
     return None
 
 
+def ray_quadric_tangency(origin, direction, A, c):
+    """Minimum of ``(o + s d - c)^T A (o + s d - c) - 1`` over the line, and
+    its minimiser s: the minimum is zero exactly when the line grazes the
+    quadric, at parameter s."""
+    o = np.asarray(origin, float) - np.asarray(c, float)
+    d = np.asarray(direction, float)
+    q2, q1, q0 = float(d @ A @ d), float(o @ A @ d), float(o @ A @ o) - 1.0
+    return q0 - q1 * q1 / q2, -q1 / q2
+
+
 def ray_quadric_hits_vec(origins, directions, A, c):
     """Vectorized hit test: does each outward ray meet the quadric body?"""
     o = origins - c

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
         pytest.param(["project", "{om}", "{lam}", "--tol-root", "nan"], "tol", id="project-tol-root-nan"),
         pytest.param(["project", "{om}", "{lam}", "--step", "nan"], "step", id="project-step-nan"),
         pytest.param(["project", "{om}", "{lam}", "--step", "0"], "step", id="project-step-0"),
+        pytest.param(["project", "{om}", "{lam}", "--step", "1e3"], "step", id="project-step-1e3"),
+        pytest.param(["project", "{om}", "{lam}", "--step", "1e300"], "step", id="project-step-1e300"),
         pytest.param(
             ["project", "{om}", "{lam}", "--seed-patch", "0", "0", "0"], "patch_center", id="seed-patch-zero"
         ),
@@ -244,6 +247,35 @@ def test_malformed_flags_exit_1(input_files, tmp_path, capsys, argv, names):
     (line,) = [l for l in err.splitlines() if l.startswith("error:")]
     assert names in line
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "huge, unit",
+    [
+        pytest.param(["counterexample", "cone-graph-failure", "--u", "0", "1e300", "0"],
+                     ["counterexample", "cone-graph-failure", "--u", "0", "1", "0"], id="cone-u"),
+        pytest.param(["project", "{om}", "{lam}", "--seed-patch", "0", "0", "1e300"],
+                     ["project", "{om}", "{lam}", "--seed-patch", "0", "0", "1"], id="seed-patch"),
+    ],
+)
+def test_huge_vectors_normalise_like_unit_ones(input_files, tmp_path, capsys, huge, unit):
+    # vectors are scaled by max|v| before their norm, which would overflow
+    results = []
+    for argv in (huge, unit):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([input_files.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+        results.append((capsys.readouterr().out, out.read_text()))
+    assert results[0] == results[1]
+
+
+def test_huge_center_fails_without_overflow_warning(input_files, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", input_files["{curve}"], "holder", "--center", "1e300"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "center" in line
 
 
 @pytest.mark.parametrize(

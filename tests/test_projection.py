@@ -365,9 +365,11 @@ def test_trace_closes_on_analytic_circle():
     assert gaps.max() * rho < 3 * trace.step
 
 
-def test_trace_builds_one_jacobian_per_solve_iteration(monkeypatch):
-    # every accepted point reuses the Jacobian factorised at the end of its
-    # solve: no rebuilds for the health check, the tangent or the start check
+def test_trace_builds_one_jacobian_per_accepted_point(monkeypatch):
+    # the chord corrector steps with the pseudo-inverse of the last accepted
+    # point's SVD: one Jacobian per accepted point, one for the start, and
+    # none for corrector steps, the health check or the tangent (a closed
+    # trace makes no minimal-step failure classification)
     om, lam = coaxial_pair()
     start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
     calls = []
@@ -380,7 +382,52 @@ def test_trace_builds_one_jacobian_per_solve_iteration(monkeypatch):
     monkeypatch.setattr(pj, "boundary_jacobian", counted)
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000)
     assert trace.closed
-    assert len(calls) == sum(p.iterations + 1 for p in trace.points[1:])
+    assert len(calls) == len(trace.points)
+
+
+def test_trace_points_solve_the_defining_map():
+    om, lam = coaxial_pair()
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
+    for tol in (1e-10, 1e-12):
+        trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000, tol=tol)
+        assert trace.closed
+        for p in trace.points[1:]:
+            res = float(np.abs(pj.boundary_map(om, lam, p.state)).max())
+            assert res == p.residual and res <= tol
+        # on the closed-form tangency circle
+        theta_star = oracles.coaxial_tangency_angle(3.0, 1.0, 1.0)
+        Y = trace.y_points()
+        d_circle = np.hypot(np.hypot(Y[:, 0], Y[:, 1]) - math.sin(theta_star), Y[:, 2] - math.cos(theta_star))
+        assert d_circle.max() < 1e-9
+
+
+def test_trace_rejects_a_step_beyond_the_target():
+    om, lam = coaxial_pair()
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
+    for step in (2.0 * lam.diameter_bound(), 1e300):
+        with pytest.raises(ParameterError, match="step"):
+            pj.trace_boundary(om, lam, start, step=step, max_steps=10)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_traced_points_are_ray_quadric_tangencies(seed):
+    # every traced y on a posed ellipsoid pair: the outward normal line of
+    # the target at y grazes omega, on omega's side
+    rng = np.random.default_rng(seed)
+    lam_axes, om_axes = rng.uniform(0.8, 1.3, size=3), rng.uniform(0.5, 0.9, size=3)
+    lam_rot, om_rot = oracles.random_rotation(rng), oracles.random_rotation(rng)
+    d = rng.normal(size=3)
+    om_center = rng.uniform(3.4, 4.2) * d / np.linalg.norm(d)
+    lam = bodies.ellipsoid(lam_axes, Pose(lam_rot, np.zeros(3)))
+    om = bodies.ellipsoid(om_axes, Pose(om_rot, om_center))
+    A, c = oracles.quadric_of_ellipsoid(om_axes, om_rot, om_center)
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam, rng=rng))
+    trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
+    assert trace.closed and len(trace) > 100
+    for p in trace.points:
+        assert float(np.abs(pj.boundary_map(om, lam, p.state)).max()) <= pj.TOL_ROOT
+        depth, s = oracles.ray_quadric_tangency(p.y, lam.unit_normal(p.y), A, c)
+        assert abs(depth) <= 1e-9 and s > 0
 
 
 def test_trace_zero_steps():
