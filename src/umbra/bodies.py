@@ -36,8 +36,8 @@ from .errors import (
 
 TOL_BOUNDARY = 1e-10
 FD_HESSIAN_STEP = 1e-5  # relative to the body scale
+_ARC_ROWS = 63  # arc points per round of _arc_flip: 6 bits of the bracket a round
 
-Scalar = float
 VecOracle = Callable[[np.ndarray], np.ndarray]
 
 
@@ -68,10 +68,6 @@ class Pose:
             raise ParameterError("rotation matrix must have determinant +1")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity(dim: int) -> "Pose":
-        return Pose(np.eye(dim), np.zeros(dim))
 
     @property
     def dim(self) -> int:
@@ -195,6 +191,11 @@ class Smoothness:
 # implicit bodies
 
 
+def _central_diff(f, x, h) -> np.ndarray:
+    """``(f(x + h e_j) - f(x - h e_j)) / 2h`` at a point x, stacked over j."""
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(len(x))])
+
+
 @dataclass(frozen=True)
 class ImplicitBody:
     """Convex body ``{x : G(x) <= 0}`` with oracle access to G.
@@ -250,14 +251,8 @@ class ImplicitBody:
         return self.fd_hessian(x, step)
 
     def fd_hessian(self, x, step: float | None = None) -> np.ndarray:
-        x = np.asarray(x, float)
         h = step if step is not None else FD_HESSIAN_STEP * self.bounding_radius
-        n = self.dim
-        H = np.empty((n, n))
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = h
-            H[:, j] = (self.gradient_at(x + dx) - self.gradient_at(x - dx)) / (2 * h)
+        H = _central_diff(self.gradient_at, np.asarray(x, float), h)
         return 0.5 * (H + H.T)
 
     def fd_hessian_consistency(self, x) -> float:
@@ -276,51 +271,128 @@ class ImplicitBody:
         return self.hessian is not None
 
     def unit_normal(self, x) -> np.ndarray:
+        """Outward unit normal at a point ``(n,)`` or each row of ``(N, n)``."""
         g = self.gradient_at(x)
-        ng = np.linalg.norm(g)
-        if ng < 1e-12:
+        ng = np.sqrt(np.vecdot(g, g))
+        if (ng < 1e-12).any():
             raise DegeneratePointError("gradient vanishes; no normal direction")
-        return g / ng
+        return g / ng[..., None]
 
     def diameter_bound(self) -> float:
         return 2.0 * self.bounding_radius
 
 
-def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarray:
-    """Boundary crossing of the ray from an interior point.
+def _line_roots(value, gradient, origins, directions, t_max):
+    """For origins ``(N, n)``, directions ``(n,)`` or ``(N, n)`` and t_max
+    scalar or ``(N,)``: the smallest t in [0, t_max] with G(o + t d) = 0 on
+    each row (0 where G(o) <= 0, NaN for a miss), and G at each row's last
+    evaluated point; ``value`` and ``gradient`` take stacks ``(N, n)``.
 
-    Newton steps ``s -= G / (grad G . d)`` start at twice the bounding
-    radius, where G > 0, and move toward the origin.  G is convex along the
-    ray and negative at the origin, so each step lands where a supporting
-    line of G vanishes (a subgradient's, at a kink): never past the single
-    crossing, so the iterates fall monotonically onto it.  Raises ChartError
-    when the ray never leaves the body within range (possible for unbounded
-    patch models), or when a step shows that G is not convex along the ray:
-    a slope <= 0 where G > 0, or a step reaching back past the origin.
+    Monotone one-sided Newton on the convex g(t) = G(o + t d) (Ortega &
+    Rheinboldt, 1970): while g > 0 the step t += g / (-g') lands where a
+    supporting line of g vanishes (a subgradient's, at a kink), at or before
+    the first root, so the iterates rise onto it and never pass it.  By the
+    same convexity the miss test is exact: g > 0 with g' >= 0 stays positive
+    for all larger t, and a step past t_max passed only points where g > 0.
+    A row stops at g <= 0 or at a step <= 1e-15 max(1, t_max).  Each round
+    makes one stacked gradient and one stacked value call on the rows still
+    working, which are compacted only in a round where some row stops.
+    """
+    N = len(origins)
+    t, dw = np.zeros(N), np.empty_like(origins)
+    dw[...] = directions
+    g = np.asarray(value(origins), float).reshape(N)
+    idx = (g > 0).nonzero()[0]  # the rows still stepping, and their state
+    ow = xw = origins[idx]
+    dw, tw, gw, mw = dw[idx], t[idx], g[idx], (t + t_max)[idx]
+    ntol = -1e-15 * np.maximum(1.0, mw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            slope = np.vecdot(gradient(xw), dw)
+            q = gw / slope  # minus the Newton step
+            tw = tw - q
+            go = (q < ntol) & (tw <= mw)
+            k = np.count_nonzero(go)
+            if k < len(go):  # a miss: slope >= 0 where G > 0, or past t_max
+                t[idx], g[idx] = np.where((slope < 0) & (tw <= mw), tw, np.nan), gw
+                if not k:
+                    break
+                idx, ow, dw, tw, mw, ntol = idx[go], ow[go], dw[go], tw[go], mw[go], ntol[go]
+            xw = ow + tw[:, None] * dw
+            gw = np.asarray(value(xw), float).reshape(len(tw))
+            go = gw > 0
+            k = np.count_nonzero(go)
+            if k < len(go):
+                t[idx], g[idx] = tw, gw
+                if not k:
+                    break
+                idx, ow, xw, dw = idx[go], ow[go], xw[go], dw[go]
+                tw, gw, mw, ntol = tw[go], gw[go], mw[go], ntol[go]
+    return t, g
+
+
+def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarray:
+    """Boundary crossing of the ray from an interior ``origin`` (default:
+    the center) along a direction ``(n,)``, or along each row of ``(N, n)``.
+
+    ``_line_roots`` runs each ray back from twice the bounding radius toward
+    the origin, so the crossing it meets is the only one.  Raises
+    ParameterError for a zero direction, and ChartError for an origin that
+    is not interior, for a ray that does not exit within range (possible for
+    unbounded patch models) and for a miss, which shows that G is not convex
+    along the ray.  A stack raises the error of its first bad row.
     """
     d = np.asarray(direction, float)
-    nd = np.linalg.norm(d)
-    if nd < 1e-14:
-        raise ParameterError("zero direction")
-    d = d / nd
+    rows = np.atleast_2d(d)
+    nd = np.sqrt(np.vecdot(rows, rows))
+    zero = nd < 1e-14
     x0 = np.asarray(origin, float) if origin is not None else body.center
-    if body.value_at(x0) >= 0:
-        raise ChartError("ray origin must be interior to the body")
+    if body.value_at(x0) >= 0:  # every row is bad: the first one raises
+        raise ParameterError("zero direction") if zero[0] else ChartError("ray origin must be interior to the body")
     s = 2.0 * body.bounding_radius
-    g = body.value_at(x0 + s * d)
-    if g <= 0:
-        raise ChartError("ray does not exit the body within the bounding ball")
-    tol = 1e-15 * s
-    while g > 0:
-        slope = float(np.dot(body.gradient_at(x0 + s * d), d))
-        step = g / slope if slope > 0 else math.inf
-        if not step < s:
-            raise ChartError("G is not convex along the ray")
-        s -= step
-        if step <= tol:
-            break
-        g = body.value_at(x0 + s * d)
-    return x0 + s * d
+    u = rows / np.where(zero, 1.0, nd)[:, None]
+    t, _ = _line_roots(body.value, body.gradient, x0 + s * u, -u, s)
+    bad = np.flatnonzero(zero | ~(t > 0))  # t = 0: no exit; NaN: a miss
+    if bad.size:
+        k = bad[0]
+        raise ParameterError("zero direction") if zero[k] else ChartError(
+            "ray does not exit the body within the bounding ball" if t[k] == 0 else "G is not convex along the ray"
+        )
+    p = x0 + (s - t)[:, None] * u
+    return p if d.ndim == 2 else p[0]
+
+
+def _arc_flip(a, b, probe, rng):
+    """k-section of the great arc from unit direction ``a`` (flag true) to
+    ``b`` (flag false), through a perpendicular drawn from ``rng`` if they
+    are antipodal.  ``probe`` maps directions ``(K, n)`` to flags ``(K,)``
+    and per-row data.  The first round probes both ends and ``_ARC_ROWS``
+    points between, each later round ``_ARC_ROWS`` points inside the bracket
+    of the first flip from the true end, until no float lies inside it.
+    Returns the probe data at the bracket's true end and at its midpoint
+    (which rounds to an end), or None when the ends do not bracket a flip.
+    """
+    w = b - np.dot(a, b) * a
+    if np.linalg.norm(w) < 1e-9:  # antipodal: route through a perpendicular
+        w = rng.normal(size=a.shape[0])
+        w = w - np.dot(a, w) * a
+    w = w / np.linalg.norm(w)
+    ang = math.acos(max(-1.0, min(1.0, float(np.dot(a, b)))))
+    arc = lambda s: np.cos(s * ang)[:, None] * a + np.sin(s * ang)[:, None] * w
+    fractions = np.arange(1, _ARC_ROWS + 1) / (_ARC_ROWS + 1)
+    s = np.concatenate([[0.0], fractions, [1.0]])
+    flags, data = probe(arc(s))
+    if not flags[0] or flags[-1]:
+        return None
+    while True:
+        j = 1 + int(np.argmin(np.append(flags[1:-1], False)))  # first false after the true end
+        s, flags, data = s[j - 1 : j + 1], flags[j - 1 : j + 1], data[j - 1 : j + 1]
+        inner = np.unique(s[0] + (s[1] - s[0]) * fractions)
+        inner = inner[(s[0] < inner) & (inner < s[1])]
+        if not inner.size:
+            return data[0], data[int(0.5 * (s[0] + s[1]) == s[1])]
+        f, d = probe(arc(inner))
+        s, flags, data = (np.concatenate([e[:1], m, e[1:]]) for e, m in ((s, inner), (flags, f), (data, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +427,9 @@ class ConcaveChart:
     concavity_theta: float | None = None
 
     def __post_init__(self):
-        check_positive("domain_radius", self.domain_radius)
+        r = check_positive("domain_radius", self.domain_radius)
+        if r * r == math.inf:  # domain tests compare squared radii
+            raise ParameterError(f"domain_radius = {r:.3g} is too large: its square overflows")
 
     def _check_domain(self, xp: np.ndarray):
         if float(np.dot(xp, xp)) >= self.domain_radius * self.domain_radius:
@@ -395,12 +469,7 @@ class ConcaveChart:
         m = self.dim_domain
         if xp.ndim == 2:
             return np.array([self.hessian(x) for x in xp]).reshape(len(xp), m, m)
-        h = 1e-6 * self.domain_radius
-        H = np.empty((m, m))
-        for j in range(m):
-            dx = np.zeros(m)
-            dx[j] = h
-            H[:, j] = (self.gradient(xp + dx) - self.gradient(xp - dx)) / (2 * h)
+        H = _central_diff(self.gradient, xp, 1e-6 * self.domain_radius)
         return 0.5 * (H + H.T)
 
     @property
@@ -468,7 +537,7 @@ def chart_at(
     ``+e_n``; phi is the upper root of G along each vertical fiber.
     ``phi``, ``grad_phi`` and ``hess_phi`` take a point ``(m,)`` or a stack
     ``(N, m)`` and solve all its fibers at once: in closed form for bodies
-    carrying ``quadric``, else by one-sided Newton run down every fiber of
+    carrying ``quadric``, else by ``_line_roots`` run down every fiber of
     the stack in lockstep.  Both paths map a failed fiber to the same
     ChartError.
     ``tangent_hint`` forces the (n-1)-st tangent axis to the (normalized,
@@ -483,13 +552,11 @@ def chart_at(
     p = np.asarray(p, float)
     if not np.isfinite(p).all():
         raise ParameterError(f"chart base point p must be finite, got {p}")
-    if abs(body.value_at(p)) > 10 * TOL_BOUNDARY * max(1.0, body.bounding_radius):
-        raise ChartError(f"point is not on the boundary (G = {body.value_at(p):.3g})")
-    g = body.gradient_at(p)
-    ng = np.linalg.norm(g)
-    if ng < 1e-12:
-        raise DegeneratePointError("gradient vanishes at the requested point")
-    nu = g / ng
+    with np.errstate(over="ignore", invalid="ignore"):  # G of a far point overflows to inf
+        gp = body.value_at(p)
+    if not abs(gp) <= 10 * TOL_BOUNDARY * max(1.0, body.bounding_radius):
+        raise ChartError(f"point is not on the boundary (G = {gp:.3g})")
+    nu = body.unit_normal(p)
     R = rotation_with_last_axis(nu)
     if tangent_hint is not None:
         h = np.asarray(tangent_hint, float)
@@ -548,35 +615,19 @@ def chart_at(
         frame_gradient = lambda v: np.asarray(body.gradient(v @ Rt + p), float) @ R
         frame_hessian = lambda v: Rt @ np.asarray(body.hessian(v @ Rt + p), float) @ R
 
-    # fiber solve: G is convex along each fiber and >= 0 on the tangent plane
-    # (s = 0), so Newton steps s -= G / (dG/ds) from there fall monotonically
-    # onto the upper crossing without passing it, as in boundary_point_along.
-    # The height range is set by the body scale, not the chart radius: the
-    # domain constraint applies to tangent coordinates only.
-    def newton_roots(xp, s_max):
-        """Upper roots s of G on the fibers above the rows of ``xp``
-        ``(N, m)`` and the residuals of G there, all fibers in lockstep: NaN
-        or below ``-s_max`` where a fiber does not cross the body in the
-        height range (a step leaving the range passed only points where
-        G > 0, by convexity)."""
-        s = np.zeros(len(xp))
-        f = G(lift(xp, s))
-        up = f < -TOL_BOUNDARY  # base point already inside: start above it
+    down = -np.eye(n)[-1]
+
+    def fiber_roots(xp, s_max):
+        """Upper roots s of G above the rows of ``xp`` ``(N, m)`` within the
+        height range |s| <= s_max (NaN for none), and G there.  G is convex
+        along fibers and >= 0 on the tangent plane, so _line_roots runs each
+        fiber down from s = 0, or from s_max for base points inside."""
+        t, f = _line_roots(G, frame_gradient, lift(xp, 0.0), down, s_max)
+        s = -t
+        up = (t == 0) & (f < -TOL_BOUNDARY)
         if up.any():
-            s[up] = s_max
-            f[up] = G(lift(xp[up], s_max))
-            s[up & (f <= 0)] = np.nan
-        work = np.flatnonzero(f > 0)
-        tol = 1e-15 * max(1.0, s_max)
-        while work.size:
-            slope = frame_gradient(lift(xp[work], s[work]))[:, -1]
-            # where G > 0 and the slope is <= 0, convexity keeps G > 0 below: no crossing
-            step = np.where(slope > 0, f[work] / slope, np.nan)
-            s[work] -= step
-            work = work[(step > tol) & (s[work] >= -s_max)]
-            if work.size:
-                f[work] = G(lift(xp[work], s[work]))
-                work = work[f[work] > 0]
+            t_up, f[up] = _line_roots(G, frame_gradient, lift(xp[up], s_max), down, 2.0 * s_max)
+            s[up] = np.where(t_up > 0, s_max - t_up, np.nan)
         return s, f
 
     def fiber_heights(xp, r):
@@ -588,7 +639,7 @@ def chart_at(
             root, resid = _quadric_fiber_roots(quad, xp)
         else:
             root, resid = np.full((2, len(xp)), np.nan)
-            root[inside], resid[inside] = newton_roots(xp[inside], s_max)
+            root[inside], resid[inside] = fiber_roots(xp[inside], s_max)
         ok = inside & (np.abs(root) <= s_max) & (np.abs(resid) <= TOL_BOUNDARY)
         errors = {}
         for k in np.flatnonzero(~ok):
@@ -1362,11 +1413,7 @@ def body_self_check(
             skipped += 1
             continue
         g = body.gradient_at(x)
-        fd = np.empty(body.dim)
-        for j in range(body.dim):
-            dx = np.zeros(body.dim)
-            dx[j] = h
-            fd[j] = (body.value_at(x + dx) - body.value_at(x - dx)) / (2 * h)
+        fd = _central_diff(body.value_at, x, h)
         max_fd = max(max_fd, float(np.abs(fd - g).max()) / (1.0 + float(np.abs(g).max())))
 
     # gradient monotonicity

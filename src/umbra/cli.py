@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -240,6 +241,7 @@ def _int_from(lo):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="umbra", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
-from .bodies import ConcaveChart, Pose, rotation_with_last_axis
+from .bodies import ConcaveChart, Pose, _arc_flip, boundary_point_along, rotation_with_last_axis
 from .errors import (
     BoundaryNotInChartError,
     DomainError,
@@ -79,45 +78,23 @@ def normal_from_superdifferential(w) -> np.ndarray:
 def shadow_horizon_point(body, u, rng=None) -> np.ndarray:
     """Boundary point on the shadow horizon: ``<grad G, u> = 0``.
 
-    Bisects the sign of the normal-light product along a boundary arc from a
-    lit sample (support direction of u) to an unlit one.  The returned point
-    is where charts for shadow-boundary sweeps should be based.
+    ``_arc_flip`` searches the sign flip of the normal-light product along
+    the boundary above the half great circle from direction u (lit) to -u
+    (unlit) through a perpendicular drawn from ``rng``; each of its rounds
+    solves its rays as one stack.  The returned point is where charts for
+    shadow-boundary sweeps should be based.
     """
-    from .bodies import boundary_point_along  # local import to avoid cycle noise
-
     d = _as_direction(u if isinstance(u, Direction) else Direction.normalized(u), body.dim)
     rng = np.random.default_rng(rng)
-    lit = boundary_point_along(body, d.u)
-    unlit = boundary_point_along(body, -d.u)
-    if (
-        float(np.dot(body.gradient_at(lit), d.u)) <= 0
-        or float(np.dot(body.gradient_at(unlit), d.u)) >= 0
-    ):
+
+    def lit(dirs):
+        y = boundary_point_along(body, dirs)
+        return np.asarray(body.gradient(y), float) @ d.u > 0, y
+
+    found = _arc_flip(d.u, -d.u, lit, rng)
+    if found is None:
         raise BoundaryNotInChartError("could not bracket the shadow horizon")
-    a = lit - body.center
-    a = a / np.linalg.norm(a)
-    b = unlit - body.center
-    b = b / np.linalg.norm(b)
-    w = b - np.dot(a, b) * a
-    if np.linalg.norm(w) < 1e-9:  # antipodal: route through a perpendicular
-        w = rng.normal(size=body.dim)
-        w = w - np.dot(a, w) * a
-    w = w / np.linalg.norm(w)
-    ang = math.acos(max(-1.0, min(1.0, float(np.dot(a, b)))))
-
-    def at(s):
-        return boundary_point_along(body, math.cos(s * ang) * a + math.sin(s * ang) * w)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # the arc is down to one float: later steps repeat
-            break
-        if float(np.dot(body.gradient_at(at(mid)), d.u)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return at(0.5 * (lo + hi))
+    return found[1]
 
 
 def is_in_shadow(chart: ConcaveChart, u, y_prime) -> bool:
@@ -383,10 +360,15 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
 
 def _root_tol(frame, tol_root):
     """The slope-residual tolerance of a sweep: ``tol_root``, or a default
-    scaled by the frame's slope threshold."""
+    scaled by the frame's slope threshold.  ParameterError unless
+    ``tol_root`` is positive and below 1e-3 (1 + |threshold|), the scale of
+    the slopes it compares."""
+    scale = 1.0 + abs(frame.threshold)
     if tol_root is None:
-        return TOL_ROOT_COEFF * (1.0 + abs(frame.threshold))
-    return check_positive("tol_root", tol_root)
+        return TOL_ROOT_COEFF * scale
+    if not check_positive("tol_root", tol_root) < 1e-3 * scale:
+        raise ParameterError(f"tol_root = {tol_root:.3g} is not below 1e-3 (1 + |threshold|) = {1e-3 * scale:.3g}")
+    return float(tol_root)
 
 
 def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = None):

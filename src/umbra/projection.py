@@ -32,6 +32,8 @@ from .bodies import (
     TOL_BOUNDARY,
     ConcaveChart,
     ImplicitBody,
+    _arc_flip,
+    _line_roots,
     boundary_point_along,
     chart_at,
     rotation_with_last_axis,
@@ -166,54 +168,42 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     return y
 
 
-def first_hitting_time(body: ImplicitBody, y, nu) -> float | None:
+def first_hitting_time(body: ImplicitBody, y, nu):
     """Smallest t >= 0 with ``y + t nu`` on the body boundary, or None.
 
-    G is convex along the ray, so while G(y + t nu) > 0 the Newton step
-    ``t += G / (-grad G . nu)`` lands where a supporting line of G vanishes:
-    at or before the first root.  The iterates therefore increase
-    monotonically to that root and never pass it, across kinks too, since a
-    subgradient supports G as well.  The miss test is exact: once G > 0 and
-    the slope along the ray is >= 0, convexity keeps G positive for all
-    larger t.  Hits beyond twice the bounding span count as misses.
+    ``_line_roots`` runs the ray from y; hits beyond twice the bounding
+    span ``|y - center| + bounding_radius`` count as misses.  For stacks
+    ``(N, n)`` of origins (and of directions, or one direction) it returns
+    the times ``(N,)``, NaN for a miss.  Raises ParameterError for a zero
+    direction or an origin inside the body; a stack, for its first bad row.
     """
     y = np.asarray(y, float)
+    rows = np.atleast_2d(y)
     nu = np.asarray(nu, float)
-    nn = np.linalg.norm(nu)
-    if nn < 1e-14:
-        raise ParameterError("zero ray direction")
-    nu = nu / nn
-    g = body.value_at(y)
-    if g < -TOL_BOUNDARY * max(1.0, body.bounding_radius):
-        raise ParameterError("ray origin lies inside the body")
-    t_max = 2.0 * (float(np.linalg.norm(y - body.center)) + body.bounding_radius)
-    tol = 1e-15 * max(1.0, t_max)
-    t = 0.0
-    while g > 0:
-        slope = float(np.dot(body.gradient_at(y + t * nu), nu))
-        if not slope < 0:
-            return None
-        step = g / -slope
-        t += step
-        if not t <= t_max:
-            return None
-        if step <= tol:
-            break
-        g = body.value_at(y + t * nu)
-    return t
+    nn = np.sqrt(np.vecdot(nu, nu))
+    u = nu / np.where(nn < 1e-14, 1.0, nn)[..., None]
+    c = rows - body.center
+    t_max = 2.0 * (np.sqrt(np.vecdot(c, c)) + body.bounding_radius)
+    t, g = _line_roots(body.value, body.gradient, rows, u, t_max)
+    bad = (nn < 1e-14) | ((t == 0) & (g < -TOL_BOUNDARY * max(1.0, body.bounding_radius)))
+    if bad.any():  # the first bad row's error
+        zero = np.broadcast_to(nn, bad.shape)[np.argmax(bad)] < 1e-14
+        raise ParameterError("zero ray direction" if zero else "ray origin lies inside the body")
+    return t if y.ndim == 2 else None if np.isnan(t[0]) else float(t[0])
 
 
-def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y) -> bool:
+def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
     """Whether the target boundary point ``y`` is shadowed by ``omega``.
 
     True exactly when the outward-normal ray of the target at y hits the
-    closure of omega.  y must lie on the target's boundary.
+    closure of omega.  y must lie on the target's boundary (DomainError).
+    A stack ``(N, n)`` of points gives a bool array ``(N,)``.
     """
     y = np.asarray(y, float)
-    if abs(lam.value_at(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius):
+    if np.any(np.abs(lam.value(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)):
         raise DomainError("y is not on the target boundary")
-    nu = lam.unit_normal(y)
-    return first_hitting_time(omega, y, nu) is not None
+    t = first_hitting_time(omega, y, lam.unit_normal(y))
+    return ~np.isnan(t) if y.ndim == 2 else t is not None
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +291,14 @@ def certify_rank(omega: ImplicitBody, lam: ImplicitBody, point: ProjectionPoint)
     return rank, float(sv[-1])
 
 
+def _check_tol(omega: ImplicitBody, lam: ImplicitBody, tol):
+    """ParameterError unless the residual tolerance ``tol`` is positive and
+    below 1e-3 max(1, bounding radii), the scale of the residuals."""
+    scale = max(1.0, omega.bounding_radius, lam.bounding_radius)
+    if not check_positive("tol", tol) < 1e-3 * scale:
+        raise ParameterError(f"tol = {tol:.3g} is not below 1e-3 max(1, bounding radii) = {1e-3 * scale:.3g}")
+
+
 def solve_boundary_point(
     omega: ImplicitBody,
     lam: ImplicitBody,
@@ -315,9 +313,10 @@ def solve_boundary_point(
     and one full SVD of the Jacobian gives the extreme singular values and
     the null tangent, with a RankDeficiencyWarning when sigma_min falls
     under the rank threshold.  Bodies without an analytic Hessian get a
-    finite-difference consistency probe at the solved point.
+    finite-difference consistency probe at the solved point.  ``tol`` must
+    lie below 1e-3 max(1, bounding radii).
     """
-    check_positive("tol", tol)
+    _check_tol(omega, lam, tol)
     n = omega.dim
     if isinstance(seed, tuple) and len(seed) == 3:
         z = np.concatenate(
@@ -467,9 +466,10 @@ def seed_boundary(
     """Seed (x0, y0, t0) near the shadow boundary on the target.
 
     Samples target boundary points along rays from its center, classifies
-    them by shadow membership, and bisects the membership flip along the
-    great arc between an inside and an outside sample.  ``patch_center`` and
-    ``patch_angle`` optionally restrict sampling to a cap of directions.
+    them by shadow membership in one stacked pass, and k-sections the
+    membership flip along the great arc between the closest inside and
+    outside samples (``_arc_flip``).  ``patch_center`` and ``patch_angle``
+    optionally restrict sampling to a cap of directions.
     Raises SeedError when the sampled patch is entirely inside or entirely
     outside the shadow, OverlapError when omega's center lies inside the
     target, and ParameterError for a patch center that is not a nonzero
@@ -512,52 +512,31 @@ def seed_boundary(
             z_close = project_point(lam, omega.center)
         except InteriorPointError as exc:
             raise OverlapError(f"bodies overlap: {exc}") from exc
-        d_close = z_close - lam.center
-        d_close = d_close / np.linalg.norm(d_close)
-        dirs = np.vstack([d_close, dirs])
+        dirs = np.vstack([(z_close - lam.center) / np.linalg.norm(z_close - lam.center), dirs])
 
-    members = []
-    for d in dirs:
+    inside = in_projection_shadow(omega, lam, boundary_point_along(lam, dirs))
+    if inside.all() or not inside.any():
+        kind = "inside" if inside.all() else "outside"
+        raise SeedError(f"all {len(dirs)} sampled directions are {kind} the shadow; cannot bracket its boundary "
+                        "on this patch")
+
+    # closest in/out pair (the first in row order on ties), then the arc
+    # search for the membership flip between them
+    d_in, d_out = dirs[inside], dirs[~inside]
+    i, j = np.unravel_index(np.argmax(d_in @ d_out.T), (len(d_in), len(d_out)))
+
+    def hits(d):
+        """Membership of the target points in directions d, and each point
+        beside the hit of its normal ray on omega (NaN for a miss)."""
         y = boundary_point_along(lam, d)
-        members.append((d, in_projection_shadow(omega, lam, y)))
-    inside = [d for d, m in members if m]
-    outside = [d for d, m in members if not m]
-    if not inside or not outside:
-        kind = "inside" if not outside else "outside"
-        raise SeedError(
-            f"all {len(members)} sampled directions are {kind} the shadow; "
-            "cannot bracket its boundary on this patch"
-        )
+        nu = lam.unit_normal(y)
+        t = first_hitting_time(omega, y, nu)
+        return ~np.isnan(t), np.hstack([y, y + t[:, None] * nu])
 
-    # closest in/out pair, then arc bisection of the membership flip
-    best = None
-    for di in inside:
-        for do in outside:
-            gap = float(np.dot(di, do))
-            if best is None or gap > best[0]:
-                best = (gap, di, do)
-    _, d_in, d_out = best
-
-    def slerp(a, b, s):
-        v = (1 - s) * a + s * b
-        return v / np.linalg.norm(v)
-
-    lo, hi = 0.0, 1.0  # lo side in shadow
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # the arc is down to one float: later steps repeat
-            break
-        y = boundary_point_along(lam, slerp(d_in, d_out, mid))
-        if in_projection_shadow(omega, lam, y):
-            lo = mid
-        else:
-            hi = mid
-    y_in = boundary_point_along(lam, slerp(d_in, d_out, lo))
-    y0 = boundary_point_along(lam, slerp(d_in, d_out, 0.5 * (lo + hi)))
-    t_in = first_hitting_time(omega, y_in, lam.unit_normal(y_in))
-    if t_in is None:
-        raise SeedError("in-shadow sample lost its ray hit during bisection")
-    x0 = y_in + t_in * lam.unit_normal(y_in)
+    found = _arc_flip(d_in[i], d_out[j], hits, rng)
+    if found is None:
+        raise SeedError("in-shadow sample lost its ray hit during the arc search")
+    x0, y0 = found[0][lam.dim :], found[1][: lam.dim]
     gF = lam.gradient_at(y0)
     t0 = float(np.linalg.norm(x0 - y0)) / max(float(np.linalg.norm(gF)), 1e-300)
     return x0, y0, t0
@@ -648,12 +627,14 @@ def trace_boundary(
     the start after at least 10 steps), on ``max_steps``, or with
     RankDeficiencyError when sigma_min falls under ``rank_tol * sigma_max``.
     A step of twice the target's diameter bound or more raises
-    ParameterError: every target point would pass the closure test.
+    ParameterError: every target point would pass the closure test; so does
+    a ``tol`` as for ``solve_boundary_point``.
     """
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
-    for name, value in (("step", step), ("tol", tol), ("rank_tol", rank_tol)):
-        check_positive(name, value)
+    check_positive("step", step)
+    check_positive("rank_tol", rank_tol)
+    _check_tol(omega, lam, tol)
     if step >= 2.0 * lam.diameter_bound():
         raise ParameterError(f"step = {step:.6g} is not below twice the target's diameter bound")
     points = [start]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from umbra.errors import (
     UmbraError,
 )
 from umbra.illumination import align_chart
+from umbra import projection as pj
 from umbra.projection import barrier_chart
 
 import oracles
@@ -678,6 +680,91 @@ def test_stacked_oracles_match_points(body):
         outside = np.zeros(n - 1)
         outside[-1] = 1.5 * ch.domain_radius
         assert _error_of(query, np.vstack([z[:3], outside, -outside])) == _error_of(query, outside)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the (type, message) of its UmbraError."""
+    try:
+        return fn(*args)
+    except UmbraError as exc:
+        return type(exc), str(exc)
+
+
+def _stack_vs_rows(fn, stack_args, row_args, close):
+    """``fn`` on a stack raises what its first bad row raises as a point,
+    else matches the point calls row by row; returns the point outcomes."""
+    outcomes = [_outcome(fn, *a) for a in row_args]
+    got = _outcome(fn, *stack_args)
+    errs = [o for o in outcomes if isinstance(o, tuple)]
+    if errs:
+        assert got == errs[0]
+    else:
+        assert len(got) == len(outcomes)
+        for row, want in zip(got, outcomes):
+            close(row, want)
+    return outcomes
+
+
+@pytest.mark.parametrize("body", _posed_catalog())
+def test_stacked_ray_crossings_match_points(body):
+    # boundary_point_along, first_hitting_time and in_projection_shadow on a
+    # stack agree with the same calls row by row: hits, misses and errors
+    rng = np.random.default_rng(14)
+    n, R, c = body.dim, body.bounding_radius, body.center
+
+    def same_point(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, R)
+
+    def same_time(got, want):
+        assert np.isnan(got) if want is None else abs(got - want) <= 1e-12 * max(1.0, want)
+
+    def same_flag(got, want):
+        assert bool(got) is want
+
+    d = rng.normal(size=(24, n))
+    zero_row = d.copy()
+    zero_row[5] = 0.0
+    crossing = lambda dirs: bodies.boundary_point_along(body, dirs)
+    ys = _stack_vs_rows(crossing, (d,), [(di,) for di in d], same_point)
+    assert _stack_vs_rows(crossing, (zero_row,), [(di,) for di in zero_row], same_point)[5][0] is ParameterError
+
+    u = rng.normal(size=(24, n))
+    y = c + 2.2 * R * u / np.linalg.norm(u, axis=1, keepdims=True)
+    spread = np.where(np.arange(24) % 2, 0.2, 1.5)[:, None] / math.sqrt(n)
+    nu = (c - y) / (2.2 * R) + spread * rng.normal(size=(24, n))
+    hitting = lambda origins, dirs: pj.first_hitting_time(body, origins, dirs)
+    times = _stack_vs_rows(hitting, (y, nu), list(zip(y, nu)), same_time)
+    _stack_vs_rows(hitting, (y, nu[0]), [(yi, nu[0]) for yi in y], same_time)
+    assert _stack_vs_rows(hitting, (y, zero_row), list(zip(y, zero_row)), same_time)[5][0] is ParameterError
+    assert None in times and (any(isinstance(t, float) for t in times) or not body.bounded)
+
+    # the target's points around ys[0] face the ball omega: some are shadowed
+    ys = [yi for yi in ys if not isinstance(yi, tuple)]
+    a = (ys[0] - c) / np.linalg.norm(ys[0] - c)
+    omega = bodies.translated_ball(ys[0] + 1.2 * R * a, R)
+    near = (_outcome(crossing, di) for di in a + 0.4 * rng.normal(size=(12, n)))
+    ys = np.array(ys + [yi for yi in near if not isinstance(yi, tuple)])
+    member = lambda pts: pj.in_projection_shadow(omega, body, pts)
+    flags = _stack_vs_rows(member, (ys,), [(yi,) for yi in ys], same_flag)
+    assert False in flags and (True in flags or not body.bounded)
+    off = np.vstack([ys[:3], c + 0.5 * (ys[3] - c), ys[3:]])
+    assert _stack_vs_rows(member, (off,), [(yi,) for yi in off], same_flag)[3][0] is DomainError
+
+
+def test_far_chart_point_fails_without_overflow_warning():
+    body = bodies.ellipsoid([1.5, 1.0, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="not on the boundary"):
+            chart_at(body, [1e300, 0.0, 0.0])
+
+
+def test_chart_radius_whose_square_overflows_is_refused():
+    body = bodies.ellipsoid([1.5, 1.0, 0.8])
+    for r in (1e300, 1e200):
+        with pytest.raises(ParameterError, match="domain_radius"):
+            chart_at(body, [1.5, 0.0, 0.0], domain_radius=r)
+    assert chart_at(body, [1.5, 0.0, 0.0], domain_radius=1e150).domain_radius == 1e150
 
 
 def test_stacked_cone_oracles_raise_on_the_axis():

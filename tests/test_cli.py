@@ -140,6 +140,16 @@ _ELLIPSOID = {"family": "ellipsoid", "params": {"semiaxes": [1.0, 1.0, 1.0]}}
             _ELLIPSOID, [*_SHADOW, "--grid", "8", "--chart-radius", "inf"], "domain_radius",
             id="shadow-chart-radius-inf",
         ),
+        *(
+            pytest.param(_ELLIPSOID, [*_SHADOW, "--grid", "8", "--chart-radius", r], "domain_radius",
+                         id=f"shadow-chart-radius-{r}")
+            for r in ("1e300", "1e200")
+        ),
+        *(
+            pytest.param(_ELLIPSOID, [*_SHADOW, "--grid", "8", "--tol-root", tol], "tol_root",
+                         id=f"shadow-tol-root-{tol}")
+            for tol in ("1e300", "0.5")
+        ),
     ],
 )
 def test_malformed_numeric_input_exits_1(tmp_path, capsys, doc, argv, names):
@@ -200,6 +210,8 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
     [
         pytest.param([*_FLAT, "--sigma-fail-tol", "nan"], "rank_tol", id="project-sigma-fail-tol-nan"),
         pytest.param(["project", "{om}", "{lam}", "--tol-root", "nan"], "tol", id="project-tol-root-nan"),
+        pytest.param(["project", "{om}", "{lam}", "--tol-root", "1e300"], "tol", id="project-tol-root-1e300"),
+        pytest.param(["project", "{om}", "{lam}", "--tol-root", "0.5"], "tol", id="project-tol-root-0.5"),
         pytest.param(["project", "{om}", "{lam}", "--step", "nan"], "step", id="project-step-nan"),
         pytest.param(["project", "{om}", "{lam}", "--step", "0"], "step", id="project-step-0"),
         pytest.param(["project", "{om}", "{lam}", "--step", "1e3"], "step", id="project-step-1e3"),
@@ -276,6 +288,31 @@ def test_huge_center_fails_without_overflow_warning(input_files, capsys):
         assert main(["diagnose", input_files["{curve}"], "holder", "--center", "1e300"]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "center" in line
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--chart-point", "1e300", "0", "0"], "not on the boundary"),
+        (["--chart-radius", "1e300"], "domain_radius"),
+        (["--tol-root", "1e300"], "tol_root"),
+    ],
+)
+def test_huge_shadow_flags_fail_without_overflow_warning(input_files, tmp_path, capsys, flags, names):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["shadow", input_files["{ell}"], "--u", "1", "0", "0", "--grid", "8", *flags]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and names in line
+
+
+def test_parser_is_built_once(input_files, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):  # the cached parser still reports usage errors the same way
+        assert main(["shadow", input_files["{ell}"]]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: umbra") and err[-1].startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from umbra.illumination import (
     normal_from_superdifferential,
     shadow_boundary_gamma,
     shadow_boundary_sweep,
+    shadow_horizon_point,
 )
 
 import oracles
@@ -307,6 +308,40 @@ def test_samples_stay_in_domain():
     curve = shadow_boundary_sweep(ch, u, np.linspace(-0.45, 0.45, 31))
     radii = np.sqrt(curve.ypp[:, 0] ** 2 + curve.gamma**2)
     assert np.all(radii < ch.domain_radius)
+
+
+def test_sweep_tolerance_is_bounded_by_the_slope_scale():
+    ch = sphere_chart([0.0, 1.0, 0.0])
+    u = Direction(np.array([1.0, 0.0, 0.0]))
+    for tol in (1e300, 0.5, 1e-3):
+        with pytest.raises(ParameterError, match="tol_root"):
+            shadow_boundary_sweep(ch, u, [0.0, 0.1], tol_root=tol)
+    assert len(shadow_boundary_sweep(ch, u, [0.0, 0.1], tol_root=1e-9)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the shadow horizon
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_horizon_point_lies_on_the_closed_form_horizon(n):
+    # on a posed ellipsoid the horizon is the boundary's section by the
+    # plane A(x - c) . u = 0
+    rng = np.random.default_rng(600 + n)
+    for _ in range(4):
+        semiaxes = rng.uniform(0.6, 1.8, size=n)
+        R = oracles.random_rotation(rng, n)
+        c = rng.normal(size=n)
+        A, _ = oracles.quadric_of_ellipsoid(semiaxes, R, c)
+        body = bodies.ellipsoid(semiaxes, bodies.Pose(R, c))
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        seed = int(rng.integers(1000))
+        p = shadow_horizon_point(body, u, seed)
+        assert np.array_equal(p, shadow_horizon_point(body, u, seed))  # the rng fixes the point
+        g = A @ (p - c)
+        assert abs((p - c) @ g - 1.0) <= 1e-12
+        assert abs(g @ u) / np.linalg.norm(g) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,30 @@ def test_seed_boundary_coaxial_accuracy():
     assert t0 > 0
 
 
+def test_seed_boundary_makes_few_value_calls():
+    # the scan is one stacked pass and each arc round one more; the
+    # one-ray-at-a-time scan and bisection made 2061 value calls here
+    om, lam = coaxial_pair()
+    om, om_calls = _counting_values(om)
+    lam, lam_calls = _counting_values(lam)
+    x0, y0, t0 = pj.seed_boundary(om, lam)
+    assert om_calls["n"] + lam_calls["n"] <= 400
+    theta_star = oracles.coaxial_tangency_angle(3.0, 1.0, 1.0)
+    assert abs(math.acos(y0[2] / np.linalg.norm(y0)) - theta_star) < 1e-6
+
+
+def test_tolerances_are_bounded_by_the_problem_scale():
+    om, lam = coaxial_pair()
+    seed = pj.seed_boundary(om, lam)
+    start = pj.solve_boundary_point(om, lam, seed, tol=1e-9)
+    for tol in (1e300, 0.5, 1e-3):
+        with pytest.raises(ParameterError, match="tol"):
+            pj.solve_boundary_point(om, lam, seed, tol=tol)
+        with pytest.raises(ParameterError, match="tol"):
+            pj.trace_boundary(om, lam, start, step=0.05, max_steps=5, tol=tol)
+    assert len(pj.trace_boundary(om, lam, start, step=0.05, max_steps=5, tol=1e-9)) == 6
+
+
 def test_seed_boundary_patch_miss_errors():
     om, lam = coaxial_pair()
     with pytest.raises(SeedError):
@@ -458,12 +482,14 @@ def test_trace_straddle_consistency(rng):
 
 def _creased_ball():
     # C^{1,1} but not C^2: the gradient is Lipschitz, the curvature jumps
-    # across the plane x_1 = 0
+    # across the plane x_1 = 0; the oracles take a point or a stack
     def crease_val(p):
-        return float(np.dot(p, p)) - 1.0 + 0.1 * p[0] * abs(p[0])
+        return np.vecdot(p, p) - 1.0 + 0.1 * p[..., 0] * np.abs(p[..., 0])
 
     def crease_grad(p):
-        return 2.0 * p + np.array([0.2 * abs(p[0]), 0.0, 0.0])
+        g = 2.0 * p
+        g[..., 0] += 0.2 * np.abs(p[..., 0])
+        return g
 
     return bodies.ImplicitBody(
         dim=3,
