@@ -61,8 +61,11 @@ class Pose:
         if not np.isfinite(t).all():
             raise ParameterError("translation must be finite")
         eye = np.eye(n)
-        # np.allclose(R R^T, I, atol=1e-9) as one elementwise comparison
-        if not (np.abs(R @ R.T - eye) <= 1e-9 + 1e-5 * eye).all():
+        # np.allclose(R R^T, I, atol=1e-9) as one elementwise comparison; an
+        # entry past 1 + 1e-5 (or NaN) alone fails it, and is refused before
+        # the product can overflow
+        bounded = (np.abs(R) <= 1.0 + 1e-5).all()
+        if not (bounded and (np.abs(R @ R.T - eye) <= 1e-9 + 1e-5 * eye).all()):
             raise ParameterError("rotation matrix is not orthogonal")
         if np.linalg.det(R) < 0.0:
             raise ParameterError("rotation matrix must have determinant +1")

@@ -187,11 +187,23 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
 
     Occupied boxes on axis-aligned grids are counted at each scale and
     averaged over random grid offsets to soften lattice artifacts.  Needs at
-    least 100 points and at least 4 scales spanning a decade.
+    least 100 finite points and at least 4 scales spanning a decade, the
+    smallest at least 2**-62 of the points' extent.
+
+    Each scale floors all offsets at once into an ``(n_offsets, d, N)``
+    int64 box-index stack, the memory this function needs.  Each point folds
+    into one mixed-radix int64 key ``(i_0 s_1 + i_1) s_2 + ...``, where
+    ``s_j`` is one more than column j's largest index; the keys are sorted
+    along each offset and the occupied boxes are one plus the changes
+    between neighbours (Liebovitch & Toth, Phys. Lett. A 141, 1989).  When
+    the product of the ``s_j`` passes 2**63 the key would overflow, and the
+    rows of each offset are sorted with ``np.lexsort`` instead.
     """
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.shape[0] < 100:
         raise ParameterError(f"need >= 100 points, got {pts.shape[0]}")
+    if pts.ndim != 2 or pts.shape[1] < 1 or not np.isfinite(pts).all():
+        raise ParameterError("points must be an (N, d) array of finite values with d >= 1")
     scales = np.sort(np.asarray(scales, float))
     if len(scales) < 4:
         raise ParameterError("need >= 4 scales")
@@ -199,19 +211,43 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
         raise ParameterError("scales must be positive and finite")
     if scales[-1] / scales[0] < 10.0:
         raise ParameterError("scales must span at least a decade")
+    if n_offsets < 1:
+        raise ParameterError("n_offsets must be at least 1")
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    with np.errstate(over="ignore"):  # an overflowed extent is refused below
+        extent = float((hi - lo).max())
+    # every shifted coordinate below is at most |lo| + extent + eps in size
+    if not math.isfinite(float(np.abs(lo).max()) + extent + float(scales[-1])):
+        raise ParameterError("points and scales must stay well below the float range")
+    if extent / scales[0] > 2.0**62:
+        raise ParameterError(
+            f"scales[0] = {scales[0]:.3g} is too small for points of extent {extent:.3g}: "
+            "box indices would pass 2**62"
+        )
     rng = np.random.default_rng(rng)
     dim = pts.shape[1]
-    lo = pts.min(axis=0)
     offsets = rng.random((n_offsets, dim))
+
+    cols = np.ascontiguousarray(pts.T)  # (d, N): each column one contiguous run
 
     counts = []
     for eps in scales:
-        n_occ = []
-        for off in offsets:
-            idx = np.floor((pts - (lo - off * eps)) / eps).astype(np.int64)
-            # occupied boxes: one plus the number of changes between sorted rows
-            idx = idx[np.lexsort(idx.T)]
-            n_occ.append(1 + np.count_nonzero(np.any(idx[1:] != idx[:-1], axis=1)))
+        shift = lo - offsets * eps  # (n_offsets, d)
+        idx = np.floor((cols - shift[:, :, None]) / eps).astype(np.int64)  # (n_offsets, d, N)
+        # floor of the same monotone expression: each column's largest index
+        radix = np.floor((hi - shift) / eps).max(axis=0).astype(np.int64) + 1
+        # occupied boxes: one plus the number of changes between sorted rows
+        if math.prod(radix.tolist()) <= 2**63:  # the largest key, the product - 1, fits
+            key = idx[:, 0]
+            for j in range(1, dim):
+                key = key * radix[j] + idx[:, j]
+            key.sort(axis=1)
+            n_occ = 1 + np.count_nonzero(key[:, 1:] != key[:, :-1], axis=1)
+        else:
+            n_occ = []
+            for rows in idx:
+                rows = rows[:, np.lexsort(rows)]
+                n_occ.append(1 + np.count_nonzero(np.any(rows[:, 1:] != rows[:, :-1], axis=0)))
         counts.append(float(np.mean(n_occ)))
     counts = np.array(counts)
 

@@ -613,6 +613,22 @@ def test_pose_validation():
         Pose(R, np.zeros(3))
 
 
+@pytest.mark.parametrize("big", [1e300, -1e300, 1e200, 2.0])
+def test_huge_rotation_entry_is_refused_without_overflow_warning(big):
+    # R R^T would overflow; an entry past 1 + 1e-5 alone already fails it
+    R = np.eye(3)
+    R[0, 0] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="rotation matrix is not orthogonal"):
+            Pose(R, np.zeros(3))
+        with pytest.raises(SpecError, match="rotation matrix is not orthogonal"):
+            instantiate(BodySpec.from_dict(
+                {"family": "ellipsoid", "params": {"semiaxes": [1.5, 1.0, 0.8]},
+                 "pose": {"rotation": R.tolist(), "translation": [0.0, 0.0, 0.0]}}
+            ))
+
+
 def test_pose_orthogonality_check_matches_allclose():
     # the elementwise test accepts exactly what np.allclose(R R^T, I,
     # atol=1e-9) accepts, including near the tolerance and on NaN

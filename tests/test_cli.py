@@ -307,6 +307,16 @@ def test_huge_shadow_flags_fail_without_overflow_warning(input_files, tmp_path, 
     assert line.startswith("error:") and names in line
 
 
+def test_tiny_boxdim_scales_fail_without_cast_warning(input_files, capsys):
+    # box indices of the unit-size cusp at 1e-19 would pass 2**62
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["diagnose", input_files["{curve}"], "boxdim", "--scales", "1e-19", "1e-18", "1e-17", "1e-16"]
+        assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "scales" in line
+
+
 def test_parser_is_built_once(input_files, capsys):
     assert cli.build_parser() is cli.build_parser()
     for _ in range(2):  # the cached parser still reports usage errors the same way

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,19 @@ def test_box_dimension_subset_monotone(rng):
     assert sub.d_hat <= full.d_hat + 0.1
 
 
+def _tuple_counts(pts, scales, seed, n_offsets=4):
+    """Mean occupied-box count at each scale, as sets of index tuples."""
+    offsets = np.random.default_rng(seed).random((n_offsets, pts.shape[1]))
+    lo = pts.min(axis=0)
+    return [
+        np.mean([
+            len({tuple(row) for row in np.floor((pts - (lo - off * eps)) / eps).astype(np.int64)})
+            for off in offsets
+        ])
+        for eps in np.sort(scales)
+    ]
+
+
 def test_box_dimension_counts_distinct_boxes():
     # coarse grid values with many repeated rows, negative coordinates and
     # boxes that differ in one axis only, counted against a set of tuples
@@ -204,14 +218,35 @@ def test_box_dimension_counts_distinct_boxes():
     pts = np.round(rng.normal(size=(3000, 3)), 1) - 2.0
     scales = [0.05, 0.1, 0.3, 0.7, 2.0]
     est = box_dimension(pts, scales, rng=9)
-    offsets = np.random.default_rng(9).random((4, 3))
-    lo = pts.min(axis=0)
-    for eps, count in zip(scales, est.counts):
-        boxes = [
-            len({tuple(row) for row in np.floor((pts - (lo - off * eps)) / eps).astype(np.int64)})
-            for off in offsets
-        ]
-        assert count == np.mean(boxes)
+    assert est.counts.tolist() == _tuple_counts(pts, scales, 9)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_box_dimension_key_counts_match_tuples(d):
+    # the mixed-radix keys count what the index tuples count in the plane
+    # and in R^5 too, with negative coordinates and repeated rows
+    rng = np.random.default_rng(d)
+    pts = np.round(rng.normal(size=(2000, d)), 1) - 3.0
+    pts = np.concatenate([pts, pts[:500]])
+    scales = [0.03, 0.1, 0.25, 0.6, 1.5]
+    est = box_dimension(pts, scales, rng=d)
+    assert est.ambient_dim == d
+    assert est.counts.tolist() == _tuple_counts(pts, scales, d)
+
+
+def test_box_dimension_overflowing_key_falls_back_to_row_sorts(monkeypatch):
+    # at the finest scale each column needs about 2**13.3 indices, so the
+    # five-column key would need 2**66: that scale alone sorts rows
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.random((600, 5)), -rng.random((600, 5))])
+    pts[::7] = pts[1::7]  # repeated rows
+    scales = [2e-4, 6e-4, 2e-3, 2e-2]
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    est = box_dimension(pts, scales, rng=4)
+    assert len(calls) == 4  # one row sort per offset, at the finest scale only
+    assert est.counts.tolist() == _tuple_counts(pts, scales, 4)
 
 
 def test_box_dimension_parameter_errors():
@@ -222,6 +257,38 @@ def test_box_dimension_parameter_errors():
         box_dimension(pts, [0.01, 0.02, 0.05])
     with pytest.raises(ParameterError):
         box_dimension(pts, [0.01, 0.02, 0.04, 0.08])  # less than a decade
+    with pytest.raises(ParameterError):
+        box_dimension(pts, [0.01, 0.02, 0.05, 0.2], n_offsets=0)
+
+
+def _with(*cells):
+    """A 150-point normal cloud in the plane with the given (row, col, value) cells."""
+    pts = np.random.default_rng(0).normal(size=(150, 2))
+    for i, j, v in cells:
+        pts[i, j] = v
+    return pts
+
+
+@pytest.mark.parametrize(
+    "pts, scales, names",
+    [
+        pytest.param(_with((3, 1, np.nan)), [0.01, 0.02, 0.05, 0.2], "points", id="nan-point"),
+        pytest.param(_with((0, 0, np.inf)), [0.01, 0.02, 0.05, 0.2], "points", id="inf-point"),
+        pytest.param(np.zeros((150, 0)), [0.01, 0.02, 0.05, 0.2], "points", id="no-columns"),
+        pytest.param(_with(), [1e-19, 1e-18, 1e-17, 1e-16], "scales", id="indices-past-2**62"),
+        pytest.param(_with((0, 0, 1.5e308), (1, 0, -1.5e308)), [0.01, 0.02, 0.05, 0.2], "points and scales",
+                     id="extent-overflows"),
+        pytest.param(_with() - 1e308, [1e307, 1e308, 1.5e308, 1.7e308], "points and scales",
+                     id="grid-shift-overflows"),
+    ],
+)
+def test_box_dimension_bad_input_fails_without_warning(pts, scales, names):
+    # the boxes would be indexed by NaN or overflowed floats: refused
+    # before any numpy cast can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=names):
+            box_dimension(pts, scales, rng=0)
 
 
 # ---------------------------------------------------------------------------
