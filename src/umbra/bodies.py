@@ -227,8 +227,7 @@ class ImplicitBody:
     # finite-difference checks straddling a kink (None for globally smooth G)
     kink_margin: Callable[[np.ndarray], float] | None = None
     bounded: bool = True
-    # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs; lets charts solve their
-    # fibers in closed form instead of iterating
+    # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
     quadric: tuple | None = None
 
     def __post_init__(self):
@@ -285,13 +284,21 @@ class ImplicitBody:
         return 2.0 * self.bounding_radius
 
 
-def _line_roots(value, gradient, origins, directions, t_max):
+def _quadratic_root(a2, a1, a0):
+    """Smaller root of a2 t^2 + 2 a1 t + a0 (NaN where there is none), in forms
+    that do not cancel: a0 / (sqrt(a1^2 - a2 a0) - a1) for a1 < 0."""
+    sq = np.sqrt(a1 * a1 - a2 * a0)
+    return np.where(a1 < 0, a0 / (sq - a1), -(a1 + sq) / a2)
+
+
+def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
     """For origins ``(N, n)``, directions ``(n,)`` or ``(N, n)`` and t_max
     scalar or ``(N,)``: the smallest t in [0, t_max] with G(o + t d) = 0 on
     each row (0 where G(o) <= 0, NaN for a miss), and G at each row's last
-    evaluated point; ``value`` and ``gradient`` take stacks ``(N, n)``.
+    evaluated point.  ``value`` and ``gradient`` take stacks ``(N, n)``; a
+    ``quadric`` (ellipsoids and balls) replaces them by ``_quadratic_root``.
 
-    Monotone one-sided Newton on the convex g(t) = G(o + t d) (Ortega &
+    Else monotone one-sided Newton on the convex g(t) = G(o + t d) (Ortega &
     Rheinboldt, 1970): while g > 0 the step t += g / (-g') lands where a
     supporting line of g vanishes (a subgradient's, at a kink), at or before
     the first root, so the iterates rise onto it and never pass it.  By the
@@ -301,15 +308,22 @@ def _line_roots(value, gradient, origins, directions, t_max):
     makes one stacked gradient and one stacked value call on the rows still
     working, which are compacted only in a round where some row stops.
     """
-    N = len(origins)
-    t, dw = np.zeros(N), np.empty_like(origins)
-    dw[...] = directions
-    g = np.asarray(value(origins), float).reshape(N)
-    idx = (g > 0).nonzero()[0]  # the rows still stepping, and their state
-    ow = xw = origins[idx]
-    dw, tw, gw, mw = dw[idx], t[idx], g[idx], (t + t_max)[idx]
-    ntol = -1e-15 * np.maximum(1.0, mw)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # misses and zero directions hold NaN
+        if quadric is not None:  # G(o + t d) = a2 t^2 + 2 a1 t + a0
+            A, c, rhs = quadric
+            w, Ad = origins - c, directions @ A
+            a2, a1, a0 = np.vecdot(directions, Ad), np.vecdot(w, Ad), np.vecdot(w, w @ A) - rhs
+            t = _quadratic_root(a2, a1, a0)
+            t = np.where(a0 <= 0, 0.0, np.where((a1 < 0) & (t <= t_max), t, np.nan))
+            return t, a0 + t * (2.0 * a1 + a2 * t)
+        N = len(origins)
+        t, dw = np.zeros(N), np.empty_like(origins)
+        dw[...] = directions
+        g = np.asarray(value(origins), float).reshape(N)
+        idx = (g > 0).nonzero()[0]  # the rows still stepping, and their state
+        ow = xw = origins[idx]
+        dw, tw, gw, mw = dw[idx], t[idx], g[idx], (t + t_max)[idx]
+        ntol = -1e-15 * np.maximum(1.0, mw)
         while idx.size:
             slope = np.vecdot(gradient(xw), dw)
             q = gw / slope  # minus the Newton step
@@ -338,23 +352,25 @@ def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarr
     """Boundary crossing of the ray from an interior ``origin`` (default:
     the center) along a direction ``(n,)``, or along each row of ``(N, n)``.
 
-    ``_line_roots`` runs each ray back from twice the bounding radius toward
-    the origin, so the crossing it meets is the only one.  Raises
-    ParameterError for a zero direction, and ChartError for an origin that
-    is not interior, for a ray that does not exit within range (possible for
-    unbounded patch models) and for a miss, which shows that G is not convex
-    along the ray.  A stack raises the error of its first bad row.
+    ``_line_roots`` runs each ray back from twice the bounding radius toward the
+    origin (in closed form for a ``quadric``), so the crossing it meets is the
+    only one.  Raises ParameterError for a zero direction, and ChartError for an
+    origin that is not interior, for a ray that does not exit within range
+    (possible for unbounded patch models) and for a miss, which shows that G is
+    not convex along the ray.  A stack raises the error of its first bad row.
     """
     d = np.asarray(direction, float)
     rows = np.atleast_2d(d)
     nd = np.sqrt(np.vecdot(rows, rows))
     zero = nd < 1e-14
     x0 = np.asarray(origin, float) if origin is not None else body.center
-    if body.value_at(x0) >= 0:  # every row is bad: the first one raises
-        raise ParameterError("zero direction") if zero[0] else ChartError("ray origin must be interior to the body")
     s = 2.0 * body.bounding_radius
     u = rows / np.where(zero, 1.0, nd)[:, None]
-    t, _ = _line_roots(body.value, body.gradient, x0 + s * u, -u, s)
+    quad = body.quadric  # a quadric's G at the origin is the closed form's on a ray of length 0
+    g0 = body.value_at(x0) if quad is None else _line_roots(None, None, x0[None], u[0], 0.0, quad)[1][0]
+    if not g0 < 0:  # every row is bad: the first one raises
+        raise ParameterError("zero direction") if zero[0] else ChartError("ray origin must be interior to the body")
+    t, _ = _line_roots(body.value, body.gradient, x0 + s * u, -u, s, quad)
     bad = np.flatnonzero(zero | ~(t > 0))  # t = 0: no exit; NaN: a miss
     if bad.size:
         k = bad[0]
@@ -496,25 +512,6 @@ class ConcaveChart:
         return self.pose.rotate_to_world(nu)
 
 
-def _quadric_fiber_roots(quad, xp):
-    """Upper roots s of G on the fibers above the rows of ``xp`` ``(N, m)``
-    for a quadric in chart coordinates, ``G(xp, s) = a2 s^2 + 2 a1 s + a0``,
-    and the residuals of G there; NaN where the fiber misses the body.
-    """
-    Ac, cc, rhs = quad
-    d = np.empty((len(xp), cc.shape[0]))
-    d[:, :-1] = xp
-    d[:, -1] = 0.0
-    d -= cc
-    Ad = d @ Ac
-    a2, a1 = Ac[-1, -1], Ad[:, -1]
-    a0 = np.vecdot(d, Ad) - rhs
-    sq = np.sqrt(a1 * a1 - a2 * a0)
-    # cancellation-free upper root
-    root = np.where(a1 > 0, -a0 / (a1 + sq), (sq - a1) / a2)
-    return root, a0 + root * (2.0 * a1 + a2 * root)
-
-
 def _graph_hessian(gc, Hc):
     """Hessian ``-(A + b f1^T + f1 b^T + c f1 f1^T) / g_n`` of the graph
     ``x_n = phi(x')`` of ``{G = 0}``, where ``gc = grad G`` and
@@ -539,10 +536,10 @@ def chart_at(
     The chart frame sends ``p`` to the origin and the outward normal to
     ``+e_n``; phi is the upper root of G along each vertical fiber.
     ``phi``, ``grad_phi`` and ``hess_phi`` take a point ``(m,)`` or a stack
-    ``(N, m)`` and solve all its fibers at once: in closed form for bodies
-    carrying ``quadric``, else by ``_line_roots`` run down every fiber of
-    the stack in lockstep.  Both paths map a failed fiber to the same
-    ChartError.
+    ``(N, m)`` and solve all its fibers at once: by ``_quadratic_root`` down
+    every fiber for bodies carrying ``quadric`` (ellipsoids and balls), else
+    by ``_line_roots`` run down them in lockstep.  Both paths map a failed
+    fiber to the same ChartError.
     ``tangent_hint`` forces the (n-1)-st tangent axis to the (normalized,
     tangentially projected) hint direction.
 
@@ -591,9 +588,7 @@ def chart_at(
     quad = None
     if body.quadric is not None:
         A, c, rhs = body.quadric
-        Ac = Rt @ A @ R
-        if Ac[-1, -1] > 0:  # G is a parabola along fibers; a flat A keeps iterating
-            quad = (Ac, Rt @ (c - p), float(rhs))
+        quad = (Rt @ A @ R, Rt @ (c - p), float(rhs))
 
     def G(v):
         """G at chart-frame points ``(N, n)``."""
@@ -638,8 +633,13 @@ def chart_at(
         chart of radius r, and ``{row: error}`` for rows without one."""
         s_max = 2.0 * body.bounding_radius + r
         inside = np.vecdot(xp, xp) < r * r
-        if quad is not None:
-            root, resid = _quadric_fiber_roots(quad, xp)
+        if quad is not None:  # the upper root s = -t, t the first crossing down the fiber
+            Ac, cc, rhs = quad
+            w = cc - lift(xp, 0.0)  # c - v, so that a1 down -e_n is a column of w Ac
+            Aw = w @ Ac
+            a2, a1, a0 = Ac[-1, -1], Aw[:, -1], np.vecdot(w, Aw) - rhs
+            t = _quadratic_root(a2, a1, a0)
+            root, resid = -t, a0 + t * (2.0 * a1 + a2 * t)
         else:
             root, resid = np.full((2, len(xp)), np.nan)
             root[inside], resid[inside] = fiber_roots(xp[inside], s_max)

@@ -171,8 +171,8 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
 def first_hitting_time(body: ImplicitBody, y, nu):
     """Smallest t >= 0 with ``y + t nu`` on the body boundary, or None.
 
-    ``_line_roots`` runs the ray from y; hits beyond twice the bounding
-    span ``|y - center| + bounding_radius`` count as misses.  For stacks
+    ``_line_roots`` runs the ray from y (in closed form for a ``quadric``);
+    hits beyond twice ``|y - center| + bounding_radius`` are misses.  For stacks
     ``(N, n)`` of origins (and of directions, or one direction) it returns
     the times ``(N,)``, NaN for a miss.  Raises ParameterError for a zero
     direction or an origin inside the body; a stack, for its first bad row.
@@ -184,7 +184,7 @@ def first_hitting_time(body: ImplicitBody, y, nu):
     u = nu / np.where(nn < 1e-14, 1.0, nn)[..., None]
     c = rows - body.center
     t_max = 2.0 * (np.sqrt(np.vecdot(c, c)) + body.bounding_radius)
-    t, g = _line_roots(body.value, body.gradient, rows, u, t_max)
+    t, g = _line_roots(body.value, body.gradient, rows, u, t_max, body.quadric)
     bad = (nn < 1e-14) | ((t == 0) & (g < -TOL_BOUNDARY * max(1.0, body.bounding_radius)))
     if bad.any():  # the first bad row's error
         zero = np.broadcast_to(nn, bad.shape)[np.argmax(bad)] < 1e-14

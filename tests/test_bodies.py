@@ -767,6 +767,111 @@ def test_stacked_ray_crossings_match_points(body):
     assert _stack_vs_rows(member, (off,), [(yi,) for yi in off], same_flag)[3][0] is DomainError
 
 
+def _grazing(quadric, origins, directions):
+    """Rows whose line grazes the quadric within round-off, where a hit and a
+    miss are both right: the window ``shadowbench/reference.py`` skips."""
+    A, c, rhs = quadric
+    w = origins - c
+    form = lambda x, y: np.einsum("ij,jk,ik->i", x, A, y)
+    a2, a1, a0 = form(directions, directions), form(w, directions), form(w, w) - rhs
+    scale = 1.0 + np.abs(a0) + a1 * a1 / a2 + np.linalg.norm(A, 2) * np.vecdot(w, w)
+    return np.abs(a1 * a1 - a2 * a0) / a2 <= 64.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_rays_match_the_newton_kernel(n):
+    # the quadric branch of the line kernel against its Newton loop on the
+    # same body with the quadric stripped, on stacked rays that hit, miss,
+    # start inside (t = 0) or cross past t_max
+    rng = np.random.default_rng(500 + n)
+    for body in _posed_quadrics(rng, n):
+        newton = replace(body, quadric=None)
+        R, c = body.bounding_radius, body.center
+        u = rng.normal(size=(400, n))
+        o = c + R * rng.uniform(0.2, 3.0, size=(400, 1)) * u / np.linalg.norm(u, axis=1, keepdims=True)
+        d = (c - o) / R + 0.6 * rng.normal(size=(400, n))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        t_max = rng.uniform(0.0, 2.5 * R, size=400)
+        # and 10 rays tangent to the body, inside the grazing window
+        p = bodies.boundary_point_along(body, rng.normal(size=(10, n)))
+        grad = body.gradient(p)
+        tau = rng.normal(size=(10, n))
+        tau -= (np.vecdot(tau, grad) / np.vecdot(grad, grad))[:, None] * grad
+        tau /= np.linalg.norm(tau, axis=1, keepdims=True)
+        o, d, t_max = np.vstack([o, p - 1.5 * R * tau]), np.vstack([d, tau]), np.append(t_max, np.full(10, 3.0 * R))
+        got, g = bodies._line_roots(body.value, body.gradient, o, d, t_max, body.quadric)
+        want, _ = bodies._line_roots(newton.value, newton.gradient, o, d, t_max)
+        sure = ~_grazing(body.quadric, o, d)
+        assert sure.sum() >= 390 and not sure[400:].any()
+        assert np.array_equal(got[sure] == 0, want[sure] == 0)
+        assert np.array_equal(np.isnan(got[sure]), np.isnan(want[sure]))
+        hit = sure & (got > 0)
+        assert (np.abs(got[hit] - want[hit]) <= 1e-12 * want[hit]).all()
+        inside = got == 0
+        assert np.abs(g[inside] - body.value(o[inside])).max() <= 1e-12
+        assert np.abs(g[hit]).max() <= 1e-12
+        unbounded, _ = bodies._line_roots(body.value, body.gradient, o, d, np.inf, body.quadric)
+        past = np.isnan(got) & (unbounded > 0)
+        assert min(inside.sum(), hit.sum(), np.isnan(unbounded).sum(), past.sum()) >= 20
+
+        # the public ray routines on the same stacks: times, misses and the
+        # first bad row's error
+        y, nu = o[sure & ~inside], d[sure & ~inside]
+        bad_y, bad_nu = y.copy(), nu.copy()
+        bad_nu[7] = 0.0
+        bad_y[3] = c  # inside the body: raises before row 7's zero direction
+        exterior, interior = o[np.isnan(unbounded)][0], o[inside][0]
+        dirs = d.copy()
+        dirs[5] = 0.0
+        for fn, args in [
+            (pj.first_hitting_time, (y, nu)),
+            (pj.first_hitting_time, (y, nu[0])),
+            (pj.first_hitting_time, (bad_y[4:], bad_nu[4:])),
+            (pj.first_hitting_time, (bad_y, bad_nu)),
+            (bodies.boundary_point_along, (d,)),
+            (bodies.boundary_point_along, (dirs,)),
+            (bodies.boundary_point_along, (d, interior)),
+            (bodies.boundary_point_along, (d, exterior)),
+        ]:
+            closed, iterative = _outcome(fn, body, *args), _outcome(fn, newton, *args)
+            if isinstance(iterative, tuple):
+                assert closed == iterative
+            else:
+                np.testing.assert_allclose(closed, iterative, rtol=1e-12, atol=1e-15 * R)
+        hitting = lambda *args: _outcome(pj.first_hitting_time, body, *args)
+        assert hitting(bad_y, bad_nu) == (ParameterError, "ray origin lies inside the body")
+        assert hitting(bad_y[4:], bad_nu[4:]) == (ParameterError, "zero ray direction")
+        assert _outcome(bodies.boundary_point_along, body, dirs) == (ParameterError, "zero direction")
+        assert _outcome(bodies.boundary_point_along, body, d, exterior)[0] is ChartError
+
+
+def test_quadric_rays_make_no_oracle_calls():
+    # stacked rays on a posed ellipsoid are solved in closed form; bodies
+    # without a quadric still run the Newton loop and land on the crossing
+    rng = np.random.default_rng(17)
+    ell = _posed_quadrics(rng, 3)[0]
+    for body in (ell, bodies.kiselman(5), bodies.paraboloid_cap(1.5, 0.8)):
+        counted, calls = _counting(body)
+        R, c = body.bounding_radius, body.center
+        dirs = rng.normal(size=(40, 3)) + [0.0, 0.0, 1.5]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        y = c + 2.0 * R * dirs
+        nu = (c - y) / (2.0 * R)
+        p = bodies.boundary_point_along(counted, dirs)
+        t = pj.first_hitting_time(counted, y, nu)
+        if body is ell:
+            assert calls["value"] == calls["gradient"] == 0
+        else:
+            assert calls["value"] > 0 and calls["gradient"] > 0
+        h = 1e-12 * R
+        s = np.linalg.norm(p - c, axis=1)
+        assert (body.value(c + (s - h)[:, None] * dirs) <= 0).all()
+        assert (body.value(c + (s + h)[:, None] * dirs) > 0).all()
+        assert not np.isnan(t).any()
+        assert (body.value(y + (t - h)[:, None] * nu) > 0).all()
+        assert (body.value(y + (t + h)[:, None] * nu) <= 0).all()
+
+
 def test_far_chart_point_fails_without_overflow_warning():
     body = bodies.ellipsoid([1.5, 1.0, 0.8])
     with warnings.catch_warnings():

@@ -433,10 +433,9 @@ def test_trace_rejects_a_step_beyond_the_target():
             pj.trace_boundary(om, lam, start, step=step, max_steps=10)
 
 
-@pytest.mark.parametrize("seed", [5, 6, 7, 8])
-def test_traced_points_are_ray_quadric_tangencies(seed):
-    # every traced y on a posed ellipsoid pair: the outward normal line of
-    # the target at y grazes omega, on omega's side
+def _posed_ellipsoid_pair(seed):
+    """Posed ellipsoids, the target lam at the origin and omega 3.4-4.2 away,
+    omega's quadric (A, c) and a solved start point on the shadow boundary."""
     rng = np.random.default_rng(seed)
     lam_axes, om_axes = rng.uniform(0.8, 1.3, size=3), rng.uniform(0.5, 0.9, size=3)
     lam_rot, om_rot = oracles.random_rotation(rng), oracles.random_rotation(rng)
@@ -446,12 +445,42 @@ def test_traced_points_are_ray_quadric_tangencies(seed):
     om = bodies.ellipsoid(om_axes, Pose(om_rot, om_center))
     A, c = oracles.quadric_of_ellipsoid(om_axes, om_rot, om_center)
     start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam, rng=rng))
+    return om, lam, A, c, start
+
+
+def _assert_ray_quadric_tangencies(trace, om, lam, A, c, tol):
+    """Every traced point solves Phi to tol, and the outward normal line of
+    the target at its y grazes omega, on omega's side."""
+    for p in trace.points:
+        assert float(np.abs(pj.boundary_map(om, lam, p.state)).max()) <= tol
+        depth, s = oracles.ray_quadric_tangency(p.y, lam.unit_normal(p.y), A, c)
+        assert abs(depth) <= 10.0 * tol and s > 0
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_traced_points_are_ray_quadric_tangencies(seed):
+    om, lam, A, c, start = _posed_ellipsoid_pair(seed)
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
     assert trace.closed and len(trace) > 100
-    for p in trace.points:
-        assert float(np.abs(pj.boundary_map(om, lam, p.state)).max()) <= pj.TOL_ROOT
-        depth, s = oracles.ray_quadric_tangency(p.y, lam.unit_normal(p.y), A, c)
-        assert abs(depth) <= 1e-9 and s > 0
+    _assert_ray_quadric_tangencies(trace, om, lam, A, c, pj.TOL_ROOT)
+
+
+def test_trace_halves_its_step_and_grows_it_back():
+    # at step 0.2 the chord corrector fails on some full steps and the step
+    # halves; at tol 1e-6 the halved steps need <= 3 chord steps, so after
+    # three of them the step doubles back (at the default 1e-10 they take 4
+    # or more and it never does).  The corrector moves orthogonally to the
+    # predictor's tangent, so each state spacing |z_k+1 - z_k| reads just
+    # over the step h it was taken with.
+    om, lam, A, c, start = _posed_ellipsoid_pair(14)
+    trace = pj.trace_boundary(om, lam, start, step=0.2, max_steps=400, tol=1e-6)
+    assert trace.closed
+    Z = np.array([p.state for p in trace.points])
+    h = np.linalg.norm(np.diff(Z, axis=0), axis=1) / 0.2
+    assert ((h > 0.49) & (h < 0.55) | (h > 0.99) & (h < 1.1)).all()
+    halved = np.flatnonzero(h < 0.6)
+    assert halved.size and (h[halved[0] :] > 0.9).any()
+    _assert_ray_quadric_tangencies(trace, om, lam, A, c, 1e-6)
 
 
 def test_trace_zero_steps():
