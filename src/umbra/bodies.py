@@ -724,12 +724,28 @@ def chart_at(
 # analytic catalog
 
 
+def _quadric_oracles(A, c, rhs):
+    """G(x) = (x - c)^T A (x - c) - rhs, its gradient (x - c)(A + A^T) and its
+    Hessian A + A^T, each on a point ``(n,)`` or a stack ``(N, n)``."""
+    S = A + A.T  # 2A, exactly so for a diagonal or symmetric A
+    value = lambda x: np.vecdot(x - c, (x - c) @ A) - rhs
+    gradient = lambda x: (x - c) @ S
+    hessian = lambda x: np.zeros(np.shape(x)[:-1] + S.shape) + S
+    return value, gradient, hessian
+
+
 def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
     if pose is None:
         return base
     if pose.dim != base.dim:
         raise SpecError("pose dimension does not match the body dimension")
     R, Rt, t = pose.rotation, pose.rotation.T, pose.translation
+    center = pose.to_world(base.center)
+    if base.quadric is not None:  # oracles of the world quadric: no rotation in and out per call
+        A, c, rhs = base.quadric
+        quadric = (R @ A @ Rt, pose.to_world(c), rhs)
+        value, gradient, hessian = _quadric_oracles(*quadric)
+        return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, quadric=quadric)
 
     # (x - t) @ R maps a point, or each row of a stack, to local coordinates
     value = lambda x: base.value((x - t) @ R)
@@ -740,19 +756,7 @@ def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
     kink = None
     if base.kink_margin is not None:
         kink = lambda x: base.kink_margin((x - t) @ R)
-    quadric = None
-    if base.quadric is not None:
-        A, c, rhs = base.quadric
-        quadric = (R @ A @ Rt, pose.to_world(c), rhs)
-    return replace(
-        base,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        center=pose.to_world(base.center),
-        kink_margin=kink,
-        quadric=quadric,
-    )
+    return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, kink_margin=kink)
 
 
 def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
@@ -765,18 +769,19 @@ def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
     if a.ndim != 1 or a.shape[0] < 2 or not np.all((a > 0) & (a < math.inf)):
         raise ParameterError("semiaxes must be >= 2 positive finite numbers")
     w = 1.0 / a**2
-    A = np.diag(w)
+    quadric = (np.diag(w), np.zeros(a.shape[0]), 1.0)
+    value, gradient, hessian = _quadric_oracles(*quadric)
     body = ImplicitBody(
         dim=a.shape[0],
-        value=lambda x: np.vecdot(x, w * x) - 1.0,
-        gradient=lambda x: 2.0 * w * x,
-        hessian=lambda x: np.zeros(np.shape(x)[:-1] + A.shape) + 2.0 * A,
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
         bounding_radius=float(a.max()),
         center=np.zeros(a.shape[0]),
         convexity=Convexity.uniformly_convex(2.0 * float(w.min())),
         smoothness=Smoothness.smooth(),
         name=f"ellipsoid{tuple(round(float(s), 6) for s in a)}",
-        quadric=(A, np.zeros(a.shape[0]), 1.0),
+        quadric=quadric,
     )
     return _posed(body, pose)
 
@@ -789,18 +794,19 @@ def translated_ball(center, radius: float, pose: Pose | None = None) -> Implicit
         raise ParameterError("center must be a finite point of dimension >= 2")
     if not 0 < r < math.inf:
         raise ParameterError("radius must be positive and finite")
-    eye = np.eye(c.shape[0])
+    quadric = (np.eye(c.shape[0]), c, r * r)
+    value, gradient, hessian = _quadric_oracles(*quadric)
     body = ImplicitBody(
         dim=c.shape[0],
-        value=lambda x: np.vecdot(x - c, x - c) - r * r,
-        gradient=lambda x: 2.0 * (x - c),
-        hessian=lambda x: np.zeros(np.shape(x)[:-1] + eye.shape) + 2.0 * eye,
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
         bounding_radius=r,
         center=c,
         convexity=Convexity.uniformly_convex(2.0),
         smoothness=Smoothness.smooth(),
         name=f"ball(r={r})",
-        quadric=(np.eye(c.shape[0]), c, r * r),
+        quadric=quadric,
     )
     return _posed(body, pose)
 

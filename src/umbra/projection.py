@@ -11,10 +11,12 @@ from R^(2n+1) to R^(n+3): x runs over the projected body's boundary, y over
 the target's boundary, the third component forces tangency of the hitting
 ray, and the last block forces colinearity with hitting parameter t > 0.
 Seeds are solved with least-norm Gauss-Newton steps (the solution set is an
-(n-2)-manifold, not a point).  Curves are traced in R^3 by predictor steps
-along the one-dimensional null space of DPhi and a chord corrector with the
-pseudo-inverse of the SVD that each accepted point takes anyway; that SVD
-also certifies full rank n+3 of DPhi through its singular values.
+(n-2)-manifold, not a point).  Curves are traced in R^3 by a second-order
+predictor, a step along the one-dimensional null space of DPhi bent by the
+turn of that null direction between the last two points, and a chord
+corrector with the pseudo-inverse of the SVD that each accepted point takes
+anyway; that SVD also certifies full rank n+3 of DPhi through its singular
+values.
 """
 
 from __future__ import annotations
@@ -196,9 +198,11 @@ def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
     """Whether the target boundary point ``y`` is shadowed by ``omega``.
 
     True exactly when the outward-normal ray of the target at y hits the
-    closure of omega.  y must lie on the target's boundary (DomainError).
-    A stack ``(N, n)`` of points gives a bool array ``(N,)``.
+    closure of omega.  y must lie on the target's boundary (DomainError),
+    and both bodies in the same R^n (ParameterError).  A stack ``(N, n)``
+    of points gives a bool array ``(N,)``.
     """
+    _check_dims(omega, lam)
     y = np.asarray(y, float)
     if np.any(np.abs(lam.value(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)):
         raise DomainError("y is not on the target boundary")
@@ -212,16 +216,23 @@ def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
 
 def boundary_map(omega: ImplicitBody, lam: ImplicitBody, z) -> np.ndarray:
     """The (n+3)-vector Phi(x, y, t) whose zero set is the shadow boundary."""
+    return _map_and_gradient(omega, lam, z)[0]
+
+
+def _map_and_gradient(omega: ImplicitBody, lam: ImplicitBody, z):
+    """Phi at z and the target gradient grad F(y) it used, which ``_finish``
+    reuses for its cross-check instead of calling the oracle again."""
     n = omega.dim
     x, y, t = z[:n], z[n : 2 * n], z[2 * n]
     gG = omega.gradient_at(x)
     gF = lam.gradient_at(y)
-    return np.concatenate(
+    phi = np.concatenate(
         [
             [omega.value_at(x), lam.value_at(y), float(np.dot(gG, gF))],
             y + t * gF - x,
         ]
     )
+    return phi, gF
 
 
 def boundary_jacobian(omega: ImplicitBody, lam: ImplicitBody, z) -> np.ndarray:
@@ -291,9 +302,17 @@ def certify_rank(omega: ImplicitBody, lam: ImplicitBody, point: ProjectionPoint)
     return rank, float(sv[-1])
 
 
+def _check_dims(omega: ImplicitBody, lam: ImplicitBody):
+    """ParameterError unless both bodies live in the same R^n."""
+    if omega.dim != lam.dim:
+        raise ParameterError(f"omega and lambda live in different dimensions ({omega.dim} and {lam.dim})")
+
+
 def _check_tol(omega: ImplicitBody, lam: ImplicitBody, tol):
-    """ParameterError unless the residual tolerance ``tol`` is positive and
-    below 1e-3 max(1, bounding radii), the scale of the residuals."""
+    """ParameterError unless the bodies share a dimension and the residual
+    tolerance ``tol`` is positive and below 1e-3 max(1, bounding radii), the
+    scale of the residuals."""
+    _check_dims(omega, lam)
     scale = max(1.0, omega.bounding_radius, lam.bounding_radius)
     if not check_positive("tol", tol) < 1e-3 * scale:
         raise ParameterError(f"tol = {tol:.3g} is not below 1e-3 max(1, bounding radii) = {1e-3 * scale:.3g}")
@@ -314,7 +333,8 @@ def solve_boundary_point(
     the null tangent, with a RankDeficiencyWarning when sigma_min falls
     under the rank threshold.  Bodies without an analytic Hessian get a
     finite-difference consistency probe at the solved point.  ``tol`` must
-    lie below 1e-3 max(1, bounding radii).
+    lie below 1e-3 max(1, bounding radii), and both bodies in the same R^n
+    (ParameterError).
     """
     _check_tol(omega, lam, tol)
     n = omega.dim
@@ -328,7 +348,7 @@ def solve_boundary_point(
         raise ParameterError(f"seed must have 2n+1 = {2 * n + 1} components")
     scale = max(1.0, omega.bounding_radius, lam.bounding_radius)
 
-    r = boundary_map(omega, lam, z)
+    r, gF = _map_and_gradient(omega, lam, z)
     if not np.all(np.isfinite(r)):
         raise ParameterError("seed residual is not finite")
     res, iters = float(np.abs(r).max()), 0
@@ -339,16 +359,16 @@ def solve_boundary_point(
         step *= min(1.0, 0.5 * scale / max(float(np.linalg.norm(step)), 1e-300))
         for k in range(25):  # backtracking: accept the first strict decrease
             z_new = z + 0.5**k * step
-            r_new = boundary_map(omega, lam, z_new)
+            r_new, gF_new = _map_and_gradient(omega, lam, z_new)
             res_new = float(np.abs(r_new).max())  # inf or NaN: never a decrease
             if res_new < res:
-                z, r, res = z_new, r_new, res_new
+                z, r, gF, res = z_new, r_new, gF_new, res_new
                 break
         else:
             break
     if res > tol:
         raise NoConvergenceError(f"boundary solve stalled at residual {res:.3g} after {iters} iterations")
-    return _finish(omega, lam, z, res, iters)[0]
+    return _finish(omega, lam, z, gF, res, iters)[0]
 
 
 def _factor(omega: ImplicitBody, lam: ImplicitBody, z):
@@ -359,18 +379,18 @@ def _factor(omega: ImplicitBody, lam: ImplicitBody, z):
     return sv, vt, (vt[: sv.shape[0]].T * inv) @ u.T
 
 
-def _finish(omega: ImplicitBody, lam: ImplicitBody, z, residual: float, iters: int):
+def _finish(omega: ImplicitBody, lam: ImplicitBody, z, gF, residual: float, iters: int):
     """Checks and factorisation of a corrected state, shared by the seed
-    solve and the trace: t > 0, the |x - y| / |grad F| cross-check, one full
-    SVD (extreme singular values, null tangent, RankDeficiencyWarning) and
-    the finite-difference Hessian probe.  Returns the point and the
-    pseudo-inverse of its Jacobian, the chord map for the next trace step.
+    solve and the trace: t > 0, the |x - y| / |grad F| cross-check (grad F
+    from the last evaluation of Phi at z), one full SVD (extreme singular
+    values, null tangent, RankDeficiencyWarning) and the finite-difference
+    Hessian probe.  Returns the point and the pseudo-inverse of its
+    Jacobian, the chord map for the next trace step.
     """
     n = omega.dim
     x, y, t = z[:n], z[n : 2 * n], float(z[2 * n])
     if t <= 0:
         raise NoConvergenceError(f"solve converged to nonpositive hitting scale t = {t:.3g}")
-    gF = lam.gradient_at(y)
     t_implied = float(np.linalg.norm(x - y)) / max(float(np.linalg.norm(gF)), 1e-300)
     if abs(t - t_implied) > 1e-8 * max(1.0, t):
         raise NoConvergenceError(
@@ -401,8 +421,10 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
 
     Returns ``(x, z, distance)`` with x on omega and z on lam.  Raises
     OverlapError when an iterate lands inside the other body or the gap
-    closes, which is exactly the disjointness failure mode.
+    closes, which is exactly the disjointness failure mode, and
+    ParameterError for bodies of different dimensions.
     """
+    _check_dims(omega, lam)
     scale = max(1.0, omega.bounding_radius, lam.bounding_radius)
     try:
         z = project_point(lam, omega.center)
@@ -472,9 +494,11 @@ def seed_boundary(
     optionally restrict sampling to a cap of directions.
     Raises SeedError when the sampled patch is entirely inside or entirely
     outside the shadow, OverlapError when omega's center lies inside the
-    target, and ParameterError for a patch center that is not a nonzero
-    finite vector of the target's dimension or a non-finite patch angle.
+    target, and ParameterError for bodies of different dimensions, a patch
+    center that is not a nonzero finite vector of the target's dimension or
+    a non-finite patch angle.
     """
+    _check_dims(omega, lam)
     rng = np.random.default_rng(rng)
     if patch_center is None:  # in R^3 the cap of angle pi around e_3: the whole sphere
         c, ang = np.eye(lam.dim)[-1], math.pi
@@ -613,10 +637,15 @@ def trace_boundary(
 ) -> BoundaryTrace:
     """Predictor-corrector continuation of the shadow boundary curve (n = 3).
 
-    The predictor walks along the null space of the defining Jacobian.  The
+    The predictor is ``z + h tangent + h^2 kappa / 2``: a step along the null
+    space of the defining Jacobian, bent by the curvature estimate
+    ``kappa = (tangent_k - tangent_k-1) / |z_k - z_k-1|`` from the last two
+    accepted points (kappa = 0 on the first step; Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, SIAM 2003).  The
     corrector is the chord iteration ``w <- w - J+ Phi(w)``, J+ the
     pseudo-inverse from the full SVD the last accepted point took for its
-    singular values and tangent, so a step builds no new factorisation.  J+
+    singular values and tangent, so a step builds no new factorisation, and
+    the last evaluation of Phi hands its target gradient to the checks.  J+
     maps into the row space, orthogonal to that tangent: the bordered row
     ``tangent . (w - predictor) = 0`` holds by construction.  The corrector
     fails unless each chord step at least halves max|Phi|, within
@@ -627,8 +656,8 @@ def trace_boundary(
     the start after at least 10 steps), on ``max_steps``, or with
     RankDeficiencyError when sigma_min falls under ``rank_tol * sigma_max``.
     A step of twice the target's diameter bound or more raises
-    ParameterError: every target point would pass the closure test; so does
-    a ``tol`` as for ``solve_boundary_point``.
+    ParameterError: every target point would pass the closure test; so do
+    a ``tol`` and bodies as refused by ``solve_boundary_point``.
     """
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
@@ -649,17 +678,18 @@ def trace_boundary(
 
     h, h_min, h_max = step, step / 16.0, step
     tangent, z, pinv = start.tangent, start.state, _factor(omega, lam, start.state)[2]
+    kappa = np.zeros_like(z)  # tangent turn per unit length between the last two points
     easy, closed, diagnostics, arc = 0, False, "", 0.0
     for k in range(max_steps):
-        predictor = z + h * tangent
+        predictor = z + h * tangent + 0.5 * h * h * kappa
         try:
-            w, r = predictor, boundary_map(omega, lam, predictor)
+            w, (r, gF) = predictor, _map_and_gradient(omega, lam, predictor)
             res, iters = float(np.abs(r).max()), 0
             while not res <= tol:
                 if iters == MAX_SOLVE_ITER:
                     raise NoConvergenceError(f"chord corrector at residual {res:.3g} after {iters} steps")
                 w = w - pinv @ r
-                r = boundary_map(omega, lam, w)
+                r, gF = _map_and_gradient(omega, lam, w)
                 res_new, iters = float(np.abs(r).max()), iters + 1
                 if not res_new <= 0.5 * res:
                     raise NoConvergenceError(f"chord step did not contract: residual {res:.3g} -> {res_new:.3g}")
@@ -667,7 +697,7 @@ def trace_boundary(
             jump = float(np.linalg.norm(w - z))
             if jump > 3.0 * h + 1e-12:
                 raise NoConvergenceError(f"corrector jumped {jump:.3g} for step {h:.3g}")
-            pt, pinv = _finish(omega, lam, w, res, iters)
+            pt, pinv = _finish(omega, lam, w, gF, res, iters)
         except NoConvergenceError as exc:
             if h <= h_min * 1.0001:
                 # certify the failure region: a flat contact direction shows
@@ -698,8 +728,9 @@ def trace_boundary(
 
         arc += float(np.linalg.norm(pt.y - points[-1].y))
         points.append(pt)
-        tangent = -pt.tangent if float(np.dot(pt.tangent, tangent)) < 0 else pt.tangent
-        z = pt.state
+        turned = -pt.tangent if float(np.dot(pt.tangent, tangent)) < 0 else pt.tangent
+        kappa = (turned - tangent) / jump
+        tangent, z = turned, w
 
         if pt.iterations <= 3:
             easy += 1

@@ -520,6 +520,51 @@ def test_quadric_field_reproduces_oracles(rng):
             assert np.abs(body.gradient_at(x) - 2.0 * A @ (x - c)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quadric_oracles_match_the_pose_composed_local_oracles(n):
+    # a posed quadric evaluates G, grad G and Hess G from its world quadric;
+    # the local closed forms composed with the pose must agree to rounding,
+    # on a point and on a stack
+    rng = np.random.default_rng(60 + n)
+    a, center, radius = rng.uniform(0.6, 1.8, n), rng.normal(size=n), float(rng.uniform(0.5, 2.0))
+    w = 1.0 / a**2
+    local_cases = [
+        (  # the ellipsoid sum x_i^2 / a_i^2 <= 1
+            lambda pose: bodies.ellipsoid(a, pose),
+            lambda v: np.vecdot(v, w * v) - 1.0,
+            lambda v: 2.0 * w * v,
+            lambda v: np.zeros(v.shape[:-1] + (n, n)) + 2.0 * np.diag(w),
+            float(w.max()),
+        ),
+        (  # the ball |x - c|^2 <= r^2
+            lambda pose: bodies.translated_ball(center, radius, pose),
+            lambda v: np.vecdot(v - center, v - center) - radius**2,
+            lambda v: 2.0 * (v - center),
+            lambda v: np.zeros(v.shape[:-1] + (n, n)) + 2.0 * np.eye(n),
+            1.0,
+        ),
+    ]
+    for make, value, gradient, hessian, a_norm in local_cases:
+        for pose in (None, Pose(oracles.random_rotation(rng, n), rng.normal(size=n))):
+            body = make(pose)
+            R, t = (np.eye(n), np.zeros(n)) if pose is None else (pose.rotation, pose.translation)
+            composed = (
+                lambda x: value((x - t) @ R),
+                lambda x: gradient((x - t) @ R) @ R.T,
+                lambda x: R @ hessian((x - t) @ R) @ R.T,
+            )
+            x = body.center + 2.0 * body.bounding_radius * rng.normal(size=(25, n))
+            A, c, rhs = body.quadric
+            # no term of G, grad G or Hess G exceeds (2 + |x - c|^2) |A| + rhs
+            mag = (2.0 + np.vecdot(x - c, x - c)) * a_norm + rhs
+            for oracle, want_fn in zip((body.value, body.gradient, body.hessian), composed):
+                for arg, bound in ((x, mag), (x[0], mag[0])):
+                    got, want = np.asarray(oracle(arg)), want_fn(arg)
+                    assert got.shape == want.shape
+                    err = np.abs(got - want).reshape(np.shape(bound) + (-1,)).max(axis=-1)
+                    assert (err <= 64.0 * np.finfo(float).eps * bound).all()
+
+
 def test_rotation_with_last_axis_properties(rng):
     for _ in range(20):
         t = rng.normal(size=3)

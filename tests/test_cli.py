@@ -407,6 +407,15 @@ def test_project_sigma_fail_tol_reaches_the_trace(coaxial_specs, tmp_path, tol, 
     assert main(["project", om, lam, "--sigma-fail-tol", str(tol), "--out", out]) == code
 
 
+def test_project_bodies_of_different_dimensions_exit_1(coaxial_specs, tmp_path, capsys):
+    ball3, _ = coaxial_specs
+    ell2 = write_spec(tmp_path, "ell2.json", {"family": "ellipsoid", "params": {"semiaxes": [1.0, 0.8]}})
+    for om, lam in ((ball3, ell2), (ell2, ball3)):
+        assert main(["project", om, lam, "--out", str(tmp_path / "t.csv")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "different dimensions" in line
+
+
 def test_project_cantor_pair_overlap_exit(tmp_path):
     om = write_spec(
         tmp_path,
