@@ -14,7 +14,6 @@ from .bodies import (
     Convexity,
     ImplicitBody,
     Pose,
-    Smoothness,
     body_self_check,
     chart_at,
     instantiate,
@@ -33,7 +32,6 @@ from .projection import (
     ProjectionPoint,
     assert_disjoint,
     barrier_gamma_bar,
-    barrier_psi,
     certify_rank,
     first_hitting_time,
     in_projection_shadow,
@@ -67,11 +65,9 @@ __all__ = [
     "Pose",
     "ProjectionPoint",
     "ShadowCurve",
-    "Smoothness",
     "UmbraError",
     "assert_disjoint",
     "barrier_gamma_bar",
-    "barrier_psi",
     "bodies",
     "body_self_check",
     "box_dimension",

@@ -159,37 +159,6 @@ class Convexity:
         return self.kind in ("strictly_convex", "uniformly_convex")
 
 
-@dataclass(frozen=True)
-class Smoothness:
-    """Boundary smoothness class.
-
-    ``C0`` covers piecewise-smooth catalog members (hulls, capped bodies)
-    whose boundary has edges; the other kinds follow the usual Hoelder /
-    differentiability ladder.  ``order`` is the Hoelder exponent for
-    ``C1_alpha`` and the differentiability order (possibly ``inf``) for
-    ``Ck``.
-    """
-
-    kind: str
-    order: float | None = None
-
-    _KINDS = ("C0", "C1", "C1_alpha", "C1_1", "Ck")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ParameterError(f"unknown smoothness kind {self.kind!r}")
-        if self.kind == "C1_alpha":
-            if self.order is None or not (0.0 < self.order <= 1.0):
-                raise ParameterError("C1_alpha needs an exponent in (0, 1]")
-        if self.kind == "Ck":
-            if self.order is None or self.order < 1:
-                raise ParameterError("Ck needs an order k >= 1")
-
-    @staticmethod
-    def smooth() -> "Smoothness":
-        return Smoothness("Ck", math.inf)
-
-
 # ---------------------------------------------------------------------------
 # implicit bodies
 
@@ -221,7 +190,6 @@ class ImplicitBody:
     bounding_radius: float
     center: np.ndarray
     convexity: Convexity
-    smoothness: Smoothness
     name: str = ""
     # smallest |branch difference| for piecewise oracles; lets samplers skip
     # finite-difference checks straddling a kink (None for globally smooth G)
@@ -245,12 +213,12 @@ class ImplicitBody:
     def gradient_at(self, x) -> np.ndarray:
         return np.asarray(self.gradient(np.asarray(x, float)), float)
 
-    def hessian_at(self, x, step: float | None = None) -> np.ndarray:
+    def hessian_at(self, x) -> np.ndarray:
         """Analytic Hessian when available, else a central-difference one."""
         x = np.asarray(x, float)
         if self.hessian is not None:
             return np.asarray(self.hessian(x), float)
-        return self.fd_hessian(x, step)
+        return self.fd_hessian(x)
 
     def fd_hessian(self, x, step: float | None = None) -> np.ndarray:
         h = step if step is not None else FD_HESSIAN_STEP * self.bounding_radius
@@ -427,9 +395,6 @@ class ConcaveChart:
     coordinates.  ``phi`` is concave on the open ball ``|x'| < domain_radius``
     with ``phi(0) = 0`` and ``grad phi(0) = 0``.
 
-    ``concavity_theta`` is an optional uniform concavity modulus
-    ``<grad phi(y') - grad phi(z'), y' - z'> <= -theta |y' - z'|^2``.
-
     ``value``, ``gradient`` and ``hessian`` (and ``phi``, ``grad_phi`` and
     ``hess_phi``) take a point ``(m,)`` and return a float, ``(m,)`` or
     ``(m, m)``, or a stack ``(N, m)`` and return ``(N,)``, ``(N, m)`` or
@@ -443,7 +408,6 @@ class ConcaveChart:
     hess_phi: VecOracle | None
     domain_radius: float
     pose: Pose | None = None
-    concavity_theta: float | None = None
 
     def __post_init__(self):
         r = check_positive("domain_radius", self.domain_radius)
@@ -529,7 +493,6 @@ def chart_at(
     body: ImplicitBody,
     p,
     domain_radius: float | None = None,
-    tangent_hint=None,
 ) -> ConcaveChart:
     """Concave chart of the body boundary at a boundary point.
 
@@ -540,8 +503,6 @@ def chart_at(
     every fiber for bodies carrying ``quadric`` (ellipsoids and balls), else
     by ``_line_roots`` run down them in lockstep.  Both paths map a failed
     fiber to the same ChartError.
-    ``tangent_hint`` forces the (n-1)-st tangent axis to the (normalized,
-    tangentially projected) hint direction.
 
     When ``domain_radius`` is omitted it is probed: starting from half the
     bounding radius, the radius is halved until fiber solves succeed on a
@@ -550,6 +511,8 @@ def chart_at(
     body oracle refuses counts as a failed solve.
     """
     p = np.asarray(p, float)
+    if p.shape != (body.dim,):
+        raise ParameterError(f"chart base point has shape {p.shape}, expected ({body.dim},)")
     if not np.isfinite(p).all():
         raise ParameterError(f"chart base point p must be finite, got {p}")
     with np.errstate(over="ignore", invalid="ignore"):  # G of a far point overflows to inf
@@ -558,28 +521,6 @@ def chart_at(
         raise ChartError(f"point is not on the boundary (G = {gp:.3g})")
     nu = body.unit_normal(p)
     R = rotation_with_last_axis(nu)
-    if tangent_hint is not None:
-        h = np.asarray(tangent_hint, float)
-        h_tan = h - np.dot(h, nu) * nu
-        nh = np.linalg.norm(h_tan)
-        if nh < 1e-12:
-            raise ParameterError("tangent hint is parallel to the normal")
-        h_tan = h_tan / nh
-        # rebuild the tangent columns with the hint as the (n-1)-st axis
-        cols = [R[:, j] for j in range(body.dim - 1)]
-        basis = [h_tan]
-        for c in cols:
-            w = c - sum(np.dot(c, b) * b for b in basis) - np.dot(c, nu) * nu
-            if np.linalg.norm(w) > 1e-8:
-                basis.append(w / np.linalg.norm(w))
-            if len(basis) == body.dim - 1:
-                break
-        if len(basis) < body.dim - 1:
-            raise ChartError("could not complete tangent basis around hint")
-        order = basis[1:] + [basis[0]]  # hint goes last among tangent axes
-        R = np.column_stack(order + [nu])
-        if np.linalg.det(R) < 0 and body.dim >= 3:
-            R[:, 0] = -R[:, 0]
     pose = Pose(R, p)
     n = body.dim
     Rt = R.T
@@ -779,7 +720,6 @@ def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
         bounding_radius=float(a.max()),
         center=np.zeros(a.shape[0]),
         convexity=Convexity.uniformly_convex(2.0 * float(w.min())),
-        smoothness=Smoothness.smooth(),
         name=f"ellipsoid{tuple(round(float(s), 6) for s in a)}",
         quadric=quadric,
     )
@@ -804,7 +744,6 @@ def translated_ball(center, radius: float, pose: Pose | None = None) -> Implicit
         bounding_radius=r,
         center=c,
         convexity=Convexity.uniformly_convex(2.0),
-        smoothness=Smoothness.smooth(),
         name=f"ball(r={r})",
         quadric=quadric,
     )
@@ -891,7 +830,6 @@ def kiselman(
             bounding_radius=strip_half_width,
             center=np.array([0.0, 0.0, -0.4 * strip_half_width]),
             convexity=Convexity.strictly_convex(),
-            smoothness=Smoothness.smooth(),
             name=f"kiselman(q={q})",
             bounded=False,
         )
@@ -924,7 +862,6 @@ def kiselman(
         bounding_radius=rv,
         center=np.array([0.0, 0.0, -0.4 * rv]),
         convexity=Convexity.strictly_convex(),
-        smoothness=Smoothness("C0"),
         name=f"kiselman(q={q}, clamped)",
         kink_margin=kink,
     )
@@ -980,7 +917,6 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
         bounding_radius=1.3,
         center=np.array([0.75, 0.25, 0.0]),
         convexity=Convexity.convex(),
-        smoothness=Smoothness("C0"),
         name="cone_over_circle",
         kink_margin=kink,
     )
@@ -1167,7 +1103,6 @@ def cantor_contact(
         bounding_radius=radius,
         center=center,
         convexity=Convexity.convex(),
-        smoothness=Smoothness("C0"),
         name=name,
         kink_margin=kink,
     )
@@ -1210,7 +1145,6 @@ def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, di
         bounding_radius=math.hypot(rim, 0.5 * H),
         center=center,
         convexity=Convexity.convex(),
-        smoothness=Smoothness("C0"),
         name=f"paraboloid_cap(kappa={kappa}, H={H})",
         kink_margin=kink,
     )
@@ -1332,12 +1266,12 @@ class ValidationReport:
     min_boundary_gradient_norm: float
     skipped_kink_points: int
 
-    def raise_on_failure(self, body: ImplicitBody, tol_fd: float = 1e-6):
+    def raise_on_failure(self, body: ImplicitBody):
         if self.max_convexity_violation > 1e-9:
             raise ParameterError(
                 f"convexity violated on sampled segments ({self.max_convexity_violation:.3g})"
             )
-        if self.max_gradient_fd_error > tol_fd:
+        if self.max_gradient_fd_error > 1e-6:
             raise ParameterError(
                 f"gradient disagrees with finite differences ({self.max_gradient_fd_error:.3g})"
             )
@@ -1364,15 +1298,15 @@ def _sample_near_body(body: ImplicitBody, rng, n: int) -> np.ndarray:
     return np.array(pts)
 
 
-def sample_boundary_points(body: ImplicitBody, rng, n: int, max_tries: int = 20) -> np.ndarray:
+def sample_boundary_points(body: ImplicitBody, rng, n: int) -> np.ndarray:
     """Boundary points found by ray crossings from the body center.
 
     Directions whose rays never exit within the bounding ball (possible for
-    patch models) are resampled.
+    patch models) are resampled, up to 20 tries per point.
     """
     pts = []
     tries = 0
-    while len(pts) < n and tries < max_tries * n:
+    while len(pts) < n and tries < 20 * n:
         tries += 1
         d = rng.normal(size=body.dim)
         try:
@@ -1384,19 +1318,14 @@ def sample_boundary_points(body: ImplicitBody, rng, n: int, max_tries: int = 20)
     return np.array(pts)
 
 
-def body_self_check(
-    body: ImplicitBody,
-    rng=None,
-    n_points: int = 100,
-    tol_fd: float = 1e-6,
-    raise_on_failure: bool = True,
-) -> ValidationReport:
+def body_self_check(body: ImplicitBody, rng=None, n_points: int = 100) -> ValidationReport:
     """Sampled invariant check: convexity along segments, gradient vs finite
     differences, gradient monotonicity (strict/uniform as declared), and
     nonvanishing boundary gradients.
 
     These are necessary conditions certified on finitely many samples, not a
-    proof of convexity.
+    proof of convexity.  Raises ParameterError for the first one that fails
+    (gradients must match the differences to 1e-6).
     """
     rng = np.random.default_rng(rng)
     pts = _sample_near_body(body, rng, n_points)
@@ -1454,6 +1383,5 @@ def body_self_check(
         min_boundary_gradient_norm=min_bg,
         skipped_kink_points=skipped,
     )
-    if raise_on_failure:
-        report.raise_on_failure(body, tol_fd)
+    report.raise_on_failure(body)
     return report

@@ -246,27 +246,23 @@ def _pair_for_axis(body, a, u, radius, tol_proj=1e-11, sep_tol=1e-5):
     return None
 
 
-def cone_body_graph_failure(
-    u=(0.0, 1.0, 0.0),
-    radius: float = 0.55,
-    rng=None,
-    n_random_frames: int = 24,
-) -> GraphFailureWitness:
+def cone_body_graph_failure(u=(0.0, 1.0, 0.0), rng=None) -> GraphFailureWitness:
     """Witness that the cone body's shadow boundary is not a graph at 0.
 
     For the apex direction the boundary near the origin contains the seam
     segment and the base circle; for every candidate projection axis (the 3
-    coordinate axes plus random ones) a pair of distinct verified boundary
-    points with equal projection is produced, at the probe radius and at two
-    shrunken radii.  Directions far from the apex axis leave no seam on the
-    shadow boundary and the search reports failure-to-find.
+    coordinate axes plus 24 random ones) a pair of distinct verified boundary
+    points with equal projection is produced, at the probe radius 0.55 and
+    at two shrunken radii.  Directions far from the apex axis leave no seam
+    on the shadow boundary and the search reports failure-to-find.
     """
     rng = np.random.default_rng(rng)
     body = cone_over_circle()
     u = Direction.normalized(u).u
+    radius = 0.55
 
     axes = [np.eye(3)[i] for i in range(3)]
-    for _ in range(n_random_frames):
+    for _ in range(24):
         a = rng.normal(size=3)
         axes.append(a / np.linalg.norm(a))
 

@@ -72,9 +72,11 @@ def _tangential_descent_projection(body: ImplicitBody, x, y0):
     being star-shaped around its center) in the direction that shrinks
     ``|x - y|``; halves the step on non-decrease.  Convexity of the distance
     makes monotone descent converge to the argmin even across gradient
-    kinks, where the stationarity system has no smooth root.
+    kinks, where the stationarity system has no smooth root.  Returns the
+    argmin and grad F there.
     """
     y = np.asarray(y0, float)
+    g = body.gradient_at(y)
     dist = float(np.linalg.norm(x - y))
     scale = max(1.0, body.bounding_radius)
     step = 0.25 * scale
@@ -82,7 +84,6 @@ def _tangential_descent_projection(body: ImplicitBody, x, y0):
     while step > 1e-12 * scale and it < 400:
         it += 1
         d = x - y
-        g = body.gradient_at(y)
         nrm = np.linalg.norm(g)
         if nrm < 1e-300:
             break
@@ -99,10 +100,11 @@ def _tangential_descent_projection(body: ImplicitBody, x, y0):
         d_try = float(np.linalg.norm(x - y_try))
         if d_try < dist:
             y, dist = y_try, d_try
+            g = body.gradient_at(y)
             step *= 1.3
         else:
             step *= 0.5
-    return y
+    return y, g
 
 
 def project_point(body: ImplicitBody, x) -> np.ndarray:
@@ -129,15 +131,15 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
     s = max(s, 1e-12)
 
-    def residual(y, s):
-        return np.concatenate([[body.value_at(y)], (x - y) - s * body.gradient_at(y)])
+    def residual(y, s, g):
+        """The stationarity residual at (y, s), given g = grad F(y)."""
+        return np.concatenate([[body.value_at(y)], (x - y) - s * g])
 
-    r = residual(y, s)
+    r = residual(y, s, g)
     res = float(np.abs(r).max())
     for _ in range(100):
         if res <= TOL_ROOT * scale:
             break
-        g = body.gradient_at(y)
         J = np.zeros((n + 1, n + 1))
         J[0, :n] = g
         J[1:, :n] = -np.eye(n) - s * body.hessian_at(y)
@@ -148,20 +150,20 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
             break
         for k in range(30):  # backtracking: the iterate is always the best so far
             y_new, s_new = y + 0.5**k * step[:n], max(s + 0.5**k * step[n], 1e-14)
-            r_new = residual(y_new, s_new)
+            g_new = body.gradient_at(y_new)
+            r_new = residual(y_new, s_new, g_new)
             res_new = float(np.abs(r_new).max())
             if res_new < res:
-                y, s, r, res = y_new, s_new, r_new, res_new
+                y, s, g, r, res = y_new, s_new, g_new, r_new, res_new
                 break
         else:
             break
     if res <= TOL_ROOT * scale:
         return y
 
-    y = _tangential_descent_projection(body, x, y)
-    g = body.gradient_at(y)
+    y, g = _tangential_descent_projection(body, x, y)
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
-    kkt = float(np.abs(residual(y, max(s, 0.0))).max())
+    kkt = float(np.abs(residual(y, max(s, 0.0), g)).max())
     near_kink = body.kink_margin is not None and body.kink_margin(y) < 1e-4 * scale
     if kkt > TOL_ROOT * scale and not near_kink:
         raise NoConvergenceError(
@@ -769,16 +771,7 @@ def barrier_chart(chart: ConcaveChart, t_star: float) -> ConcaveChart:
     hess = None
     if chart.hess_phi is not None:
         hess = lambda z: np.asarray(chart.hess_phi(z), float) - inv * np.eye(chart.dim_domain)
-    theta = (chart.concavity_theta or 0.0) + inv
-    return replace(chart, phi=psi, grad_phi=grad, hess_phi=hess, concavity_theta=theta)
-
-
-def barrier_psi(chart: ConcaveChart, t_star: float, z_prime) -> float:
-    """Value of the barrier ``phi(z') - |z'|^2 / (2 t*)`` at ``z'``."""
-    if t_star <= 0:
-        raise ParameterError("t_star must be positive")
-    z = np.atleast_1d(np.asarray(z_prime, float))
-    return chart.value(z) - float(np.dot(z, z)) / (2.0 * t_star)
+    return replace(chart, phi=psi, grad_phi=grad, hess_phi=hess)
 
 
 def barrier_gamma_bar(chart: ConcaveChart, t_star: float, zpp, tol_root: float | None = None) -> float:
@@ -786,8 +779,8 @@ def barrier_gamma_bar(chart: ConcaveChart, t_star: float, zpp, tol_root: float |
 
     ``gamma_tilde`` solves ``d psi / d z_{n-1} (z'', t) = 0`` on the barrier
     chart; the chart's (n-1)-st tangent axis must already point along the
-    tangential normal direction of the projected body (build the chart with
-    that ``tangent_hint``).
+    tangential normal direction of the projected body, as in the chart
+    ``shadow_chart_frame`` builds.
     """
     bc = barrier_chart(chart, t_star)
     m = bc.dim_domain
@@ -804,8 +797,12 @@ def shadow_chart_frame(
     omega: ImplicitBody, lam: ImplicitBody, point: ProjectionPoint, domain_radius: float | None = None
 ) -> ConcaveChart:
     """Chart of the target at a solved boundary point, axes adapted to the
-    barrier construction: the (n-1)-st tangent axis is the outward normal of
-    the projected body at the contact point (tangent to the target there by
-    the orthogonality equation)."""
-    nu_omega = omega.unit_normal(point.x)
-    return chart_at(lam, point.y, domain_radius=domain_radius, tangent_hint=nu_omega)
+    barrier construction: ``align_chart`` turns the (n-1)-st tangent axis onto
+    the outward normal of the projected body at the contact point (tangent to
+    the target there by the orthogonality equation).  Needs n >= 3: a
+    one-dimensional tangent space turns only by a reflection, which leaves no
+    world pose."""
+    if lam.dim < 3:
+        raise ParameterError(f"the barrier frame needs dimension >= 3, got {lam.dim}")
+    chart = chart_at(lam, point.y, domain_radius=domain_radius)
+    return illumination.align_chart(chart, omega.unit_normal(point.x)).chart

@@ -182,15 +182,15 @@ def cusp_check(curve, center, L, theta, alpha, tol: float = 1e-9) -> ConeCertifi
     )
 
 
-def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEstimate:
+def box_dimension(points, scales, rng=None) -> DimensionEstimate:
     """Box-counting dimension: minus the slope of log N(eps) vs log eps.
 
     Occupied boxes on axis-aligned grids are counted at each scale and
-    averaged over random grid offsets to soften lattice artifacts.  Needs at
+    averaged over 4 random grid offsets to soften lattice artifacts.  Needs at
     least 100 finite points and at least 4 scales spanning a decade, the
     smallest at least 2**-62 of the points' extent.
 
-    Each scale floors all offsets at once into an ``(n_offsets, d, N)``
+    Each scale floors all offsets at once into a ``(4, d, N)``
     int64 box-index stack, the memory this function needs.  Each point folds
     into one mixed-radix int64 key ``(i_0 s_1 + i_1) s_2 + ...``, where
     ``s_j`` is one more than column j's largest index; the keys are sorted
@@ -211,8 +211,6 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
         raise ParameterError("scales must be positive and finite")
     if scales[-1] / scales[0] < 10.0:
         raise ParameterError("scales must span at least a decade")
-    if n_offsets < 1:
-        raise ParameterError("n_offsets must be at least 1")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     with np.errstate(over="ignore"):  # an overflowed extent is refused below
         extent = float((hi - lo).max())
@@ -226,14 +224,14 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
         )
     rng = np.random.default_rng(rng)
     dim = pts.shape[1]
-    offsets = rng.random((n_offsets, dim))
+    offsets = rng.random((4, dim))
 
     cols = np.ascontiguousarray(pts.T)  # (d, N): each column one contiguous run
 
     counts = []
     for eps in scales:
-        shift = lo - offsets * eps  # (n_offsets, d)
-        idx = np.floor((cols - shift[:, :, None]) / eps).astype(np.int64)  # (n_offsets, d, N)
+        shift = lo - offsets * eps  # (4, d)
+        idx = np.floor((cols - shift[:, :, None]) / eps).astype(np.int64)  # (4, d, N)
         # floor of the same monotone expression: each column's largest index
         radix = np.floor((hi - shift) / eps).max(axis=0).astype(np.int64) + 1
         # occupied boxes: one plus the number of changes between sorted rows
@@ -261,13 +259,11 @@ def box_dimension(points, scales, rng=None, n_offsets: int = 4) -> DimensionEsti
     )
 
 
-def chart_constants(
-    chart: ConcaveChart, n_samples: int = 10_000, rng=None, radius_frac: float = 0.95
-):
+def chart_constants(chart: ConcaveChart, n_samples: int = 10_000, rng=None):
     """Gradient-Lipschitz constant L and concavity modulus theta of a chart.
 
     Both come from Hessian eigenvalue bounds sampled uniformly over the disc
-    of radius ``radius_frac * domain_radius``: L bounds the spectral norm,
+    of radius ``0.95 * domain_radius``: L bounds the spectral norm,
     theta the uniform concavity
     ``<grad phi(y) - grad phi(z), y - z> <= -theta |y - z|^2``.  The samples
     are evaluated as stacks of ``CHART_BLOCK`` rows.  Raises when the sampled
@@ -275,12 +271,10 @@ def chart_constants(
     """
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
-    if not 0.0 < radius_frac <= 1.0:
-        raise ParameterError(f"radius_frac must lie in (0, 1], got {radius_frac}")
     rng = np.random.default_rng(rng)
     m = chart.dim_domain
     z = rng.normal(size=(n_samples, m))
-    radius = rng.random(n_samples) ** (1.0 / m) * radius_frac * chart.domain_radius
+    radius = rng.random(n_samples) ** (1.0 / m) * 0.95 * chart.domain_radius
     z *= (radius / np.linalg.norm(z, axis=1))[:, None]
     L = 0.0
     theta = math.inf

@@ -224,7 +224,6 @@ def test_criterion_5_rank_certification():
         bounding_radius=1.0,
         center=np.array([1.0, 0.0, 2.0]),
         convexity=bodies.Convexity.convex(),
-        smoothness=bodies.Smoothness.smooth(),
     )
     lam_ball = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
     with warnings.catch_warnings():
@@ -353,6 +352,6 @@ def test_criterion_9_catalog_invariants():
         bodies.paraboloid_cap(1.5, 0.8),
     ]
     for body in members:
-        body_self_check(body, rng=rng, n_points=100, tol_fd=1e-6)
+        body_self_check(body, rng=rng, n_points=100)
     elapsed = time.perf_counter() - t0
     _report(9, elapsed, f"{len(members)} catalog members, 100 sampled points each")

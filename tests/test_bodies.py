@@ -200,6 +200,20 @@ def test_chart_errors():
         chart_at(cone, [0.0, 1.0, 0.0])  # apex: gauge gradient undefined
 
 
+@pytest.mark.parametrize(
+    "body, p",
+    [
+        (bodies.ellipsoid([1.0, 0.9, 0.8, 0.7]), [0.0, 0.0, 0.8]),
+        (bodies.ellipsoid([1.0, 0.7]), [0.0, 0.7, 0.0]),
+        (bodies.kiselman(3), [0.0, 0.0]),
+    ],
+    ids=["ellipsoid4-point3", "ellipsoid2-point3", "kiselman-point2"],
+)
+def test_chart_base_point_of_another_dimension_is_refused(body, p):
+    with pytest.raises(ParameterError, match="chart base point has shape"):
+        chart_at(body, p)
+
+
 def test_chart_solves_a_fiber_thinner_than_a_fixed_step():
     # the fiber lies inside the cap only for s in [-0.0946, -0.0613]; a march
     # in steps of s_max / 48 = 0.054 steps over it
@@ -476,7 +490,6 @@ def test_boundary_point_along_errors():
             bounding_radius=2.0,
             center=np.zeros(2),
             convexity=bodies.Convexity.convex(),
-            smoothness=bodies.Smoothness.smooth(),
         )
         with pytest.raises(ChartError, match="not convex"):
             bodies.boundary_point_along(wavy, [1.0, 0.0])

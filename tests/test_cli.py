@@ -407,6 +407,14 @@ def test_project_sigma_fail_tol_reaches_the_trace(coaxial_specs, tmp_path, tol, 
     assert main(["project", om, lam, "--sigma-fail-tol", str(tol), "--out", out]) == code
 
 
+def test_shadow_chart_point_of_another_dimension_exits_1(tmp_path, capsys):
+    ell4 = write_spec(tmp_path, "e4.json", {"family": "ellipsoid", "params": {"semiaxes": [1.0, 1.0, 1.0, 1.0]}})
+    argv = ["shadow", ell4, "--u", "0", "1", "0", "--chart-point", "0", "0", "0.9", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "chart base point has shape" in line
+
+
 def test_project_bodies_of_different_dimensions_exit_1(coaxial_specs, tmp_path, capsys):
     ball3, _ = coaxial_specs
     ell2 = write_spec(tmp_path, "ell2.json", {"family": "ellipsoid", "params": {"semiaxes": [1.0, 0.8]}})

@@ -43,7 +43,6 @@ def quartic_flat_body():
         bounding_radius=1.0,
         center=np.array([1.0, 0.0, 2.0]),
         convexity=bodies.Convexity.convex(),
-        smoothness=bodies.Smoothness.smooth(),
         name="quartic-flat",
     )
 
@@ -553,7 +552,6 @@ def _creased_ball():
         bounding_radius=1.1,
         center=np.zeros(3),
         convexity=bodies.Convexity.uniformly_convex(1.8),
-        smoothness=bodies.Smoothness("C1_1"),
         name="creased-ball",
     )
 
@@ -716,13 +714,46 @@ def test_barrier_flat_chart():
         domain_radius=1.0,
     )
     z = np.array([0.3, -0.4])
-    assert pj.barrier_psi(flat, 1.0, z) == pytest.approx(-0.5 * float(np.dot(z, z)))
     bc = pj.barrier_chart(flat, 1.0)
-    assert bc.concavity_theta == pytest.approx(1.0)
+    assert bc.value(z) == pytest.approx(-0.5 * float(np.dot(z, z)))
     assert np.allclose(bc.hess_phi(z), -np.eye(2))
     assert np.allclose(bc.value(np.array([z, 0.5 * z])), [-0.125, -0.03125])
     with pytest.raises(ParameterError):
-        pj.barrier_psi(flat, 0.0, z)
+        pj.barrier_chart(flat, 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_barrier_frame_turns_the_tangent_axis_onto_the_projected_normal(n):
+    # posed ellipsoids: the frame is a rotation with lam's normal at y last and
+    # omega's normal at x, tangent to lam by the orthogonality equation, next
+    rng = np.random.default_rng(430 + n)
+    d = _unit(rng.normal(size=n))
+    lam = bodies.ellipsoid(rng.uniform(0.8, 1.3, size=n), Pose(oracles.random_rotation(rng, n), np.zeros(n)))
+    om = bodies.ellipsoid(rng.uniform(0.5, 0.9, size=n), Pose(oracles.random_rotation(rng, n), 3.8 * d))
+    pt = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam, rng=rng))
+    chart = pj.shadow_chart_frame(om, lam, pt, domain_radius=0.3)
+    R = chart.pose.rotation
+    assert abs(np.linalg.det(R) - 1.0) <= 1e-12
+    assert np.abs(chart.pose.translation - pt.y).max() <= 1e-15
+    assert np.abs(R[:, -1] - lam.unit_normal(pt.y)).max() <= 1e-12
+    assert np.abs(R[:, -2] - om.unit_normal(pt.x)).max() <= 1e-9
+    t_star = pj.hitting_time_bound(om, lam, chart_radius=chart.domain_radius)
+    assert math.isfinite(pj.barrier_gamma_bar(chart, t_star, np.full(n - 2, 0.05)))
+
+
+def test_barrier_frame_is_refused_in_the_plane():
+    # the two tangencies of unit discs 3 apart: omega's normal points along
+    # the target chart's tangent axis at one and against it at the other
+    lam, om = bodies.translated_ball([0.0, 0.0], 1.0), bodies.translated_ball([0.0, 3.0], 1.0)
+    theta = math.asin(1.0 / 3.0)
+    signs = []
+    for side in (1.0, -1.0):
+        y = np.array([side * math.sin(theta), math.cos(theta)])
+        pt = pj.solve_boundary_point(om, lam, (3.0 * math.cos(theta) * y, y, 0.5 * (3.0 * math.cos(theta) - 1.0)))
+        signs.append(np.sign(chart_at(lam, pt.y).pose.rotation[:, 0] @ om.unit_normal(pt.x)))
+        with pytest.raises(ParameterError, match="dimension >= 3"):
+            pj.shadow_chart_frame(om, lam, pt)
+    assert sorted(signs) == [-1.0, 1.0]
 
 
 def test_barrier_bounds_shadow_in_chart_frame(rng):

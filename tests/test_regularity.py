@@ -257,8 +257,6 @@ def test_box_dimension_parameter_errors():
         box_dimension(pts, [0.01, 0.02, 0.05])
     with pytest.raises(ParameterError):
         box_dimension(pts, [0.01, 0.02, 0.04, 0.08])  # less than a decade
-    with pytest.raises(ParameterError):
-        box_dimension(pts, [0.01, 0.02, 0.05, 0.2], n_offsets=0)
 
 
 def _with(*cells):
@@ -340,9 +338,8 @@ def test_chart_constants_ball_closed_form(n):
 
 def test_chart_constants_parameter_errors():
     ch = chart_at(bodies.translated_ball([0.0, 0.0, 0.0], 1.0), [0.0, 0.0, -1.0], domain_radius=0.6)
-    for kwargs in ({"n_samples": 0}, {"radius_frac": 0.0}, {"radius_frac": 1.5}):
-        with pytest.raises(ParameterError):
-            chart_constants(ch, rng=0, **kwargs)
+    with pytest.raises(ParameterError):
+        chart_constants(ch, n_samples=0, rng=0)
     pointwise = replace(ch, hess_phi=lambda z: -np.eye(2))  # ignores the stack
     with pytest.raises(ParameterError, match="shape"):
         chart_constants(pointwise, n_samples=10, rng=0)
