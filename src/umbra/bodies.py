@@ -1021,9 +1021,8 @@ class _CantorGap:
         x = np.atleast_1d(np.asarray(x, float))
         return self._accumulate(x, _bump_d2) + self._guard_d2(x)
 
-    def max_abs_second_derivative(self, n_grid: int | None = None) -> float:
-        n = n_grid or min(2 * 3 ** (self.depth + 2), 4_000_000)
-        x = np.linspace(0.9, 2.1, n)
+    def max_abs_second_derivative(self) -> float:
+        x = np.linspace(0.9, 2.1, min(2 * 3 ** (self.depth + 2), 4_000_000))
         return float(np.abs(self.second_derivative(x)).max())
 
 

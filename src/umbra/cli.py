@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import warnings
@@ -97,9 +98,13 @@ def cmd_shadow(args) -> int:
     chart = chart_at(body, p, domain_radius=args.chart_radius)
     if args.dyadic is not None:
         kmin, kmax = args.dyadic
+        if kmin < -1023 or kmin > kmax:  # 2^-kmin overflows below -1023
+            raise ParameterError(f"--dyadic KMIN = {kmin} must be at least -1023 and at most KMAX = {kmax}")
         grid = np.array([s * 2.0**-k for k in range(kmin, kmax + 1) for s in (1.0, -1.0)] + [0.0])
     else:
         span = args.span if args.span is not None else 0.5 * chart.domain_radius
+        if not math.isfinite(2.0 * span):  # linspace takes the width 2 span
+            raise ParameterError(f"--span = {span:.3g} does not give a finite grid width 2 span")
         grid = np.linspace(-span, span, args.grid)
     curve = shadow_boundary_sweep(chart, u, grid, tol_root=args.tol_root)
     curve.to_csv(args.out)

@@ -113,13 +113,13 @@ def cone_lateral_normal(p) -> np.ndarray:
 _BASE_NORMAL = np.array([0.0, -1.0, 0.0])
 
 
-def _lateral_neighbors(p, dw: float = 1e-3):
+def _lateral_neighbors(p):
     """Lateral-surface points near p obtained by rotating the cross-section
-    angle at the same height."""
+    angle by -+1e-3 at the same height."""
     y = min(max(p[1], 0.0), 1.0 - 1e-9)
     w = math.atan2(p[2], p[0] + p[1] - 1.0)
     out = []
-    for s in (-dw, dw):
+    for s in (-1e-3, 1e-3):
         ww = w + s
         out.append(
             np.array(
@@ -177,14 +177,15 @@ class GraphFailureWitness:
         return (_seam_point(0.5), np.array([0.0, 0.0, 0.0]))
 
 
-def _pair_for_axis(body, a, u, radius, tol_proj=1e-11, sep_tol=1e-5):
+def _pair_for_axis(body, a, u, radius):
     """Construct and verify a same-projection pair of boundary points
     within the given radius of the origin.
 
     Seam points all project to zero on axes orthogonal to the apex
     direction; symmetric rim pairs share their projection on axes with no
     third component; for the remaining axes a seam height matching a rim
-    point's projection is solved directly.
+    point's projection is solved directly.  A pair counts when its
+    projections agree within 1e-11 and its points lie 1e-5 or more apart.
     """
     checks = []
     ay = a[1]
@@ -196,15 +197,13 @@ def _pair_for_axis(body, a, u, radius, tol_proj=1e-11, sep_tol=1e-5):
         delta = frac * radius
         rim = _rim_point(delta)
         rim2 = _rim_point(-delta)
-        if abs(float(np.dot(rim2 - rim, a))) <= tol_proj:
+        if abs(float(np.dot(rim2 - rim, a))) <= 1e-11:
             checks.append((rim, rim2))
     # rim-rim pairs straddling the critical angle of the rim projection:
     # the projection d -> <rim(d), a> has a quadratic extremum at
     # tan(d*) = a_z / a_x, so heights match on both sides of d*
     if abs(a[0]) > 1e-12 or abs(a[2]) > 1e-12:
-        d_star = math.atan2(a[2], a[0]) if abs(a[0]) > 1e-12 else 0.0
-        if abs(a[0]) > 1e-12:
-            d_star = math.atan(a[2] / a[0])
+        d_star = math.atan(a[2] / a[0]) if abs(a[0]) > 1e-12 else 0.0
         proj = lambda d: float(np.dot(_rim_point(d), a))
         span = min(0.6 * radius, 1.0)
         if abs(d_star) < 0.5 * span:
@@ -227,14 +226,14 @@ def _pair_for_axis(body, a, u, radius, tol_proj=1e-11, sep_tol=1e-5):
             for sign in (1.0, -1.0):
                 rim = _rim_point(sign * d)
                 t = float(np.dot(rim, a)) / ay
-                if sep_tol < t < min(radius, 1.0) and np.linalg.norm(rim) <= 1.2 * radius:
+                if 1e-5 < t < min(radius, 1.0) and np.linalg.norm(rim) <= 1.2 * radius:
                     checks.append((_seam_point(t), rim))
             if len(checks) >= 8:
                 break
     for p, qq in checks:
-        if np.linalg.norm(p - qq) < sep_tol:
+        if np.linalg.norm(p - qq) < 1e-5:
             continue
-        if abs(float(np.dot(p - qq, a))) > tol_proj:
+        if abs(float(np.dot(p - qq, a))) > 1e-11:
             continue
         limit = 0.55 if (radius >= 0.5 and abs(p[1] - 0.5) < 1e-12) else 1.2 * radius
         if max(np.linalg.norm(p), np.linalg.norm(qq)) > limit:

@@ -175,7 +175,7 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
 
 
 # sweep stages of a fiber, in the order each fiber passes through them
-_BRACKET, _ENDPOINTS, _REFINE, _PROBE, _DONE = range(5)
+_BRACKET, _REFINE, _PROBE, _DONE = range(4)
 
 
 def _at_fibers(fn, ypp, segments):
@@ -220,9 +220,12 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
 
     1. expanding bracket: the slope is strictly decreasing along the fiber,
        so probe -+T(1 - 2^-k), k = 1..BRACKET_EXPANSIONS, until
-       slope(t-) > 0 > slope(t+); without a bracket, the slopes at the last
-       probes tell inverted monotonicity (NotStrictlyConvexError) from a
-       one-sided fiber (BoundaryNotInChartError);
+       slope(t-) > 0 > slope(t+).  The last probes, -+T_end, bracket if and
+       only if any do, so a fiber left without a bracket by k = 1 probes
+       them with k = 2; unless they bracket, their slopes tell inverted
+       monotonicity (NotStrictlyConvexError) from a one-sided fiber
+       (BoundaryNotInChartError) at once.  An endpoint probe error (the lower
+       first) is the fiber's error only if the last expansion finds no bracket;
     2. 8 bisections, then Newton steps on the chart Hessian (when it has
        one), safeguarded by the shrinking bracket, until the residual is
        within ``tol``, the bracket is narrower than 1e-15 max(1, T), or 120
@@ -247,8 +250,9 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
     T = 0.999 * np.sqrt(np.maximum(rr, 0.0))
     floor = 1e-15 * np.maximum(1.0, T)  # bracket width floor
     T_end = T * (1.0 - 2.0**-BRACKET_EXPANSIONS)
-    t_neg, s_neg, t_pos, s_pos, lo, hi, best_t, best_s, t_last, s_last, gamma, delta = np.full((12, K), np.nan)
+    s_neg, s_pos, lo, hi, best_t, best_s, t_last, s_last, gamma, delta = np.full((10, K), np.nan)
     steps = np.zeros(K, int)
+    later = {}  # fiber: its endpoint slopes and the error of an endpoint probe
 
     def fail(errs):
         """Records ``{fiber: error}``; a fiber keeps its first error."""
@@ -291,8 +295,8 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
         # then upper endpoint, refinement point, lower then upper sign probe
         bra = np.flatnonzero(stage == _BRACKET)
         tau = T[bra] * (1.0 - 2.0**-k)
-        neg, pos = np.isnan(t_neg[bra]), np.isnan(t_pos[bra])
-        ends = np.flatnonzero(stage == _ENDPOINTS)
+        neg, pos = np.isnan(s_neg[bra]), np.isnan(s_pos[bra])
+        ends = bra if k == 2 else bra[:0]
         prb = np.flatnonzero(stage == _PROBE)
         below = prb[gamma[prb] - delta[prb] > -T[prb]]
         above = prb[gamma[prb] + delta[prb] < T[prb]]
@@ -306,34 +310,30 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
         if bra.size:
             fail(e_neg)
             hit = bra[neg][s_neg_k > 0]
-            t_neg[hit], s_neg[hit] = -tau[neg][s_neg_k > 0], s_neg_k[s_neg_k > 0]
+            lo[hit], s_neg[hit] = -tau[neg][s_neg_k > 0], s_neg_k[s_neg_k > 0]
             fail(e_pos)
             hit = bra[pos][s_pos_k < 0]
-            t_pos[hit], s_pos[hit] = tau[pos][s_pos_k < 0], s_pos_k[s_pos_k < 0]
+            hi[hit], s_pos[hit] = tau[pos][s_pos_k < 0], s_pos_k[s_pos_k < 0]
             bra = bra[stage[bra] == _BRACKET]
-            both = ~np.isnan(t_neg[bra]) & ~np.isnan(t_pos[bra])
-            new = bra[both]
-            lo[new], hi[new] = t_neg[new], t_pos[new]
+            new = bra[~np.isnan(s_neg[bra]) & ~np.isnan(s_pos[bra])]
             lower = np.abs(s_neg[new]) < np.abs(s_pos[new])
-            best_t[new] = np.where(lower, t_neg[new], t_pos[new])
+            best_t[new] = np.where(lower, lo[new], hi[new])
             best_s[new] = np.where(lower, s_neg[new], s_pos[new])
             stage[new] = _REFINE
-            if k == BRACKET_EXPANSIONS:
-                stage[bra[~both]] = _ENDPOINTS
 
-        # no bracket: inverted monotonicity or a one-sided fiber
-        fail(e_lo)
-        fail(e_hi)
-        for j in np.flatnonzero(stage[ends] == _ENDPOINTS):
-            if s_lo[j] < -tol and s_hi[j] > tol:
+        # no bracket: inverted monotonicity or a one-sided fiber.  Endpoint
+        # slopes that bracket, or an endpoint error, leave the fiber to the
+        # expansion, and the last expansion settles every fiber it leaves
+        later.update((i, (s_lo[j], s_hi[j], e_lo.get(i, e_hi.get(i)))) for j, i in enumerate(ends))
+        for i in np.flatnonzero(stage == _BRACKET) if k in (2, BRACKET_EXPANSIONS) else ():
+            a, b, exc = later[i]
+            if k < BRACKET_EXPANSIONS and (exc is not None or a > 0 > b):
+                continue
+            if exc is None and a < -tol and b > tol:
                 exc = NotStrictlyConvexError("slope increases along the fiber; chart is not strictly concave")
-            else:
-                exc = BoundaryNotInChartError(
-                    "no shadow-boundary bracket on this fiber within the chart domain "
-                    f"(expansion cap {BRACKET_EXPANSIONS} hit; endpoint slopes "
-                    f"{s_lo[j]:.3g}, {s_hi[j]:.3g})"
-                )
-            fail({ends[j]: exc})
+            fail({i: exc or BoundaryNotInChartError(
+                "no shadow-boundary bracket on this fiber within the chart domain "
+                f"(expansion cap {BRACKET_EXPANSIONS} hit; endpoint slopes {a:.3g}, {b:.3g})")})
 
         if ref.size:
             fail(e_ref)

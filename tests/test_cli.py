@@ -230,6 +230,8 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
         pytest.param(["project", "{om}", "{lam}", "--rng-seed", "-1"], "--rng-seed", id="project-rng"),
         pytest.param(["counterexample", "cone-graph-failure", "--rng-seed", "-1"], "--rng-seed", id="cone-rng"),
         pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--grid", "-5"], "--grid", id="grid-negative"),
+        pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--span", "nan"], "--span", id="span-nan"),
+        pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--dyadic", "5", "3"], "KMAX", id="dyadic-reversed"),
         pytest.param(["project", "{om}", "{lam}", "--seed-samples", "-1"], "--seed-samples", id="seed-samples"),
         pytest.param(["project", "{om}", "{lam}", "--max-steps", "-1"], "--max-steps", id="max-steps"),
         pytest.param(
@@ -296,6 +298,9 @@ def test_huge_center_fails_without_overflow_warning(input_files, capsys):
         (["--chart-point", "1e300", "0", "0"], "not on the boundary"),
         (["--chart-radius", "1e300"], "domain_radius"),
         (["--tol-root", "1e300"], "tol_root"),
+        (["--span", "inf"], "--span"),
+        (["--span", "1e308"], "--span"),  # linspace's width 2e308 overflows
+        (["--dyadic", "-1100", "0"], "KMIN"),  # 2.0**1100 overflows
     ],
 )
 def test_huge_shadow_flags_fail_without_overflow_warning(input_files, tmp_path, capsys, flags, names):

@@ -460,3 +460,63 @@ def test_sweep_rejects_malformed_grids():
             shadow_boundary_sweep(sphere, [1.0, 0.0, 0.0], grid)
     with pytest.raises(ParameterError, match="non-finite"):
         shadow_boundary_gamma(sphere, [1.0, 0.0, 0.0], [math.nan])
+
+
+def _refusing(chart, refused):
+    """``chart`` whose gradient oracle raises DomainError at the heights t
+    (last chart coordinate) where ``refused(t)`` holds, as a point and, for
+    its first refused row, as a stack; and the list of the refused heights."""
+    refusals = []
+
+    def grad_phi(z):
+        t = np.atleast_2d(z)[:, -1]
+        bad = np.flatnonzero(refused(t))
+        if bad.size:
+            refusals.append(t[bad[0]])
+            raise DomainError(f"gradient refused at height {t[bad[0]]:.17g}")
+        return chart.grad_phi(z)
+
+    return replace(chart, grad_phi=grad_phi), refusals
+
+
+def test_fiber_with_a_refused_endpoint_keeps_expanding():
+    # gamma(0.2) = 0.2^(2/3) = 0.342 brackets at the third expansion, below
+    # the refused heights t > 0.4, which the upper endpoint 0.436 reaches
+    chart = chart_at(bodies.kiselman(3), [0.0, 0.0, 0.0], domain_radius=0.48)
+    refusing, refusals = _refusing(chart, lambda t: t > 0.4)
+    u = [0.0, 1.0, 0.0]
+    assert shadow_boundary_gamma(refusing, u, [0.2]) == shadow_boundary_gamma(chart, u, [0.2])
+    assert refusals and min(refusals) > 0.4
+    grid = [-0.2, 0.05, 0.2]
+    want = shadow_boundary_sweep(chart, u, grid, tol_root=1e-10)
+    got = shadow_boundary_sweep(refusing, u, grid, tol_root=1e-10)
+    assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.ypp, want.ypp)
+
+
+def test_bracketless_fiber_takes_its_endpoint_error():
+    # gamma(0.3) = 0.448 lies beyond T = 0.374, so the fiber has no bracket;
+    # its lower endpoint -0.374 is refused, no expansion probe is, and the
+    # fiber ends with the endpoint's error instead of BoundaryNotInChartError
+    chart = chart_at(bodies.kiselman(3), [0.0, 0.0, 0.0], domain_radius=0.48)
+    u = [0.0, 1.0, 0.0]
+    with pytest.raises(BoundaryNotInChartError, match="expansion cap 20 hit"):
+        shadow_boundary_gamma(chart, u, [0.3])
+    refusing, _ = _refusing(chart, lambda t: t < -0.35)
+    with pytest.raises(DomainError, match="refused at height -0.374") as one:
+        shadow_boundary_gamma(refusing, u, [0.3])
+    curve = shadow_boundary_sweep(refusing, u, [0.2, 0.3], tol_root=1e-10)
+    assert np.array_equal(curve.ypp, [[0.2]])
+    assert [(tuple(r), s) for r, s in curve.failures] == [((0.3,), str(one.value))]
+    _assert_rows_match_one_row_sweeps(refusing, u, np.linspace(-0.45, 0.45, 19))
+
+
+def test_bracketless_fibers_are_settled_by_their_endpoint_round():
+    # every fiber of this q = 5 grid has gamma beyond its chord: one round
+    # of first expansions, then one with the endpoints, settles them all
+    chart = chart_at(bodies.kiselman(5), [0.0, 0.0, 0.0], domain_radius=0.48)
+    calls = []
+    counted = replace(chart, grad_phi=lambda z: calls.append(np.ndim(z)) or chart.grad_phi(z))
+    grid = np.concatenate([np.linspace(0.3, 0.45, 16), -np.linspace(0.3, 0.45, 16)])
+    with pytest.raises(EmptyCurveError, match="expansion cap 20 hit"):
+        shadow_boundary_sweep(counted, [0.0, 1.0, 0.0], grid, tol_root=1e-10)
+    assert calls == [2, 2]
