@@ -190,7 +190,6 @@ class ImplicitBody:
     bounding_radius: float
     center: np.ndarray
     convexity: Convexity
-    name: str = ""
     # smallest |branch difference| for piecewise oracles; lets samplers skip
     # finite-difference checks straddling a kink (None for globally smooth G)
     kink_margin: Callable[[np.ndarray], float] | None = None
@@ -455,10 +454,6 @@ class ConcaveChart:
         H = _central_diff(self.gradient, xp, 1e-6 * self.domain_radius)
         return 0.5 * (H + H.T)
 
-    @property
-    def has_hessian(self) -> bool:
-        return self.hess_phi is not None
-
     def to_world(self, xp) -> np.ndarray:
         """World position of the graph point above ``xp``."""
         xp = np.atleast_1d(np.asarray(xp, float))
@@ -720,7 +715,6 @@ def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
         bounding_radius=float(a.max()),
         center=np.zeros(a.shape[0]),
         convexity=Convexity.uniformly_convex(2.0 * float(w.min())),
-        name=f"ellipsoid{tuple(round(float(s), 6) for s in a)}",
         quadric=quadric,
     )
     return _posed(body, pose)
@@ -744,7 +738,6 @@ def translated_ball(center, radius: float, pose: Pose | None = None) -> Implicit
         bounding_radius=r,
         center=c,
         convexity=Convexity.uniformly_convex(2.0),
-        name=f"ball(r={r})",
         quadric=quadric,
     )
     return _posed(body, pose)
@@ -830,7 +823,6 @@ def kiselman(
             bounding_radius=strip_half_width,
             center=np.array([0.0, 0.0, -0.4 * strip_half_width]),
             convexity=Convexity.strictly_convex(),
-            name=f"kiselman(q={q})",
             bounded=False,
         )
         return _posed(body, pose)
@@ -862,7 +854,6 @@ def kiselman(
         bounding_radius=rv,
         center=np.array([0.0, 0.0, -0.4 * rv]),
         convexity=Convexity.strictly_convex(),
-        name=f"kiselman(q={q}, clamped)",
         kink_margin=kink,
     )
     return _posed(body, pose)
@@ -917,7 +908,6 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
         bounding_radius=1.3,
         center=np.array([0.75, 0.25, 0.0]),
         convexity=Convexity.convex(),
-        name="cone_over_circle",
         kink_margin=kink,
     )
     return _posed(body, pose)
@@ -1071,13 +1061,10 @@ def cantor_contact(
             vals = gap_at(np.stack([x - 2 * h, x - h, x + h, x + 2 * h]))
             g1 = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
             return 2.0 * x + eps * g1
-
-        name = f"cantor_contact_omega(eps={eps}, depth={cantor_depth})"
     else:
         cap = 8.0
         profile = lambda x: x * x
         profile_d = lambda x: 2.0 * x
-        name = f"cantor_contact_lambda(depth={cantor_depth})"
 
     def value(p):
         return np.maximum(profile(p[..., 0]) - p[..., 1], p[..., 1] - cap)
@@ -1102,7 +1089,6 @@ def cantor_contact(
         bounding_radius=radius,
         center=center,
         convexity=Convexity.convex(),
-        name=name,
         kink_margin=kink,
     )
     return _posed(body, pose)
@@ -1144,7 +1130,6 @@ def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, di
         bounding_radius=math.hypot(rim, 0.5 * H),
         center=center,
         convexity=Convexity.convex(),
-        name=f"paraboloid_cap(kappa={kappa}, H={H})",
         kink_margin=kink,
     )
     return _posed(body, pose)

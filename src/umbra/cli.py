@@ -98,8 +98,8 @@ def cmd_shadow(args) -> int:
     chart = chart_at(body, p, domain_radius=args.chart_radius)
     if args.dyadic is not None:
         kmin, kmax = args.dyadic
-        if kmin < -1023 or kmin > kmax:  # 2^-kmin overflows below -1023
-            raise ParameterError(f"--dyadic KMIN = {kmin} must be at least -1023 and at most KMAX = {kmax}")
+        if not -1023 <= kmin <= kmax <= 1074:  # 2^-k overflows below -1023 and underflows to 0 above 1074
+            raise ParameterError(f"--dyadic needs -1023 <= KMIN <= KMAX <= 1074, got KMIN = {kmin}, KMAX = {kmax}")
         grid = np.array([s * 2.0**-k for k in range(kmin, kmax + 1) for s in (1.0, -1.0)] + [0.0])
     else:
         span = args.span if args.span is not None else 0.5 * chart.domain_radius

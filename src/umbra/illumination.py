@@ -214,9 +214,9 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
 
     Every fiber follows the same rule as if it were solved alone, but all
     fibers advance in lockstep: each round makes one stacked slope call for
-    every fiber still working (and, once fibers reach their Newton steps,
-    one stacked curvature call).  Per fiber, with T = 0.999 times the
-    half-chord of the domain over ``y''``:
+    every fiber still working, and the slope is the only oracle the solve
+    calls.  Per fiber, with T = 0.999 times the half-chord of the domain
+    over ``y''``:
 
     1. expanding bracket: the slope is strictly decreasing along the fiber,
        so probe -+T(1 - 2^-k), k = 1..BRACKET_EXPANSIONS, until
@@ -226,10 +226,13 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
        monotonicity (NotStrictlyConvexError) from a one-sided fiber
        (BoundaryNotInChartError) at once.  An endpoint probe error (the lower
        first) is the fiber's error only if the last expansion finds no bracket;
-    2. 8 bisections, then Newton steps on the chart Hessian (when it has
-       one), safeguarded by the shrinking bracket, until the residual is
-       within ``tol``, the bracket is narrower than 1e-15 max(1, T), or 120
-       steps have passed; a residual above ``tol`` is NoConvergenceError;
+    2. 8 bisections, then Illinois steps (Dowell & Jarratt, BIT 11, 1971):
+       the zero of the chord through the slopes at the bracket ends, the
+       slope of an end kept twice running halved; a bisection instead when
+       that zero lies within the width floor 1e-15 max(1, T) of an end.
+       The fiber stops when the residual is within ``tol``, the bracket is
+       narrower than the floor, or 120 steps have passed; a residual above
+       ``tol`` is NoConvergenceError;
     3. sign probes a small offset below and above the root: slope > 0 below
        and < 0 above within 10 tol, else NotStrictlyConvexError.
 
@@ -240,7 +243,6 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
         raise ParameterError("y'' has a non-finite coordinate")
     K = len(ypp)
     slope = lambda z: ch.gradient(z)[..., -1] - c
-    curvature = lambda z: ch.hessian(z)[..., -1, -1]
 
     errors = [None] * K
     rr = ch.domain_radius**2 - np.einsum("ij,ij->i", ypp, ypp)
@@ -250,7 +252,9 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
     T = 0.999 * np.sqrt(np.maximum(rr, 0.0))
     floor = 1e-15 * np.maximum(1.0, T)  # bracket width floor
     T_end = T * (1.0 - 2.0**-BRACKET_EXPANSIONS)
-    s_neg, s_pos, lo, hi, best_t, best_s, t_last, s_last, gamma, delta = np.full((10, K), np.nan)
+    # s_neg, s_pos: slopes at the bracket ends lo, hi, as the Illinois rule scales them;
+    # raised: 1 where the last refinement point raised lo, 0 where it lowered hi
+    s_neg, s_pos, lo, hi, best_t, best_s, raised, gamma, delta = np.full((9, K), np.nan)
     steps = np.zeros(K, int)
     later = {}  # fiber: its endpoint slopes and the error of an endpoint probe
 
@@ -275,20 +279,14 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
             stage[i] = _PROBE if delta[i] > floor[i] else _DONE
         ref = ref[~end]
 
-        # next point of each refining fiber: bisection, or a Newton step on
-        # the curvature at its last point once past 8 bisections
-        t_new = 0.5 * (lo[ref] + hi[ref])
-        past = np.flatnonzero(steps[ref] >= 8) if ch.has_hessian else []
-        if len(past):
-            newton = ref[past]
-            ((d2, errs),) = _at_fibers(curvature, ypp, [(newton, t_last[newton])])
-            fail(errs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = t_last[newton] - s_last[newton] / d2
-            take = (d2 < -1e-300) & (lo[newton] + floor[newton] < cand) & (cand < hi[newton] - floor[newton])
-            t_new[past[take]] = cand[take]
-            live = stage[ref] == _REFINE
-            ref, t_new = ref[live], t_new[live]
+        # next point of each refining fiber: bisection, or the zero of the
+        # chord through its bracket ends once past 8 bisections
+        a, b = lo[ref], hi[ref]
+        t_new = 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chord = a + s_neg[ref] * (b - a) / (s_neg[ref] - s_pos[ref])
+        take = (steps[ref] >= 8) & (a + floor[ref] < chord) & (chord < b - floor[ref])
+        t_new[take] = chord[take]
 
         # one stacked slope call for every fiber still working, in the order
         # each fiber takes its points: lower then upper bracket probe, lower
@@ -339,11 +337,16 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
             fail(e_ref)
             live = stage[ref] == _REFINE
             ref, t_new, s_ref = ref[live], t_new[live], s_ref[live]
-            t_last[ref], s_last[ref] = t_new, s_ref
             better = np.abs(s_ref) < np.abs(best_s[ref])
             best_t[ref[better]], best_s[ref[better]] = t_new[better], s_ref[better]
             up = s_ref > 0
-            lo[ref[up]], hi[ref[~up]] = t_new[up], t_new[~up]
+            # Illinois: past the bisections, an end kept twice running has its slope halved
+            past = steps[ref] >= 8
+            s_pos[ref[past & up & (raised[ref] == 1)]] *= 0.5
+            s_neg[ref[past & ~up & (raised[ref] == 0)]] *= 0.5
+            lo[ref[up]], s_neg[ref[up]] = t_new[up], s_ref[up]
+            hi[ref[~up]], s_pos[ref[~up]] = t_new[~up], s_ref[~up]
+            raised[ref] = up
             steps[ref] += 1
 
         # sign probes: slope > 0 below the root and < 0 above, within 10 tol
@@ -377,7 +380,8 @@ def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = 
     Solves ``d phi / d t (y'', t) = u_n`` (threshold in the normalized
     tangential gauge) on the strictly decreasing fiber slope: the one-row
     case of ``shadow_boundary_sweep``, raising the error that sweep would
-    record or raise for the row.
+    record or raise for the row.  The solve calls only the chart gradient,
+    so a chart with or without ``hess_phi`` gives the same height.
     """
     frame = align_chart(chart, u)
     ypp = np.atleast_1d(np.asarray(ypp, float))

@@ -301,6 +301,7 @@ def test_huge_center_fails_without_overflow_warning(input_files, capsys):
         (["--span", "inf"], "--span"),
         (["--span", "1e308"], "--span"),  # linspace's width 2e308 overflows
         (["--dyadic", "-1100", "0"], "KMIN"),  # 2.0**1100 overflows
+        (["--dyadic", "1076", "1080"], "KMAX"),  # 2.0**-1076 underflows to 0
     ],
 )
 def test_huge_shadow_flags_fail_without_overflow_warning(input_files, tmp_path, capsys, flags, names):

@@ -520,3 +520,45 @@ def test_bracketless_fibers_are_settled_by_their_endpoint_round():
     with pytest.raises(EmptyCurveError, match="expansion cap 20 hit"):
         shadow_boundary_sweep(counted, [0.0, 1.0, 0.0], grid, tol_root=1e-10)
     assert calls == [2, 2]
+
+
+def _counting(chart):
+    """``chart`` whose oracles count their calls into the returned dict."""
+    calls = {"grad_phi": 0, "hess_phi": 0}
+
+    def counted(name, fn):
+        def call(z):
+            calls[name] += 1
+            return fn(z)
+
+        return None if fn is None else call
+
+    return replace(chart, grad_phi=counted("grad_phi", chart.grad_phi),
+                   hess_phi=counted("hess_phi", chart.hess_phi)), calls
+
+
+def test_fiber_solves_call_only_the_slope(rng):
+    ell = bodies.ellipsoid([1.2, 0.9, 0.7], bodies.Pose(oracles.random_rotation(rng), np.zeros(3)))
+    p = bodies.boundary_point_along(ell, [0.3, -0.2, 1.0])
+    cases = [(chart_at(bodies.kiselman(5), [0.0, 0.0, 0.0], domain_radius=0.48), [0.0, 1.0, 0.0]),
+             (chart_at(ell, p), Direction.normalized([1.0, 0.4, 0.2]))]
+    for chart, u in cases:
+        assert chart.hess_phi is not None
+        counted, calls = _counting(chart)
+        curve = shadow_boundary_sweep(counted, u, np.linspace(-0.4, 0.4, 65) * chart.domain_radius, tol_root=1e-10)
+        shadow_boundary_gamma(counted, u, curve.ypp[len(curve) // 2], tol_root=1e-10)
+        assert calls["grad_phi"] > 0 and calls["hess_phi"] == 0
+
+
+def test_sweep_is_the_same_without_a_chart_hessian():
+    # one refinement rule for every chart: dropping the chart Hessian changes
+    # neither gamma nor the number of stacked slope calls
+    chart = chart_at(bodies.kiselman(5), [0.0, 0.0, 0.0], domain_radius=0.48)
+    grid = np.linspace(-0.45, 0.45, 257)
+    curves, counts = [], []
+    for ch in (chart, replace(chart, hess_phi=None)):
+        counted, calls = _counting(ch)
+        curves.append(shadow_boundary_sweep(counted, [0.0, 1.0, 0.0], grid, tol_root=1e-10))
+        counts.append(calls["grad_phi"])
+    assert np.array_equal(curves[0].ypp, curves[1].ypp) and np.array_equal(curves[0].gamma, curves[1].gamma)
+    assert counts[0] == counts[1]

@@ -43,7 +43,6 @@ def quartic_flat_body():
         bounding_radius=1.0,
         center=np.array([1.0, 0.0, 2.0]),
         convexity=bodies.Convexity.convex(),
-        name="quartic-flat",
     )
 
 
@@ -490,21 +489,43 @@ def test_traced_points_are_ray_quadric_tangencies(seed):
 
 
 def test_trace_halves_its_step_and_grows_it_back():
-    # at step 0.2 the chord corrector fails on some full steps and the step
-    # halves; at tol 1e-6 the halved steps need <= 3 chord steps, so after
-    # three of them the step doubles back.  The corrector moves orthogonally
-    # to the predictor's tangent, and the predictor's curvature term is
-    # O(h^2), so each state spacing |z_k+1 - z_k| reads just over the step h
-    # it was taken with.
+    # at step 0.3 the chord corrector fails to contract on a full step and
+    # the step halves; at tol 1e-6 the halved steps need <= 3 chord steps, so
+    # after three of them the step doubles back.  The corrector moves
+    # orthogonally to the predictor's tangent, and the predictor's curvature
+    # term is O(h^2), so each state spacing |z_k+1 - z_k| reads just over the
+    # step h it was taken with.
+    om, lam, A, c, start = _posed_ellipsoid_pair(8)
+    trace = pj.trace_boundary(om, lam, start, step=0.3, max_steps=400, tol=1e-6)
+    assert trace.closed
+    Z = np.array([p.state for p in trace.points])
+    h = np.linalg.norm(np.diff(Z, axis=0), axis=1) / 0.3
+    assert ((h > 0.49) & (h < 0.55) | (h > 0.99) & (h < 1.1)).all()
+    halved = np.flatnonzero(h < 0.6)
+    assert halved.size and (h[halved[0] :] > 0.9).any()
+    _assert_ray_quadric_tangencies(trace, om, lam, A, c, 1e-6)
+
+
+def test_trace_at_a_loose_tolerance_keeps_its_converged_points():
+    # at step 0.2 and tol 1e-6 every chord corrector contracts: a point whose
+    # residual is within tol is accepted, and the step never halves
     om, lam, A, c, start = _posed_ellipsoid_pair(8)
     trace = pj.trace_boundary(om, lam, start, step=0.2, max_steps=400, tol=1e-6)
     assert trace.closed
     Z = np.array([p.state for p in trace.points])
     h = np.linalg.norm(np.diff(Z, axis=0), axis=1) / 0.2
-    assert ((h > 0.49) & (h < 0.55) | (h > 0.99) & (h < 1.1)).all()
-    halved = np.flatnonzero(h < 0.6)
-    assert halved.size and (h[halved[0] :] > 0.9).any()
-    _assert_ray_quadric_tangencies(trace, om, lam, A, c, 1e-6)
+    assert ((h > 0.99) & (h < 1.1)).all()
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_traced_points_satisfy_the_hitting_parameter_bound(seed):
+    # the rows y + t grad F - x of Phi bound the hitting parameter:
+    # |t - |x - y| / |grad F|| <= sqrt(n) residual / |grad F|
+    om, lam, A, c, start = _posed_ellipsoid_pair(seed)
+    trace = pj.trace_boundary(om, lam, start, step=0.2, max_steps=400, tol=1e-6)
+    for p in trace.points:
+        g = float(np.linalg.norm(lam.gradient_at(p.y)))
+        assert p.t > 0 and abs(p.t - np.linalg.norm(p.x - p.y) / g) <= math.sqrt(3) * p.residual / g
 
 
 def test_trace_zero_steps():
@@ -552,7 +573,6 @@ def _creased_ball():
         bounding_radius=1.1,
         center=np.zeros(3),
         convexity=bodies.Convexity.uniformly_convex(1.8),
-        name="creased-ball",
     )
 
 
