@@ -164,8 +164,16 @@ class Convexity:
 
 
 def _central_diff(f, x, h) -> np.ndarray:
-    """``(f(x + h e_j) - f(x - h e_j)) / 2h`` at a point x, stacked over j."""
-    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(len(x))])
+    """``(f(x + h e_j) - f(x - h e_j)) / 2h`` at a point x ``(n,)`` or at each
+    row of a stack ``(N, n)``, stacked over j along the axis after the
+    point's: ``(n, ...)`` or ``(N, n, ...)``.  ``f`` takes stacks and is
+    called once, on all 2 N n shifted points."""
+    n = x.shape[-1]
+    E = h * np.eye(n)
+    steps = np.stack([x[..., None, :] + E, x[..., None, :] - E]).reshape(-1, n)
+    fx = np.asarray(f(steps), float)
+    fx = fx.reshape((2,) + x.shape[:-1] + (n,) + fx.shape[1:])
+    return (fx[0] - fx[1]) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,9 @@ class ImplicitBody:
     ``value``, ``gradient`` and ``hessian`` take a point ``(n,)`` or a stack
     ``(N, n)`` and return a scalar, ``(n,)``, ``(n, n)`` or ``(N,)``,
     ``(N, n)``, ``(N, n, n)``; charts evaluate whole stacks of fibers
-    through them.
+    through them.  ``hessian`` may be None (C^{1,1} bodies, the Cantor
+    contact pair): ``hessian_at`` then takes central differences of the
+    gradient.
     """
 
     dim: int
@@ -190,8 +200,9 @@ class ImplicitBody:
     bounding_radius: float
     center: np.ndarray
     convexity: Convexity
-    # smallest |branch difference| for piecewise oracles; lets samplers skip
-    # finite-difference checks straddling a kink (None for globally smooth G)
+    # smallest |branch difference| for piecewise oracles, at a point or the rows
+    # of a stack; lets body_self_check skip finite-difference checks straddling
+    # a kink (None for globally smooth G)
     kink_margin: Callable[[np.ndarray], float] | None = None
     bounded: bool = True
     # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
@@ -213,16 +224,20 @@ class ImplicitBody:
         return np.asarray(self.gradient(np.asarray(x, float)), float)
 
     def hessian_at(self, x) -> np.ndarray:
-        """Analytic Hessian when available, else a central-difference one."""
+        """Hessian ``(n, n)`` at a point ``(n,)``, or ``(N, n, n)`` at the rows
+        of a stack ``(N, n)``: the analytic one when the body has it, else
+        ``fd_hessian``."""
         x = np.asarray(x, float)
         if self.hessian is not None:
             return np.asarray(self.hessian(x), float)
         return self.fd_hessian(x)
 
     def fd_hessian(self, x, step: float | None = None) -> np.ndarray:
+        """Symmetrised central differences of the gradient at a point ``(n,)``
+        or at the rows of a stack ``(N, n)``, from one stacked gradient call."""
         h = step if step is not None else FD_HESSIAN_STEP * self.bounding_radius
-        H = _central_diff(self.gradient_at, np.asarray(x, float), h)
-        return 0.5 * (H + H.T)
+        H = _central_diff(self.gradient, np.asarray(x, float), h)
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
 
     def fd_hessian_consistency(self, x) -> float:
         """Relative mismatch between FD Hessians at steps h and h/2.
@@ -234,10 +249,6 @@ class ImplicitBody:
         H2 = self.fd_hessian(x, 0.5 * h)
         scale = max(1.0, float(np.abs(H1).max()))
         return float(np.abs(H1 - H2).max()) / scale
-
-    @property
-    def has_analytic_hessian(self) -> bool:
-        return self.hessian is not None
 
     def unit_normal(self, x) -> np.ndarray:
         """Outward unit normal at a point ``(n,)`` or each row of ``(N, n)``."""
@@ -315,14 +326,14 @@ def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
     return t, g
 
 
-def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarray:
-    """Boundary crossing of the ray from an interior ``origin`` (default:
-    the center) along a direction ``(n,)``, or along each row of ``(N, n)``.
+def boundary_point_along(body: ImplicitBody, direction) -> np.ndarray:
+    """Boundary crossing of the ray from the body center along a direction
+    ``(n,)``, or along each row of ``(N, n)``.
 
     ``_line_roots`` runs each ray back from twice the bounding radius toward the
-    origin (in closed form for a ``quadric``), so the crossing it meets is the
-    only one.  Raises ParameterError for a zero direction, and ChartError for an
-    origin that is not interior, for a ray that does not exit within range
+    center (in closed form for a ``quadric``), so the crossing it meets is the
+    only one.  Raises ParameterError for a zero direction, and ChartError for a
+    center that is not interior, for a ray that does not exit within range
     (possible for unbounded patch models) and for a miss, which shows that G is
     not convex along the ray.  A stack raises the error of its first bad row.
     """
@@ -330,10 +341,10 @@ def boundary_point_along(body: ImplicitBody, direction, origin=None) -> np.ndarr
     rows = np.atleast_2d(d)
     nd = np.sqrt(np.vecdot(rows, rows))
     zero = nd < 1e-14
-    x0 = np.asarray(origin, float) if origin is not None else body.center
+    x0 = body.center
     s = 2.0 * body.bounding_radius
     u = rows / np.where(zero, 1.0, nd)[:, None]
-    quad = body.quadric  # a quadric's G at the origin is the closed form's on a ray of length 0
+    quad = body.quadric  # a quadric's G at the center is the closed form's on a ray of length 0
     g0 = body.value_at(x0) if quad is None else _line_roots(None, None, x0[None], u[0], 0.0, quad)[1][0]
     if not g0 < 0:  # every row is bad: the first one raises
         raise ParameterError("zero direction") if zero[0] else ChartError("ray origin must be interior to the body")
@@ -398,17 +409,21 @@ class ConcaveChart:
     ``hess_phi``) take a point ``(m,)`` and return a float, ``(m,)`` or
     ``(m, m)``, or a stack ``(N, m)`` and return ``(N,)``, ``(N, m)`` or
     ``(N, m, m)``; a stack raises the error its first bad row raises as a
-    point.
+    point.  All three callbacks are required: ``chart_at`` gives every chart
+    its ``hess_phi``, from the body Hessian or from differences of the body
+    gradient.
     """
 
     dim_domain: int
     phi: Callable[[np.ndarray], float]
     grad_phi: VecOracle
-    hess_phi: VecOracle | None
+    hess_phi: VecOracle
     domain_radius: float
     pose: Pose | None = None
 
     def __post_init__(self):
+        if not (callable(self.phi) and callable(self.grad_phi) and callable(self.hess_phi)):
+            raise ParameterError("a chart needs callable phi, grad_phi and hess_phi")
         r = check_positive("domain_radius", self.domain_radius)
         if r * r == math.inf:  # domain tests compare squared radii
             raise ParameterError(f"domain_radius = {r:.3g} is too large: its square overflows")
@@ -444,15 +459,7 @@ class ConcaveChart:
         return self._in_domain(self.grad_phi, xp)
 
     def hessian(self, xp) -> np.ndarray:
-        return self._in_domain(self.hess_phi or self._fd_hessian, xp)
-
-    def _fd_hessian(self, xp) -> np.ndarray:
-        """Central differences of the gradient, row by row for a stack."""
-        m = self.dim_domain
-        if xp.ndim == 2:
-            return np.array([self.hessian(x) for x in xp]).reshape(len(xp), m, m)
-        H = _central_diff(self.gradient, xp, 1e-6 * self.domain_radius)
-        return 0.5 * (H + H.T)
+        return self._in_domain(self.hess_phi, xp)
 
     def to_world(self, xp) -> np.ndarray:
         """World position of the graph point above ``xp``."""
@@ -497,7 +504,10 @@ def chart_at(
     ``(N, m)`` and solve all its fibers at once: by ``_quadratic_root`` down
     every fiber for bodies carrying ``quadric`` (ellipsoids and balls), else
     by ``_line_roots`` run down them in lockstep.  Both paths map a failed
-    fiber to the same ChartError.
+    fiber to the same ChartError.  ``hess_phi`` rests on the frame Hessian
+    of G, constant for a quadric and ``body.hessian_at`` of the stacked
+    graph points otherwise: the analytic Hessian where the body has one,
+    central differences of the stacked gradient where it does not.
 
     When ``domain_radius`` is omitted it is probed: starting from half the
     bounding radius, the radius is halved until fiber solves succeed on a
@@ -547,7 +557,7 @@ def chart_at(
         frame_hessian = lambda v: H2
     else:
         frame_gradient = lambda v: np.asarray(body.gradient(v @ Rt + p), float) @ R
-        frame_hessian = lambda v: Rt @ np.asarray(body.hessian(v @ Rt + p), float) @ R
+        frame_hessian = lambda v: Rt @ body.hessian_at(v @ Rt + p) @ R
 
     down = -np.eye(n)[-1]
 
@@ -642,15 +652,11 @@ def chart_at(
             raise errors[min(errors)]
         return out if x.ndim == 2 else out[0]
 
-    hess_phi = None
-    if quad is not None or body.has_analytic_hessian:
-        hess_phi = lambda xp: graph(xp, 2)
-
     return ConcaveChart(
         dim_domain=m,
         phi=lambda xp: graph(xp, 0),
         grad_phi=lambda xp: graph(xp, 1),
-        hess_phi=hess_phi,
+        hess_phi=lambda xp: graph(xp, 2),
         domain_radius=r_dom,
         pose=pose,
     )
@@ -1238,50 +1244,6 @@ def instantiate(spec: BodySpec) -> ImplicitBody:
 # sampled self-checks
 
 
-@dataclass
-class ValidationReport:
-    """Sampled-invariant diagnostics for a body (necessary conditions only)."""
-
-    n_boundary: int
-    n_segments: int
-    max_convexity_violation: float
-    max_gradient_fd_error: float
-    min_monotonicity_ratio: float
-    min_boundary_gradient_norm: float
-    skipped_kink_points: int
-
-    def raise_on_failure(self, body: ImplicitBody):
-        if self.max_convexity_violation > 1e-9:
-            raise ParameterError(
-                f"convexity violated on sampled segments ({self.max_convexity_violation:.3g})"
-            )
-        if self.max_gradient_fd_error > 1e-6:
-            raise ParameterError(
-                f"gradient disagrees with finite differences ({self.max_gradient_fd_error:.3g})"
-            )
-        if self.min_boundary_gradient_norm < 1e-10:
-            raise ParameterError("gradient vanishes at a sampled boundary point")
-        if body.convexity.kind == "uniformly_convex":
-            if self.min_monotonicity_ratio < body.convexity.modulus - 1e-9:
-                raise ParameterError(
-                    "uniform convexity modulus not met on samples: "
-                    f"{self.min_monotonicity_ratio:.6g} < {body.convexity.modulus:.6g}"
-                )
-        elif body.convexity.at_least_strict and self.min_monotonicity_ratio <= 0.0:
-            raise ParameterError("strict monotonicity failed on a sampled pair")
-
-
-def _sample_near_body(body: ImplicitBody, rng, n: int) -> np.ndarray:
-    """Points in the ball around the body center used for invariant sampling."""
-    pts = []
-    d = body.dim
-    while len(pts) < n:
-        x = rng.normal(size=d)
-        x *= rng.random() ** (1.0 / d) / np.linalg.norm(x)
-        pts.append(body.center + body.bounding_radius * x)
-    return np.array(pts)
-
-
 def sample_boundary_points(body: ImplicitBody, rng, n: int) -> np.ndarray:
     """Boundary points found by ray crossings from the body center.
 
@@ -1302,70 +1264,65 @@ def sample_boundary_points(body: ImplicitBody, rng, n: int) -> np.ndarray:
     return np.array(pts)
 
 
-def body_self_check(body: ImplicitBody, rng=None, n_points: int = 100) -> ValidationReport:
+def body_self_check(body: ImplicitBody, rng=None, n_points: int = 100) -> None:
     """Sampled invariant check: convexity along segments, gradient vs finite
-    differences, gradient monotonicity (strict/uniform as declared), and
-    nonvanishing boundary gradients.
+    differences, nonvanishing boundary gradients, and gradient monotonicity
+    (strict/uniform as declared).
 
     These are necessary conditions certified on finitely many samples, not a
-    proof of convexity.  Raises ParameterError for the first one that fails
-    (gradients must match the differences to 1e-6).
+    proof of convexity.  ``n_points`` points are drawn uniformly from the
+    bounding ball, with ``n_points`` segments and ``n_points`` monotone
+    pairs among them and ``min(n_points, 50)`` boundary points; points within
+    100 h of a kink (``kink_margin``) skip the difference and monotonicity
+    checks.  Each invariant is one stacked pass of oracle calls over its
+    samples.  Raises ParameterError for the first invariant that fails, in
+    the order above (gradients must match the differences to 1e-6).
     """
     rng = np.random.default_rng(rng)
-    pts = _sample_near_body(body, rng, n_points)
-    scale = max(1.0, body.bounding_radius)
+    n, d = n_points, body.dim
+    x = rng.normal(size=(n, d))
+    x *= (rng.random(n) ** (1.0 / d) / np.linalg.norm(x, axis=1))[:, None]
+    pts = body.center + body.bounding_radius * x
+    h = 1e-6 * max(1.0, body.bounding_radius)
+    near_kink = np.zeros(n, bool) if body.kink_margin is None else body.kink_margin(pts) < 100 * h
+    # fmax / fmin reductions skip NaN samples
+    worst = lambda a: float(np.fmax.reduce(a, initial=0.0))
+    least = lambda a: float(np.fmin.reduce(a, initial=math.inf))
 
-    # convexity along segments
-    max_conv = 0.0
-    n_seg = n_points
-    for _ in range(n_seg):
-        i, j = rng.integers(0, n_points, size=2)
-        x, z = pts[i], pts[j]
-        gx, gz = body.value_at(x), body.value_at(z)
-        for t in (0.25, 0.5, 0.75, rng.random()):
-            lhs = body.value_at(t * x + (1 - t) * z)
-            max_conv = max(max_conv, lhs - (t * gx + (1 - t) * gz))
+    # convexity along segments: G(t x + (1 - t) z) <= t G(x) + (1 - t) G(z),
+    # at t = 0.25, 0.5, 0.75 and one random t on each segment
+    i, j = np.tile(rng.integers(0, n, size=(2, n)), 4)
+    t = np.concatenate([np.repeat([0.25, 0.5, 0.75], n), rng.random(n)])
+    G = np.asarray(body.value(pts), float)
+    on_segments = np.asarray(body.value(t[:, None] * pts[i] + (1 - t)[:, None] * pts[j]), float)
+    violation = worst(on_segments - (t * G[i] + (1 - t) * G[j]))
+    if violation > 1e-9:
+        raise ParameterError(f"convexity violated on sampled segments ({violation:.3g})")
 
-    # gradient against centered finite differences (skip kink straddles)
-    h = 1e-6 * scale
-    max_fd = 0.0
-    skipped = 0
-    for x in pts:
-        if body.kink_margin is not None and body.kink_margin(x) < 100 * h:
-            skipped += 1
-            continue
-        g = body.gradient_at(x)
-        fd = _central_diff(body.value_at, x, h)
-        max_fd = max(max_fd, float(np.abs(fd - g).max()) / (1.0 + float(np.abs(g).max())))
+    # gradient against centered finite differences of G
+    smooth = pts[~near_kink]
+    g = np.asarray(body.gradient(smooth), float)
+    fd = _central_diff(body.value, smooth, h)
+    fd_error = worst(np.abs(fd - g).max(axis=1) / (1.0 + np.abs(g).max(axis=1)))
+    if fd_error > 1e-6:
+        raise ParameterError(f"gradient disagrees with finite differences ({fd_error:.3g})")
 
-    # gradient monotonicity
-    min_ratio = math.inf
-    for _ in range(n_points):
-        i, j = rng.integers(0, n_points, size=2)
-        x, z = pts[i], pts[j]
-        dx = x - z
-        nn = float(np.dot(dx, dx))
-        if nn < 1e-16:
-            continue
-        if body.kink_margin is not None and (
-            body.kink_margin(x) < 100 * h or body.kink_margin(z) < 100 * h
-        ):
-            continue
-        ratio = float(np.dot(body.gradient_at(x) - body.gradient_at(z), dx)) / nn
-        min_ratio = min(min_ratio, ratio)
+    gb = np.asarray(body.gradient(sample_boundary_points(body, rng, min(n, 50))), float)
+    if least(np.sqrt(np.vecdot(gb, gb))) < 1e-10:
+        raise ParameterError("gradient vanishes at a sampled boundary point")
 
-    # boundary gradients
-    bpts = sample_boundary_points(body, rng, min(n_points, 50))
-    min_bg = min(float(np.linalg.norm(body.gradient_at(x))) for x in bpts)
-
-    report = ValidationReport(
-        n_boundary=len(bpts),
-        n_segments=n_seg,
-        max_convexity_violation=max_conv,
-        max_gradient_fd_error=max_fd,
-        min_monotonicity_ratio=min_ratio,
-        min_boundary_gradient_norm=min_bg,
-        skipped_kink_points=skipped,
-    )
-    report.raise_on_failure(body)
-    return report
+    # gradient monotonicity: <grad G(x) - grad G(z), x - z> / |x - z|^2
+    i, j = rng.integers(0, n, size=(2, n))
+    nn = np.vecdot(pts[i] - pts[j], pts[i] - pts[j])
+    keep = ~(nn < 1e-16) & ~near_kink[i] & ~near_kink[j]
+    x, z, nn = pts[i[keep]], pts[j[keep]], nn[keep]
+    gx, gz = (np.asarray(body.gradient(y), float) for y in (x, z))
+    ratio = least(np.vecdot(gx - gz, x - z) / nn)
+    if body.convexity.kind == "uniformly_convex":
+        if ratio < body.convexity.modulus - 1e-9:
+            raise ParameterError(
+                "uniform convexity modulus not met on samples: "
+                f"{ratio:.6g} < {body.convexity.modulus:.6g}"
+            )
+    elif body.convexity.at_least_strict and ratio <= 0.0:
+        raise ParameterError("strict monotonicity failed on a sampled pair")

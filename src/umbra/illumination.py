@@ -156,9 +156,7 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
     # z @ Q.T maps a point or each row of a stack to Q z
     phi_a = lambda z: chart.phi(z @ Q.T)
     grad_a = lambda z: np.asarray(chart.grad_phi(z @ Q.T), float) @ Q
-    hess_a = None
-    if chart.hess_phi is not None:
-        hess_a = lambda z: Q.T @ np.asarray(chart.hess_phi(z @ Q.T), float) @ Q
+    hess_a = lambda z: Q.T @ np.asarray(chart.hess_phi(z @ Q.T), float) @ Q
 
     pose = None
     if chart.pose is not None and (m > 1 or Q[0, 0] > 0):
@@ -380,8 +378,7 @@ def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = 
     Solves ``d phi / d t (y'', t) = u_n`` (threshold in the normalized
     tangential gauge) on the strictly decreasing fiber slope: the one-row
     case of ``shadow_boundary_sweep``, raising the error that sweep would
-    record or raise for the row.  The solve calls only the chart gradient,
-    so a chart with or without ``hess_phi`` gives the same height.
+    record or raise for the row.  The solve calls only the chart gradient.
     """
     frame = align_chart(chart, u)
     ypp = np.atleast_1d(np.asarray(ypp, float))
@@ -398,8 +395,8 @@ def shadow_boundary_gamma(chart: ConcaveChart, u, ypp, tol_root: float | None = 
 
 def read_csv_table(path) -> tuple[list, np.ndarray]:
     """Header and numeric rows ``(N, columns)`` of a CSV file; ParameterError
-    for an empty file, a file without rows, a non-numeric cell or a row of
-    the wrong length."""
+    for an empty file, a file without rows, a non-numeric or non-finite cell
+    or a row of the wrong length."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -411,9 +408,14 @@ def read_csv_table(path) -> tuple[list, np.ndarray]:
     if any(len(row) != len(header) for row in rows):
         raise ParameterError(f"CSV file {path} has a row without {len(header)} cells")
     try:
-        return header, np.array([[float(v) for v in row] for row in rows])
+        data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise ParameterError(f"CSV file {path} has a non-numeric cell: {exc}") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ParameterError(f"CSV file {path} has a non-finite cell: {header[c]} = {data[r, c]} in data row {r + 1}")
+    return header, data
 
 
 @dataclass(frozen=True)

@@ -396,7 +396,7 @@ def _finish(omega: ImplicitBody, lam: ImplicitBody, z, residual: float, iters: i
             stacklevel=3,
         )
     inconsistent = any(
-        not body.has_analytic_hessian and body.fd_hessian_consistency(pt) > FD_CONSISTENCY_TOL
+        body.hessian is None and body.fd_hessian_consistency(pt) > FD_CONSISTENCY_TOL
         for body, pt in ((omega, x), (lam, y))
     )
     return ProjectionPoint(x, y, t, residual, sigma_min, sigma_max, vt[-1], iters, inconsistent), pinv
@@ -755,9 +755,7 @@ def barrier_chart(chart: ConcaveChart, t_star: float) -> ConcaveChart:
     inv = 1.0 / t_star
     psi = lambda z: chart.phi(z) - 0.5 * inv * np.vecdot(z, z)
     grad = lambda z: np.asarray(chart.grad_phi(z), float) - inv * np.asarray(z, float)
-    hess = None
-    if chart.hess_phi is not None:
-        hess = lambda z: np.asarray(chart.hess_phi(z), float) - inv * np.eye(chart.dim_domain)
+    hess = lambda z: np.asarray(chart.hess_phi(z), float) - inv * np.eye(chart.dim_domain)
     return replace(chart, phi=psi, grad_phi=grad, hess_phi=hess)
 
 

@@ -88,6 +88,13 @@ class DimensionEstimate:
 
 
 def _center_value(ypp: np.ndarray, gamma: np.ndarray, center: np.ndarray):
+    """gamma at the sample that is the center, and every sample's distance
+    from it; ParameterError for a center of the wrong dimension or
+    non-finite samples or center."""
+    if center.shape != (ypp.shape[1],):
+        raise ParameterError(f"center has shape {center.shape}, expected ({ypp.shape[1]},) for these samples")
+    if not (np.isfinite(ypp).all() and np.isfinite(gamma).all() and np.isfinite(center).all()):
+        raise ParameterError("samples and center must be finite")
     diff = ypp - center
     m = float(np.abs(diff).max(initial=0.0))  # scaled first: the distances themselves may overflow
     d = m * np.linalg.norm(diff / m, axis=1) if 0 < m < math.inf else np.linalg.norm(diff, axis=1)

@@ -28,6 +28,7 @@ from umbra.errors import (
 from umbra.illumination import align_chart
 from umbra import projection as pj
 from umbra.projection import barrier_chart
+from umbra.regularity import chart_constants
 
 import oracles
 
@@ -379,7 +380,9 @@ def _stack_cases():
     cone = bodies.cone_over_circle()
     p = bodies.boundary_point_along(cone, [0.05, -0.25, 0.17])
     fd = chart_at(replace(cone, hessian=None), p)
-    assert fd.hess_phi is None
+    z = np.array([[0.0, 0.0], [0.3, -0.2], [-0.1, 0.4]]) * fd.domain_radius
+    H = chart_at(cone, p).hessian(z)
+    assert np.abs(fd.hessian(z) - H).max() <= 1e-9 * np.abs(H).max()
     cases.append(pytest.param(fd, id="cone_over_circle-finite-differences"))
     ell = _posed_quadrics(rng, 3)[0]
     ell_ch = chart_at(ell, sample_boundary_points(ell, rng, 1)[0])
@@ -448,6 +451,53 @@ def test_stacked_chart_hessian_raises_like_points(n):
                 assert _error_of(fn, np.array([good, outside]))[0] is DomainError
 
 
+def _hessian_free_cases():
+    """Bodies whose charts have an analytic Hessian, to strip it from."""
+    ell = _posed_quadrics(np.random.default_rng(61), 3)[0]
+    return [
+        pytest.param(bodies.paraboloid_cap(1.5, 0.8), id="paraboloid_cap"),
+        pytest.param(bodies.kiselman(5, clamp_radius=0.45), id="kiselman-clamped"),
+        pytest.param(replace(ell, quadric=None), id="ellipsoid-without-quadric"),
+    ]
+
+
+@pytest.mark.parametrize("body", _hessian_free_cases())
+def test_chart_of_a_body_without_a_hessian_differences_the_body_gradient(body):
+    # without a body Hessian the chart Hessian comes from central differences
+    # of the stacked body gradient: one more gradient call per stack
+    rng = np.random.default_rng(62)
+    p = sample_boundary_points(body, rng, 1)[0]
+    exact = chart_at(body, p)
+    counted, calls = _counting(body)
+    fd = chart_at(replace(counted, hessian=None), p, domain_radius=exact.domain_radius)
+    m = exact.dim_domain
+    z = rng.normal(size=(40, m))
+    z *= (rng.random(40) * 0.9 * exact.domain_radius / np.linalg.norm(z, axis=1))[:, None]
+    stacked, want = fd.hessian(z), exact.hessian(z)
+    assert stacked.shape == (40, m, m)
+    for zi, Hi, Wi in zip(z, stacked, want):
+        scale = max(1.0, float(np.abs(Wi).max()))
+        # differences turn a last-bit change of a stacked gradient into 1e-11
+        assert np.abs(fd.hessian(zi) - Hi).max() <= 1e-10 * scale
+        assert np.abs(Hi - Wi).max() <= 1e-9 * scale
+    for n_samples in (1024, 4096):
+        calls["gradient"] = 0
+        L, theta = chart_constants(fd, n_samples, rng=3)
+        assert (L, theta) == pytest.approx(chart_constants(exact, n_samples, rng=3), rel=1e-9)
+        assert calls["gradient"] <= 16 * n_samples // 1024
+
+
+def test_chart_without_a_hessian_is_refused():
+    with pytest.raises(ParameterError, match="hess_phi"):
+        bodies.ConcaveChart(
+            dim_domain=2,
+            phi=lambda z: -0.5 * np.vecdot(z, z),
+            grad_phi=lambda z: -np.asarray(z, float),
+            hess_phi=None,
+            domain_radius=1.0,
+        )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_boundary_point_along_posed_ellipsoid_matches_quadratic(n):
     # from the center c the ray c + s d meets the quadric at s = 1/sqrt(d^T A d)
@@ -471,7 +521,7 @@ def test_boundary_point_along_errors():
     with pytest.raises(ParameterError):
         bodies.boundary_point_along(ball, [0.0, 0.0, 0.0])
     with pytest.raises(ChartError, match="interior"):
-        bodies.boundary_point_along(ball, [1.0, 0.0, 0.0], origin=[0.0, 0.0, 2.0])
+        bodies.boundary_point_along(replace(ball, center=np.array([0.0, 0.0, 2.0])), [1.0, 0.0, 0.0])
     # the unclamped Kiselman patch is unbounded below: no exit within 2R
     with pytest.raises(ChartError, match="does not exit"):
         bodies.boundary_point_along(bodies.kiselman(5), [0.0, 0.0, -1.0])
@@ -881,6 +931,8 @@ def test_closed_form_rays_match_the_newton_kernel(n):
         exterior, interior = o[np.isnan(unbounded)][0], o[inside][0]
         dirs = d.copy()
         dirs[5] = 0.0
+        # rays from another origin: the same body centered there
+        from_origin = lambda o: lambda b, dirs: bodies.boundary_point_along(replace(b, center=o), dirs)
         for fn, args in [
             (pj.first_hitting_time, (y, nu)),
             (pj.first_hitting_time, (y, nu[0])),
@@ -888,8 +940,8 @@ def test_closed_form_rays_match_the_newton_kernel(n):
             (pj.first_hitting_time, (bad_y, bad_nu)),
             (bodies.boundary_point_along, (d,)),
             (bodies.boundary_point_along, (dirs,)),
-            (bodies.boundary_point_along, (d, interior)),
-            (bodies.boundary_point_along, (d, exterior)),
+            (from_origin(interior), (d,)),
+            (from_origin(exterior), (d,)),
         ]:
             closed, iterative = _outcome(fn, body, *args), _outcome(fn, newton, *args)
             if isinstance(iterative, tuple):
@@ -900,7 +952,7 @@ def test_closed_form_rays_match_the_newton_kernel(n):
         assert hitting(bad_y, bad_nu) == (ParameterError, "ray origin lies inside the body")
         assert hitting(bad_y[4:], bad_nu[4:]) == (ParameterError, "zero ray direction")
         assert _outcome(bodies.boundary_point_along, body, dirs) == (ParameterError, "zero direction")
-        assert _outcome(bodies.boundary_point_along, body, d, exterior)[0] is ChartError
+        assert _outcome(from_origin(exterior), body, d)[0] is ChartError
 
 
 def test_quadric_rays_make_no_oracle_calls():
@@ -971,3 +1023,60 @@ def test_uniform_convexity_violation_detected(rng):
     bad = replace(base, convexity=bodies.Convexity.uniformly_convex(1.0))
     with pytest.raises(ParameterError):
         body_self_check(bad, rng=rng, n_points=80)
+
+
+def test_self_check_makes_one_stacked_pass_per_invariant(monkeypatch):
+    # the number of stacked oracle calls does not grow with n_points; the
+    # boundary sampler, which crosses one ray at a time, is not counted
+    sample = bodies.sample_boundary_points
+    ell = _posed_quadrics(np.random.default_rng(63), 3)[0]
+    for body in (ell, bodies.kiselman(3, clamp_radius=0.45), bodies.cantor_contact(1e-4, 3)):
+        counts = []
+        for n_points in (40, 200):
+            counted, calls = _counting(body)
+            if body.hessian is None:
+                counted = replace(counted, hessian=None)
+
+            def uncounted(*args):
+                before = dict(calls)
+                pts = sample(*args)
+                calls.update(before)
+                return pts
+
+            monkeypatch.setattr(bodies, "sample_boundary_points", uncounted)
+            body_self_check(counted, rng=5, n_points=n_points)
+            counts.append((calls["value"], calls["gradient"], calls["hessian"]))
+        assert counts[0] == counts[1]
+        assert counts[0][0] <= 3 and counts[0][1] <= 4 and counts[0][2] == 0
+
+
+def _planar_body(value, gradient, convexity=bodies.Convexity.convex()):
+    return bodies.ImplicitBody(
+        dim=2, value=value, gradient=gradient, hessian=None, bounding_radius=1.5,
+        center=np.zeros(2), convexity=convexity,
+    )
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(  # |x|^2 - 1 + sin(4 x_0) / 2 bends down where sin(4 x_0) > 1/4
+            _planar_body(
+                lambda x: np.vecdot(x, x) - 1.0 + 0.5 * np.sin(4.0 * x[..., 0]),
+                lambda x: 2.0 * x + np.stack([2.0 * np.cos(4.0 * x[..., 0]), np.zeros_like(x[..., 1])], axis=-1),
+            ),
+            "convexity violated", id="not-convex",
+        ),
+        pytest.param(  # the gradient of |x|^2 - 1, off by 10%
+            _planar_body(lambda x: np.vecdot(x, x) - 1.0, lambda x: 2.2 * x),
+            "gradient disagrees with finite differences", id="wrong-gradient",
+        ),
+        pytest.param(  # the flat lid of a cap: pairs on it have ratio 0
+            replace(bodies.paraboloid_cap(1.0, 0.5), convexity=bodies.Convexity.strictly_convex()),
+            "strict monotonicity failed", id="not-strictly-convex",
+        ),
+    ],
+)
+def test_self_check_names_the_failed_invariant(body, message):
+    with pytest.raises(ParameterError, match=message):
+        body_self_check(body, rng=9, n_points=80)

@@ -245,6 +245,11 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
             ["diagnose", "{curve}", "boxdim", "--scales", "nan", "0.01", "0.05", "0.1"], "scales",
             id="boxdim-scale-nan",
         ),
+        pytest.param(  # a 2-vector center on a curve over a line broadcast into a 5-entry apex
+            ["diagnose", "{curve}", "cusp", "--center", "0", "0", "--L", "1", "--theta", "1", "--alpha", "1"],
+            "center has shape", id="cusp-center-0-0",
+        ),
+        pytest.param(["diagnose", "{curve}", "holder", "--center"], "center has shape", id="holder-center-bare"),
         pytest.param(["diagnose", "{empty}", "boxdim"], "empty", id="diagnose-empty"),
         pytest.param(["diagnose", "{text}", "holder"], "non-numeric", id="diagnose-non-numeric"),
         pytest.param(["diagnose", "{short}", "boxdim"], "cells", id="diagnose-short-row"),
@@ -290,6 +295,44 @@ def test_huge_center_fails_without_overflow_warning(input_files, capsys):
         assert main(["diagnose", input_files["{curve}"], "holder", "--center", "1e300"]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "center" in line
+
+
+def _one_bad_cell(path, header, rows, column, cell):
+    """Write a CSV of the rows with ``cell`` in row 5 of ``column``."""
+    rows = [list(map(str, row)) for row in rows]
+    rows[5][header.index(column)] = cell
+    path.write_text(",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["ypp_1", "gamma", "residual"])
+@pytest.mark.parametrize("mode", ["holder", "cusp", "boxdim"])
+def test_non_finite_curve_cell_exits_1(tmp_path, capsys, mode, column, cell):
+    # a NaN gamma was fitted around in silence, and an inf one warned first
+    y = np.linspace(-0.5, 0.5, 23)
+    rows = np.column_stack([y, np.sqrt(np.abs(y)), np.zeros_like(y)]).tolist()
+    curve = _one_bad_cell(tmp_path / "curve.csv", ["ypp_1", "gamma", "residual"], rows, column, cell)
+    flags = ["--L", "1", "--theta", "1", "--alpha", "1"] if mode == "cusp" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", curve, mode, *flags]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "non-finite cell" in line and column in line
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["y_2", "sigma_min"])
+def test_non_finite_trace_cell_exits_1(tmp_path, capsys, column, cell):
+    header = ["x_1", "x_2", "x_3", "y_1", "y_2", "y_3", "t", "residual", "sigma_min"]
+    s = np.linspace(0.0, 2.0 * np.pi, 120)
+    rows = [[0.0, 0.0, 3.0, np.cos(a), np.sin(a), 0.0, 2.0, 0.0, 0.5] for a in s]
+    trace = _one_bad_cell(tmp_path / "trace.csv", header, rows, column, cell)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", trace, "boxdim"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "non-finite cell" in line and column in line
 
 
 @pytest.mark.parametrize(

@@ -170,7 +170,7 @@ def test_not_strictly_concave_detected():
         dim_domain=2,
         phi=lambda z: 0.5 * np.vecdot(z, z),
         grad_phi=lambda z: np.asarray(z, float),
-        hess_phi=None,
+        hess_phi=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2)) + np.eye(2),
         domain_radius=1.0,
     )
     with pytest.raises(NotStrictlyConvexError):
@@ -438,15 +438,16 @@ def test_kinked_body_sweep_rows_match_one_row_sweeps():
 
 @pytest.mark.parametrize("n_grid", [257, 1025])
 def test_sweep_slope_calls_do_not_grow_with_the_grid(n_grid):
-    # one stacked slope call per round: the worst fiber of a 257-point
-    # Kiselman q = 5 sweep needs 23 slope evaluations alone, so a sweep that
-    # loops over fibers makes hundreds of calls
+    # one stacked slope call per round: the worst fiber of this 257-point
+    # Kiselman q = 5 grid needs 20 slope evaluations as a one-row solve, and
+    # the sweeps take 20 (257 points) and 22 (1025 points) stacked calls,
+    # where a sweep that looped over fibers would make hundreds
     chart = chart_at(bodies.kiselman(5), [0.0, 0.0, 0.0], domain_radius=0.48)
     calls = []
     counted = replace(chart, grad_phi=lambda z: calls.append(1) or chart.grad_phi(z))
     curve = shadow_boundary_sweep(counted, [0.0, 1.0, 0.0], np.linspace(-0.45, 0.45, n_grid), tol_root=1e-10)
     assert len(curve) > 0.3 * n_grid
-    assert len(calls) <= 46
+    assert len(calls) <= 24
 
 
 def test_sweep_rejects_malformed_grids():
@@ -548,17 +549,3 @@ def test_fiber_solves_call_only_the_slope(rng):
         curve = shadow_boundary_sweep(counted, u, np.linspace(-0.4, 0.4, 65) * chart.domain_radius, tol_root=1e-10)
         shadow_boundary_gamma(counted, u, curve.ypp[len(curve) // 2], tol_root=1e-10)
         assert calls["grad_phi"] > 0 and calls["hess_phi"] == 0
-
-
-def test_sweep_is_the_same_without_a_chart_hessian():
-    # one refinement rule for every chart: dropping the chart Hessian changes
-    # neither gamma nor the number of stacked slope calls
-    chart = chart_at(bodies.kiselman(5), [0.0, 0.0, 0.0], domain_radius=0.48)
-    grid = np.linspace(-0.45, 0.45, 257)
-    curves, counts = [], []
-    for ch in (chart, replace(chart, hess_phi=None)):
-        counted, calls = _counting(ch)
-        curves.append(shadow_boundary_sweep(counted, [0.0, 1.0, 0.0], grid, tol_root=1e-10))
-        counts.append(calls["grad_phi"])
-    assert np.array_equal(curves[0].ypp, curves[1].ypp) and np.array_equal(curves[0].gamma, curves[1].gamma)
-    assert counts[0] == counts[1]

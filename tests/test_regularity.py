@@ -79,6 +79,40 @@ def test_holder_fit_center_must_be_sampled():
         holder_fit(synthetic_curve(r, r**0.5), [0.33])
 
 
+def _root_curve(n=65):
+    """n samples of |y|^(1/2) on [-1/2, 1/2], the center 0 among them."""
+    y = np.linspace(-0.5, 0.5, n)
+    return ShadowCurve(
+        ypp=y[:, None], gamma=np.sqrt(np.abs(y)), residual=np.zeros(n), direction=None, chart_frame=None,
+        tol_root=1e-12,
+    )
+
+
+_DIAGNOSTICS = [
+    pytest.param(holder_fit, id="holder_fit"),
+    pytest.param(lambda curve, center: cusp_check(curve, center, 1.0, 1.0, 1.0), id="cusp_check"),
+]
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0], [], [[0.0]]])
+@pytest.mark.parametrize("diagnostic", _DIAGNOSTICS)
+def test_center_of_another_dimension_is_refused(diagnostic, center):
+    # [0, 0] would broadcast against the (65, 1) samples into a wrong fit
+    with pytest.raises(ParameterError, match=r"center has shape .*, expected \(1,\)"):
+        diagnostic(_root_curve(), center)
+
+
+@pytest.mark.parametrize("where", ["ypp", "gamma", "center"])
+@pytest.mark.parametrize("diagnostic", _DIAGNOSTICS)
+def test_non_finite_samples_or_center_are_refused(diagnostic, where):
+    # a NaN y'' would otherwise be taken for the center by argmin
+    curve, center = _root_curve(41), np.zeros(1)
+    ypp, gamma = curve.ypp.copy(), curve.gamma.copy()
+    {"ypp": ypp[:, 0], "gamma": gamma, "center": center}[where][0] = math.nan
+    with pytest.raises(ParameterError, match="finite"):
+        diagnostic(replace(curve, ypp=ypp, gamma=gamma), center)
+
+
 def test_holder_fit_caps_super_lipschitz():
     r = dyadic_radii()
     fit = holder_fit(synthetic_curve(r, r**2), [0.0])
