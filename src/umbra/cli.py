@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sh = sub.add_parser("shadow", help="illumination shadow boundary as CSV")
     sh.add_argument("spec", help="body spec JSON file")
     sh.add_argument("--u", nargs=3, type=float, required=True, help="light direction")
-    sh.add_argument("--grid", type=_int_from(1), default=64, help="uniform grid size")
+    sh.add_argument("--grid", type=_int_from(1), default=65, help="uniform grid size (odd sizes sample y'' = 0)")
     sh.add_argument("--span", type=float, default=None, help="half-width of the uniform grid")
     sh.add_argument(
         "--dyadic",

@@ -17,6 +17,12 @@ turn of that null direction between the last two points, and a chord
 corrector with the pseudo-inverse of the SVD that each accepted point takes
 anyway; that SVD also certifies full rank n+3 of DPhi through its singular
 values.
+
+Disjointness and seeding rest on nearest points (``project_point``).  On
+ellipsoids and balls these come in closed form up to one scalar root, the
+secular equation's; a point it leaves above the stationarity tolerance,
+and every point on other bodies, goes to damped Newton with a
+tangential-descent fallback.
 """
 
 from __future__ import annotations
@@ -107,15 +113,52 @@ def _tangential_descent_projection(body: ImplicitBody, x, y0):
     return y, g
 
 
+def _secular_projection(quadric, x):
+    """Nearest point of the quadric body ``(y - c)^T A (y - c) <= rhs`` to an
+    outside point ``x``, and its multiplier s with ``x - y = s grad G(y)``.
+
+    In the eigenbasis of S = (A + A^T) / 2, where grad G(y) = 2 S (y - c),
+    stationarity gives y - c = (I + 2 s S)^(-1) (x - c), and s is the root
+    of the secular equation q(s)^2 = sum_i l_i w_i^2 / (1 + 2 s l_i)^2 = rhs
+    (D. Eberly, "Distance from a Point to an Ellipse, an Ellipsoid, or a
+    Hyperellipsoid").  Newton runs on 1/q(s) - 1/sqrt(rhs), which is concave
+    and increasing for s >= 0 and nearly linear (More & Sorensen, SIAM J.
+    Sci. Stat. Comput. 4, 1983), from s = 0, where q(0)^2 = G(x) + rhs >
+    rhs: the iterates rise onto the root and never pass it.  They stop at
+    q^2 <= rhs or once s stops increasing.
+    """
+    A, c, rhs = quadric
+    lam, Q = np.linalg.eigh(0.5 * (A + A.T))
+    w = (x - c) @ Q
+    lw2 = lam * w * w
+    root = math.sqrt(rhs)
+    s = 0.0
+    for _ in range(100):
+        e = 1.0 / (1.0 + 2.0 * s * lam)
+        terms = lw2 * e * e
+        q2 = float(terms.sum())
+        if q2 <= rhs:
+            break
+        s_new = s + q2 * (math.sqrt(q2) / root - 1.0) / (2.0 * float((lam * e * terms).sum()))
+        if not s_new > s:
+            break
+        s = s_new
+    return c + Q @ (w / (1.0 + 2.0 * s * lam)), s
+
+
 def project_point(body: ImplicitBody, x) -> np.ndarray:
     """Nearest point of the body to ``x`` (unique by convexity).
 
     Solves the stationarity system ``F(y) = 0``, ``x - y = s grad F(y)`` with
-    s >= 0 by damped Newton from a ray-crossing seed; when Newton stalls
-    (the argmin can sit on a gradient kink of a piecewise-smooth body) a
-    monotone tangential-descent fallback finds the argmin instead.  Points
-    already on the boundary project to themselves; interior points raise
-    InteriorPointError since the disjoint-body machinery never needs them.
+    s >= 0.  A ``quadric`` body (ellipsoids and balls) takes the closed form
+    of ``_secular_projection``, kept when its stationarity residual meets
+    ``TOL_ROOT`` (very eccentric axes can leave it above, from rounding in
+    the eigenbasis).  Otherwise damped Newton runs from a ray-crossing seed;
+    when Newton stalls (the argmin can sit on a gradient kink of a
+    piecewise-smooth body) a monotone tangential-descent fallback finds the
+    argmin instead.  Points already on the boundary project to themselves;
+    interior points raise InteriorPointError since the disjoint-body
+    machinery never needs them.
     """
     x = np.asarray(x, float)
     fx = body.value_at(x)
@@ -125,15 +168,20 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     if fx < 0:
         raise InteriorPointError("point lies inside the body; projection is itself")
 
+    def residual(y, s, g):
+        """The stationarity residual at (y, s), given g = grad F(y)."""
+        return np.concatenate([[body.value_at(y)], (x - y) - s * g])
+
+    if body.quadric is not None:
+        y, s = _secular_projection(body.quadric, x)
+        if float(np.abs(residual(y, s, body.gradient_at(y))).max()) <= TOL_ROOT * scale:
+            return y
+
     n = body.dim
     y = boundary_point_along(body, x - body.center)
     g = body.gradient_at(y)
     s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
     s = max(s, 1e-12)
-
-    def residual(y, s, g):
-        """The stationarity residual at (y, s), given g = grad F(y)."""
-        return np.concatenate([[body.value_at(y)], (x - y) - s * g])
 
     r = residual(y, s, g)
     res = float(np.abs(r).max())

@@ -53,6 +53,15 @@ def test_shadow_writes_grid_csv(ell_spec, tmp_path):
     assert np.abs(curve.residual).max() <= curve.tol_root
 
 
+def test_default_shadow_then_holder_pipeline(tmp_path):
+    # the default grid samples y'' = 0, the default center of diagnose
+    spec = write_spec(tmp_path, "ell.json", {"family": "ellipsoid", "params": {"semiaxes": [1.5, 1.0, 0.8]}})
+    out = str(tmp_path / "c.csv")
+    assert main(["shadow", spec, "--u", "1", "0.3", "0.2", "--out", out]) == 0
+    assert len(ShadowCurve.from_csv(out)) == 65
+    assert main(["diagnose", out, "holder"]) == 0
+
+
 def test_shadow_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -84,6 +84,106 @@ def test_project_point_matches_grid_argmin(rng):
 
 
 # ---------------------------------------------------------------------------
+# nearest points on ellipsoids and balls (the secular equation)
+
+
+def _stationarity(body, x, y):
+    """max(|F(y)|, |(x - y) - s grad F(y)|) with the least-squares s."""
+    g = body.gradient_at(y)
+    s = float(np.dot(x - y, g)) / float(np.dot(g, g))
+    return max(abs(body.value_at(y)), float(np.abs((x - y) - s * g).max()))
+
+
+def _bisected_nearest(semiaxes, rotation, center, x):
+    """Nearest point of the ellipsoid with these semiaxes, posed by (rotation,
+    center), to x: 200 bisections on the multiplier in the ellipsoid's frame."""
+    lam = 1.0 / np.asarray(semiaxes, float) ** 2
+    u = rotation.T @ (x - center)
+    f = lambda mu: float(np.sum(lam * (u / (1.0 + 2.0 * mu * lam)) ** 2)) - 1.0
+    lo, hi = 0.0, 1.0
+    while f(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return rotation @ (u / (1.0 + 2.0 * lo * lam)) + center
+
+
+def _posed_ellipsoid(rng, n, low=0.3, high=2.0):
+    a = rng.uniform(low, high, size=n)
+    return bodies.ellipsoid(a, Pose(oracles.random_rotation(rng, n), rng.normal(size=n))), a
+
+
+@pytest.mark.parametrize("posed", [False, True], ids=["axis-aligned", "posed"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_project_point_on_ellipsoid_matches_bisection(n, posed):
+    rng = np.random.default_rng(510 + n + 10 * posed)
+    for _ in range(8):
+        a = rng.uniform(0.4, 2.0, size=n)
+        R, t = (oracles.random_rotation(rng, n), rng.normal(size=n)) if posed else (np.eye(n), np.zeros(n))
+        body = bodies.ellipsoid(a, Pose(R, t) if posed else None)
+        x = t + rng.uniform(1.05, 4.0) * a.max() * _unit(rng.normal(size=n))
+        y = pj.project_point(body, x)
+        assert np.abs(y - _bisected_nearest(a, R, t, x)).max() <= 1e-10
+        assert _stationarity(body, x, y) <= pj.TOL_ROOT
+
+
+def test_project_point_closed_form_agrees_with_damped_newton():
+    # without its quadric, the same body takes the ray seed and damped Newton
+    rng = np.random.default_rng(530)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            body, a = _posed_ellipsoid(rng, n)
+            x = body.center + rng.uniform(1.05, 4.0) * a.max() * _unit(rng.normal(size=n))
+            newton = pj.project_point(replace(body, quadric=None), x)
+            assert np.abs(pj.project_point(body, x) - newton).max() <= 1e-10
+
+
+def test_project_point_on_ellipsoid_makes_no_hessian_or_ray_call(monkeypatch):
+    calls = {"hessian": 0, "ray": 0}
+    body, _ = _posed_ellipsoid(np.random.default_rng(540), 3, 0.6, 1.2)
+    hessian, ray = body.hessian, pj.boundary_point_along
+
+    def counting_hessian(x):
+        calls["hessian"] += 1
+        return hessian(x)
+
+    def counting_ray(*args):
+        calls["ray"] += 1
+        return ray(*args)
+
+    body = replace(body, hessian=counting_hessian)
+    monkeypatch.setattr(pj, "boundary_point_along", counting_ray)
+    x = body.center + np.array([2.0, 1.0, -1.5])
+    y = pj.project_point(body, x)
+    assert calls == {"hessian": 0, "ray": 0}
+    assert _stationarity(body, x, y) <= pj.TOL_ROOT
+    # a boundary point projects to itself and an interior point raises, as before
+    b = bodies.boundary_point_along(body, [0.3, -1.0, 0.4])
+    p = pj.project_point(body, b)
+    assert np.array_equal(p, b) and p is not b
+    with pytest.raises(InteriorPointError):
+        pj.project_point(body, body.center + 0.1)
+    assert calls == {"hessian": 0, "ray": 0}
+    # the counters do see damped Newton
+    pj.project_point(replace(body, quadric=None), x)
+    assert calls["hessian"] > 0 and calls["ray"] > 0
+
+
+def test_project_point_on_eccentric_ellipsoid_is_stationary():
+    # axes 1 : 10^-1.5 : 10^-3 leave some closed-form points above TOL_ROOT
+    # from rounding in the eigenbasis; those end on damped Newton
+    rng = np.random.default_rng(550)
+    for _ in range(20):
+        body = bodies.ellipsoid([1.0, 10**-1.5, 1e-3], Pose(oracles.random_rotation(rng), rng.normal(size=3)))
+        x = body.center + rng.uniform(1.05, 3.0) * _unit(rng.normal(size=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = pj.project_point(body, x)
+        assert _stationarity(body, x, y) <= pj.TOL_ROOT * max(1.0, body.bounding_radius)
+
+
+# ---------------------------------------------------------------------------
 # ray hitting
 
 
@@ -311,7 +411,7 @@ def test_seed_boundary_random_poses(rng):
 
 
 # ---------------------------------------------------------------------------
-# dimensions 4 and 5 against closed forms
+# higher dimensions against closed forms
 
 
 def _unit(v):
@@ -326,7 +426,7 @@ def _coaxial_pair_in(n, rng):
     return bodies.translated_ball(3.0 * a, 1.0), bodies.translated_ball(np.zeros(n), 1.0), a
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_project_point_and_closest_pair_on_balls(n):
     rng = np.random.default_rng(400 + n)
     c, r = rng.normal(size=n), 0.7
