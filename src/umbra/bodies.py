@@ -504,10 +504,11 @@ def chart_at(
     ``(N, m)`` and solve all its fibers at once: by ``_quadratic_root`` down
     every fiber for bodies carrying ``quadric`` (ellipsoids and balls), else
     by ``_line_roots`` run down them in lockstep.  Both paths map a failed
-    fiber to the same ChartError.  ``hess_phi`` rests on the frame Hessian
-    of G, constant for a quadric and ``body.hessian_at`` of the stacked
-    graph points otherwise: the analytic Hessian where the body has one,
-    central differences of the stacked gradient where it does not.
+    fiber to the same ChartError.  The oracles of G in the chart frame come
+    from the body posed by the inverse chart pose (``_posed``), and
+    ``hess_phi`` rests on its ``hessian_at`` at the stacked graph points:
+    the analytic Hessian where the body has one, central differences of the
+    stacked gradient along the chart axes where it does not.
 
     When ``domain_radius`` is omitted it is probed: starting from half the
     bounding radius, the radius is halved until fiber solves succeed on a
@@ -528,17 +529,11 @@ def chart_at(
     R = rotation_with_last_axis(nu)
     pose = Pose(R, p)
     n = body.dim
-    Rt = R.T
-
-    # quadric in chart coordinates: G = (v - cc)^T Ac (v - cc) - rhs
-    quad = None
-    if body.quadric is not None:
-        A, c, rhs = body.quadric
-        quad = (Rt @ A @ R, Rt @ (c - p), float(rhs))
+    local = _posed(body, Pose(R.T, -(R.T @ p)))  # the body in chart coordinates
 
     def G(v):
         """G at chart-frame points ``(N, n)``."""
-        f = np.asarray(body.value(v @ Rt + p), float)
+        f = np.asarray(local.value(v), float)
         if f.shape != (len(v),):
             raise ParameterError(f"body value of a ({len(v)}, {n}) stack has shape {f.shape}")
         return f
@@ -550,15 +545,6 @@ def chart_at(
         v[:, -1] = s
         return v
 
-    # gradient and Hessian of G in chart coordinates at chart-frame points
-    if quad is not None:
-        H2 = 2.0 * quad[0]
-        frame_gradient = lambda v: (v - quad[1]) @ H2
-        frame_hessian = lambda v: H2
-    else:
-        frame_gradient = lambda v: np.asarray(body.gradient(v @ Rt + p), float) @ R
-        frame_hessian = lambda v: Rt @ body.hessian_at(v @ Rt + p) @ R
-
     down = -np.eye(n)[-1]
 
     def fiber_roots(xp, s_max):
@@ -566,11 +552,11 @@ def chart_at(
         height range |s| <= s_max (NaN for none), and G there.  G is convex
         along fibers and >= 0 on the tangent plane, so _line_roots runs each
         fiber down from s = 0, or from s_max for base points inside."""
-        t, f = _line_roots(G, frame_gradient, lift(xp, 0.0), down, s_max)
+        t, f = _line_roots(G, local.gradient, lift(xp, 0.0), down, s_max)
         s = -t
         up = (t == 0) & (f < -TOL_BOUNDARY)
         if up.any():
-            t_up, f[up] = _line_roots(G, frame_gradient, lift(xp[up], s_max), down, 2.0 * s_max)
+            t_up, f[up] = _line_roots(G, local.gradient, lift(xp[up], s_max), down, 2.0 * s_max)
             s[up] = np.where(t_up > 0, s_max - t_up, np.nan)
         return s, f
 
@@ -579,8 +565,8 @@ def chart_at(
         chart of radius r, and ``{row: error}`` for rows without one."""
         s_max = 2.0 * body.bounding_radius + r
         inside = np.vecdot(xp, xp) < r * r
-        if quad is not None:  # the upper root s = -t, t the first crossing down the fiber
-            Ac, cc, rhs = quad
+        if local.quadric is not None:  # the upper root s = -t, t the first crossing down the fiber
+            Ac, cc, rhs = local.quadric
             w = cc - lift(xp, 0.0)  # c - v, so that a1 down -e_n is a column of w Ac
             Aw = w @ Ac
             a2, a1, a0 = Ac[-1, -1], Aw[:, -1], np.vecdot(w, Aw) - rhs
@@ -638,9 +624,9 @@ def chart_at(
                 if order == 0:
                     out, transversal = heights, np.ones(len(rows), bool)
                 else:
-                    gc = frame_gradient(v)
+                    gc = local.gradient(v)
                     transversal = gc[:, -1] > 0
-                    out = -gc[:, :-1] / gc[:, -1:] if order == 1 else _graph_hessian(gc, frame_hessian(v))
+                    out = -gc[:, :-1] / gc[:, -1:] if order == 1 else _graph_hessian(gc, local.hessian_at(v))
         except ChartError:  # a body oracle refused some row: find it row by row
             if len(rows) == 1:
                 raise

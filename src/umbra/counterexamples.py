@@ -6,10 +6,11 @@ Three constructions:
   behind the C^(2/q) shadow boundaries: smoothness alone cannot buy Hoelder
   regularity of the shadow without uniform convexity.
 * ``cone_body_graph_failure`` builds the convex hull of a circle and an
-  off-plane apex; illuminated along the apex direction, the shadow boundary
-  near the origin contains both the seam segment to the apex and the base
-  circle, so it is not a graph there in any sampled frame.  Strict convexity
-  cannot be dropped from the continuous-graph statement.
+  off-plane apex; under light along the apex direction, the shadow boundary
+  near the origin is a triod (the seam to the apex and two rim arcs), and no
+  projection onto a line is one-to-one on a triod: it is not a graph there
+  in any sampled frame (the coverage is only that finite family).  Strict
+  convexity cannot be dropped from the continuous-graph statement.
 * ``cantor_contact_pair`` builds two planar convex bodies whose boundaries
   touch exactly above a Cantor-set approximation: 2^depth contact
   components, showing that the disjointness assumption in the projection
@@ -18,6 +19,7 @@ Three constructions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,18 +53,18 @@ def kiselman_identity_check(q: int, grid=None) -> float:
         raise ParameterError("q must be an odd integer >= 3")
     if grid is None:
         xs = np.linspace(-0.45, 0.45, 32)
-        ys = np.linspace(-0.45, 0.45, 32)
-        grid = [(x, y) for x in xs for y in ys]
+        grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    grid = np.asarray(grid, float)
+    if grid.size and (grid.ndim != 2 or grid.shape[1] != 2):
+        raise ParameterError(f"grid must be a list of (x, y) points, got shape {grid.shape}")
+    x, y = grid.reshape(-1, 2).T
+    if (np.abs(y) >= 0.5).any():
+        raise ParameterError("grid must stay inside the strip |y| < 1/2")
 
     profile = _kiselman_profile(q)[0]  # polynomial, so complex y works
     h = 1e-100
-    worst = 0.0
-    for x, y in grid:
-        if abs(y) >= 0.5:
-            raise ParameterError("grid must stay inside the strip |y| < 1/2")
-        dy = profile(x, complex(y, h)).imag / h
-        worst = max(worst, abs(dy - (y**q - x * x) * (1.0 - y)))
-    return worst
+    dy = profile(x, y + 1j * h).imag / h
+    return float(np.max(np.abs(dy - (y**q - x * x) * (1.0 - y)), initial=0.0))
 
 
 def kiselman_zero_level(q: int, x: float, tol: float = 1e-12) -> float:
@@ -118,15 +120,10 @@ def _lateral_neighbors(p):
     angle by -+1e-3 at the same height."""
     y = min(max(p[1], 0.0), 1.0 - 1e-9)
     w = math.atan2(p[2], p[0] + p[1] - 1.0)
-    out = []
-    for s in (-1e-3, 1e-3):
-        ww = w + s
-        out.append(
-            np.array(
-                [(1.0 - y) + (1.0 - y) * math.cos(ww), y, (1.0 - y) * math.sin(ww)]
-            )
-        )
-    return out
+    return [
+        np.array([(1.0 - y) + (1.0 - y) * math.cos(w + s), y, (1.0 - y) * math.sin(w + s)])
+        for s in (-1e-3, 1e-3)
+    ]
 
 
 def is_cone_shadow_boundary_point(body: ImplicitBody, p, u, tol: float = 1e-9) -> bool:
@@ -178,69 +175,45 @@ class GraphFailureWitness:
 
 
 def _pair_for_axis(body, a, u, radius):
-    """Construct and verify a same-projection pair of boundary points
-    within the given radius of the origin.
+    """A verified equal-projection pair of shadow-boundary points within
+    ``radius`` of the origin on the triod of the seam S(s radius) and the rim
+    arcs R(+-s radius), s in [0, 1]; None if no candidate passes.
 
-    Seam points all project to zero on axes orthogonal to the apex
-    direction; symmetric rim pairs share their projection on axes with no
-    third component; for the remaining axes a seam height matching a rim
-    point's projection is solved directly.  A pair counts when its
-    projections agree within 1e-11 and its points lie 1e-5 or more apart.
+    With a_y = 0 the seam projects to one point, so two seam points come
+    first (the canonical seam midpoint and origin while radius >= 0.5).  Then
+    for each pair of arcs whose ends project to the same side of zero (one
+    pair does, by pigeonhole), bisection finds where the arc with the farther
+    end projects onto the nearer end.  A pair counts when its points are
+    1e-5 or more apart, with projections equal within 1e-11, and both pass
+    ``is_cone_shadow_boundary_point``.
     """
+    proj = lambda arc, s: float(np.dot(arc(s), a))
+    arcs = (
+        lambda s: _seam_point(s * radius),
+        lambda s: _rim_point(s * radius),
+        lambda s: _rim_point(-s * radius),
+    )
     checks = []
-    ay = a[1]
-    if abs(ay) <= 1e-12:
+    if abs(a[1]) <= 1e-12:
         if radius >= 0.5:
             checks.append((_seam_point(0.5), _rim_point(0.0)))  # canonical pair
         checks.append((_seam_point(0.35 * radius), _seam_point(0.85 * radius)))
-    for frac in (0.45, 0.2, 0.05, 0.01):
-        delta = frac * radius
-        rim = _rim_point(delta)
-        rim2 = _rim_point(-delta)
-        if abs(float(np.dot(rim2 - rim, a))) <= 1e-11:
-            checks.append((rim, rim2))
-    # rim-rim pairs straddling the critical angle of the rim projection:
-    # the projection d -> <rim(d), a> has a quadratic extremum at
-    # tan(d*) = a_z / a_x, so heights match on both sides of d*
-    if abs(a[0]) > 1e-12 or abs(a[2]) > 1e-12:
-        d_star = math.atan(a[2] / a[0]) if abs(a[0]) > 1e-12 else 0.0
-        proj = lambda d: float(np.dot(_rim_point(d), a))
-        span = min(0.6 * radius, 1.0)
-        if abs(d_star) < 0.5 * span:
-            for s1 in (0.8 * span, 0.4 * span, 0.1 * span):
-                target = proj(d_star + s1)
-                lo, hi = -span + d_star, d_star
-                if (proj(lo) - target) * (proj(hi) - target) <= 0:
-                    for _ in range(90):
-                        mid = 0.5 * (lo + hi)
-                        if (proj(mid) - target) * (proj(lo) - target) > 0:
-                            lo = mid
-                        else:
-                            hi = mid
-                    checks.append((_rim_point(d_star + s1), _rim_point(0.5 * (lo + hi))))
-    if abs(ay) > 1e-12:
-        # seam height t matching a rim point's projection: t = <rim(d), a>/ay;
-        # scan the near-origin rim arc for a parameter giving a valid height
-        d_max = min(1.2 * radius, 1.5)
-        for d in np.geomspace(1e-6 * radius, d_max, 48):
-            for sign in (1.0, -1.0):
-                rim = _rim_point(sign * d)
-                t = float(np.dot(rim, a)) / ay
-                if 1e-5 < t < min(radius, 1.0) and np.linalg.norm(rim) <= 1.2 * radius:
-                    checks.append((_seam_point(t), rim))
-            if len(checks) >= 8:
-                break
+    for near, far in itertools.combinations(sorted(arcs, key=lambda arc: abs(proj(arc, 1.0))), 2):
+        target = proj(near, 1.0)
+        if target * proj(far, 1.0) < 0:
+            continue
+        lo, hi = 0.0, 1.0  # far(lo) projects short of the target, far(hi) onto or past it
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (proj(far, mid) - target) * target < 0:
+                lo = mid
+            else:
+                hi = mid
+        checks.append((far(0.5 * (lo + hi)), near(1.0)))
     for p, qq in checks:
-        if np.linalg.norm(p - qq) < 1e-5:
+        if np.linalg.norm(p - qq) < 1e-5 or abs(float(np.dot(p - qq, a))) > 1e-11:
             continue
-        if abs(float(np.dot(p - qq, a))) > 1e-11:
-            continue
-        limit = 0.55 if (radius >= 0.5 and abs(p[1] - 0.5) < 1e-12) else 1.2 * radius
-        if max(np.linalg.norm(p), np.linalg.norm(qq)) > limit:
-            continue
-        if is_cone_shadow_boundary_point(body, p, u) and is_cone_shadow_boundary_point(
-            body, qq, u
-        ):
+        if all(is_cone_shadow_boundary_point(body, x, u) for x in (p, qq)):
             return (p, qq)
     return None
 
@@ -248,12 +221,12 @@ def _pair_for_axis(body, a, u, radius):
 def cone_body_graph_failure(u=(0.0, 1.0, 0.0), rng=None) -> GraphFailureWitness:
     """Witness that the cone body's shadow boundary is not a graph at 0.
 
-    For the apex direction the boundary near the origin contains the seam
-    segment and the base circle; for every candidate projection axis (the 3
+    For the apex direction the boundary near the origin contains the triod of
+    the seam and the two rim arcs; for every candidate projection axis (the 3
     coordinate axes plus 24 random ones) a pair of distinct verified boundary
-    points with equal projection is produced, at the probe radius 0.55 and
-    at two shrunken radii.  Directions far from the apex axis leave no seam
-    on the shadow boundary and the search reports failure-to-find.
+    points with equal projection is produced on it, at the probe radius 0.55
+    and at two shrunken radii.  Directions far from the apex axis leave no
+    seam on the shadow boundary and the search reports failure-to-find.
     """
     rng = np.random.default_rng(rng)
     body = cone_over_circle()
@@ -266,7 +239,6 @@ def cone_body_graph_failure(u=(0.0, 1.0, 0.0), rng=None) -> GraphFailureWitness:
         axes.append(a / np.linalg.norm(a))
 
     witness = GraphFailureWitness(found=False, radius=radius, frames_checked=len(axes))
-    pairs = {}
     for a in axes:
         found_at = []
         for rho in (radius, radius / 4.0, radius / 16.0):
@@ -276,12 +248,10 @@ def cone_body_graph_failure(u=(0.0, 1.0, 0.0), rng=None) -> GraphFailureWitness:
                     f"no verified equal-projection pair for axis "
                     f"{np.round(a, 4).tolist()} at radius {rho:.3g}"
                 )
-                witness.pairs = pairs
                 return witness
             found_at.append(pair)
-        pairs[tuple(np.round(a, 12))] = found_at
+        witness.pairs[tuple(np.round(a, 12))] = found_at
     witness.found = True
-    witness.pairs = pairs
     witness.note = (
         f"graph failure certified on {len(axes)} frames (3 coordinate axes + "
         f"{len(axes) - 3} random) at radii {radius:.3g}, {radius / 4:.3g}, "

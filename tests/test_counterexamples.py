@@ -31,6 +31,35 @@ def test_identity_rejects_even_q():
         cx.kiselman_identity_check(4)
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_identity_matches_the_pointwise_loop(q):
+    # reference: complex step one point at a time; float64 terms are O(1)
+    grid = np.random.default_rng(q).uniform(-0.49, 0.49, size=(200, 2))
+    profile = bodies._kiselman_profile(q)[0]
+    ref = max(
+        abs(profile(x, complex(y, 1e-100)).imag / 1e-100 - (y**q - x * x) * (1.0 - y))
+        for x, y in grid.tolist()
+    )
+    assert abs(cx.kiselman_identity_check(q, grid=grid) - ref) <= 1e-15
+
+
+def test_identity_rejects_points_outside_the_strip():
+    with pytest.raises(ParameterError, match="strip"):
+        cx.kiselman_identity_check(3, grid=[(0.0, 0.1), (0.2, -0.5)])
+
+
+@pytest.mark.parametrize(
+    "grid", [[(0.0, 0.1, 0.2)], [0.0, 0.1], [[(0.0, 0.1)]], np.zeros((2, 2, 2))]
+)
+def test_identity_rejects_a_grid_that_is_not_n_by_2(grid):
+    with pytest.raises(ParameterError, match="grid"):
+        cx.kiselman_identity_check(3, grid=grid)
+
+
+def test_identity_on_an_empty_grid_is_zero():
+    assert cx.kiselman_identity_check(5, grid=[]) == 0.0
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_zero_level_is_the_power_curve(q):
     for x in np.linspace(-0.1, 0.1, 11):
@@ -61,6 +90,38 @@ def test_cone_witness_contains_canonical_pair():
     ex_pairs = w.pairs[tuple(np.round(np.eye(3)[0], 12))]
     flat = [tuple(np.round(p, 12)) for pair in ex_pairs for p in pair]
     assert tuple(np.round(seam_mid, 12)) in flat
+
+
+def _check_pair(pair, a, radius):
+    assert pair is not None
+    p, q = pair
+    assert np.linalg.norm(p - q) >= 1e-5
+    assert abs(float(np.dot(p - q, a))) <= 1e-11
+    assert max(np.linalg.norm(p), np.linalg.norm(q)) <= radius
+
+
+def test_cone_triod_pairs_on_near_degenerate_and_random_axes():
+    # a same-projection pair on every axis at every probe radius, inside the
+    # radius; the near-degenerate axes need a pair of rim arcs on one side
+    body = cx.cone_over_circle()
+    u = np.array([0.0, 1.0, 0.0])
+    axes = [(1.0, -0.3, 1e-9), (1e-3, 1.0, 1e-3), (1.0, 1e-13, 0.0), (1.0, 0.0, 1e-12), (0.0, 1.0, 0.0)]
+    axes += list(np.random.default_rng(20).normal(size=(300, 3)))
+    for a in axes:
+        a = np.asarray(a, float) / np.linalg.norm(a)
+        for radius in (0.55, 0.1375, 0.034375):
+            _check_pair(cx._pair_for_axis(body, a, u, radius), a, radius)
+
+
+def test_cone_triod_pair_when_the_seam_barely_tilts():
+    # a_y = 1e-11 is past the a_y = 0 threshold but the seam end projects to
+    # almost nothing: the matching rim point lies within 1e-10 of the origin
+    body = cx.cone_over_circle()
+    a = np.array([0.3, 1e-11, -1.0]) / np.linalg.norm([0.3, 1e-11, -1.0])
+    for radius in (0.55, 0.1375, 0.034375):
+        pair = cx._pair_for_axis(body, a, np.array([0.0, 1.0, 0.0]), radius)
+        _check_pair(pair, a, radius)
+        assert all(cx.is_cone_shadow_boundary_point(body, x, [0.0, 1.0, 0.0]) for x in pair)
 
 
 def test_cone_witness_generic_direction_finds_nothing():
