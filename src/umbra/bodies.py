@@ -204,7 +204,6 @@ class ImplicitBody:
     # of a stack; lets body_self_check skip finite-difference checks straddling
     # a kink (None for globally smooth G)
     kink_margin: Callable[[np.ndarray], float] | None = None
-    bounded: bool = True
     # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
     quadric: tuple | None = None
 
@@ -226,29 +225,14 @@ class ImplicitBody:
     def hessian_at(self, x) -> np.ndarray:
         """Hessian ``(n, n)`` at a point ``(n,)``, or ``(N, n, n)`` at the rows
         of a stack ``(N, n)``: the analytic one when the body has it, else
-        ``fd_hessian``."""
+        symmetrised central differences of the gradient at step
+        ``FD_HESSIAN_STEP`` times the bounding radius, from one stacked
+        gradient call."""
         x = np.asarray(x, float)
         if self.hessian is not None:
             return np.asarray(self.hessian(x), float)
-        return self.fd_hessian(x)
-
-    def fd_hessian(self, x, step: float | None = None) -> np.ndarray:
-        """Symmetrised central differences of the gradient at a point ``(n,)``
-        or at the rows of a stack ``(N, n)``, from one stacked gradient call."""
-        h = step if step is not None else FD_HESSIAN_STEP * self.bounding_radius
-        H = _central_diff(self.gradient, np.asarray(x, float), h)
+        H = _central_diff(self.gradient, x, FD_HESSIAN_STEP * self.bounding_radius)
         return 0.5 * (H + np.swapaxes(H, -1, -2))
-
-    def fd_hessian_consistency(self, x) -> float:
-        """Relative mismatch between FD Hessians at steps h and h/2.
-
-        Large values flag points where G is not twice differentiable.
-        """
-        h = FD_HESSIAN_STEP * self.bounding_radius
-        H1 = self.fd_hessian(x, h)
-        H2 = self.fd_hessian(x, 0.5 * h)
-        scale = max(1.0, float(np.abs(H1).max()))
-        return float(np.abs(H1 - H2).max()) / scale
 
     def unit_normal(self, x) -> np.ndarray:
         """Outward unit normal at a point ``(n,)`` or each row of ``(N, n)``."""
@@ -257,9 +241,6 @@ class ImplicitBody:
         if (ng < 1e-12).any():
             raise DegeneratePointError("gradient vanishes; no normal direction")
         return g / ng[..., None]
-
-    def diameter_bound(self) -> float:
-        return 2.0 * self.bounding_radius
 
 
 def _quadratic_root(a2, a1, a0):
@@ -335,7 +316,8 @@ def boundary_point_along(body: ImplicitBody, direction) -> np.ndarray:
     only one.  Raises ParameterError for a zero direction, and ChartError for a
     center that is not interior, for a ray that does not exit within range
     (possible for unbounded patch models) and for a miss, which shows that G is
-    not convex along the ray.  A stack raises the error of its first bad row.
+    not convex along the ray.  A stack raises the error of its first bad row;
+    an empty stack ``(0, n)`` gives ``(0, n)``.
     """
     d = np.asarray(direction, float)
     rows = np.atleast_2d(d)
@@ -345,9 +327,11 @@ def boundary_point_along(body: ImplicitBody, direction) -> np.ndarray:
     s = 2.0 * body.bounding_radius
     u = rows / np.where(zero, 1.0, nd)[:, None]
     quad = body.quadric  # a quadric's G at the center is the closed form's on a ray of length 0
-    g0 = body.value_at(x0) if quad is None else _line_roots(None, None, x0[None], u[0], 0.0, quad)[1][0]
-    if not g0 < 0:  # every row is bad: the first one raises
-        raise ParameterError("zero direction") if zero[0] else ChartError("ray origin must be interior to the body")
+    g0 = body.value_at(x0) if quad is None else _line_roots(None, None, x0[None], np.zeros_like(x0), 0.0, quad)[1][0]
+    if not g0 < 0:  # every row is bad: the first one raises; an empty stack, the center's error
+        if zero[:1].any():
+            raise ParameterError("zero direction")
+        raise ChartError("ray origin must be interior to the body")
     t, _ = _line_roots(body.value, body.gradient, x0 + s * u, -u, s, quad)
     bad = np.flatnonzero(zero | ~(t > 0))  # t = 0: no exit; NaN: a miss
     if bad.size:
@@ -468,14 +452,6 @@ class ConcaveChart:
         if self.pose is None:
             return chart_pt
         return self.pose.to_world(chart_pt)
-
-    def normal_world(self, xp) -> np.ndarray:
-        """Outward unit normal of the body at the graph point above ``xp``."""
-        w = self.gradient(xp)
-        nu = np.append(-w, 1.0) / math.sqrt(float(np.dot(w, w)) + 1.0)
-        if self.pose is None:
-            return nu
-        return self.pose.rotate_to_world(nu)
 
 
 def _graph_hessian(gc, Hc):
@@ -815,7 +791,6 @@ def kiselman(
             bounding_radius=strip_half_width,
             center=np.array([0.0, 0.0, -0.4 * strip_half_width]),
             convexity=Convexity.strictly_convex(),
-            bounded=False,
         )
         return _posed(body, pose)
 
@@ -1262,8 +1237,11 @@ def body_self_check(body: ImplicitBody, rng=None, n_points: int = 100) -> None:
     100 h of a kink (``kink_margin``) skip the difference and monotonicity
     checks.  Each invariant is one stacked pass of oracle calls over its
     samples.  Raises ParameterError for the first invariant that fails, in
-    the order above (gradients must match the differences to 1e-6).
+    the order above (gradients must match the differences to 1e-6), and for
+    ``n_points`` below 1.
     """
+    if n_points < 1:
+        raise ParameterError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.default_rng(rng)
     n, d = n_points, body.dim
     x = rng.normal(size=(n, d))

@@ -40,6 +40,7 @@ from .errors import (
     OverlapError,
     ParameterError,
     RankDeficiencyError,
+    RankDeficiencyWarning,
     SeedError,
     UmbraError,
 )
@@ -126,7 +127,7 @@ def cmd_project(args) -> int:
         patch_center=args.seed_patch, patch_angle=args.seed_patch_angle,
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
         start = projection.solve_boundary_point(omega, lam, seed, tol=args.tol_root)
         trace = projection.trace_boundary(
             omega, lam, start, step, args.max_steps, tol=args.tol_root, rank_tol=args.sigma_fail_tol

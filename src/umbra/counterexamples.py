@@ -168,11 +168,6 @@ class GraphFailureWitness:
     frames_checked: int = 0
     note: str = ""
 
-    @property
-    def canonical_pair(self):
-        """Seam midpoint and the circle point sharing its first coordinate."""
-        return (_seam_point(0.5), np.array([0.0, 0.0, 0.0]))
-
 
 def _pair_for_axis(body, a, u, radius):
     """A verified equal-projection pair of shadow-boundary points within

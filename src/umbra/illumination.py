@@ -118,20 +118,18 @@ class AlignedFrame:
     """Chart rotated so the tangential part of u is the last in-plane axis.
 
     ``threshold`` is ``u_n / |u'|``: with the tangential component of the
-    direction normalized to unit length, shadow membership at ``(y'', t)``
-    is ``slope(y'', t) < threshold`` where slope is the last component of
-    ``grad phi``.
+    direction normalized to unit length, the boundary point above
+    ``z = (y'', t)`` is in shadow when ``slope(z) < 0``, that is when the
+    last component of ``grad phi`` lies below ``threshold``.
     """
 
     chart: ConcaveChart
     threshold: float
-    direction: Direction
 
-    def slope(self, ypp, t) -> float:
-        z = np.empty(self.chart.dim_domain)
-        z[:-1] = ypp
-        z[-1] = t
-        return float(self.chart.gradient(z)[-1]) - self.threshold
+    def slope(self, z):
+        """Last component of ``grad phi`` minus ``threshold`` at a point
+        ``z = (y'', t)`` ``(m,)``, or at the rows of a stack ``(N, m)``."""
+        return self.chart.gradient(z)[..., -1] - self.threshold
 
 
 def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
@@ -165,7 +163,7 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
         pose = Pose(chart.pose.rotation @ lift, chart.pose.translation)
 
     aligned = replace(chart, phi=phi_a, grad_phi=grad_a, hess_phi=hess_a, pose=pose)
-    return AlignedFrame(chart=aligned, threshold=un / norm_up, direction=d)
+    return AlignedFrame(chart=aligned, threshold=un / norm_up)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +234,12 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
 
     Returns gamma, residual and each row's error (None where solved).
     """
-    ch, c = frame.chart, frame.threshold
     if not np.isfinite(ypp).all():
         raise ParameterError("y'' has a non-finite coordinate")
     K = len(ypp)
-    slope = lambda z: ch.gradient(z)[..., -1] - c
 
     errors = [None] * K
-    rr = ch.domain_radius**2 - np.einsum("ij,ij->i", ypp, ypp)
+    rr = frame.chart.domain_radius**2 - np.einsum("ij,ij->i", ypp, ypp)
     stage = np.where(rr > 0, _BRACKET, _DONE)
     for i in np.flatnonzero(rr <= 0):
         errors[i] = DomainError("y'' lies outside the chart domain")
@@ -296,7 +292,7 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
         prb = np.flatnonzero(stage == _PROBE)
         below = prb[gamma[prb] - delta[prb] > -T[prb]]
         above = prb[gamma[prb] + delta[prb] < T[prb]]
-        results = _at_fibers(slope, ypp, [
+        results = _at_fibers(frame.slope, ypp, [
             (bra[neg], -tau[neg]), (bra[pos], tau[pos]), (ends, -T_end[ends]), (ends, T_end[ends]),
             (ref, t_new), (below, gamma[below] - delta[below]), (above, gamma[above] + delta[above]),
         ])
@@ -431,7 +427,6 @@ class ShadowCurve:
     ypp: np.ndarray
     gamma: np.ndarray
     residual: np.ndarray
-    direction: Direction | None
     chart_frame: Pose | None
     tol_root: float
     surface_height: np.ndarray | None = None
@@ -453,12 +448,6 @@ class ShadowCurve:
     @property
     def codim_domain(self) -> int:
         return self.ypp.shape[1]
-
-    def world_points(self) -> np.ndarray:
-        if self.surface_height is None or self.chart_frame is None:
-            raise ParameterError("curve lacks surface heights or a frame")
-        pts = np.column_stack([self.ypp, self.gamma, self.surface_height])
-        return np.array([self.chart_frame.to_world(p) for p in pts])
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -483,7 +472,6 @@ class ShadowCurve:
             ypp=data[:, :-2],
             gamma=data[:, -2],
             residual=resid,
-            direction=None,
             chart_frame=None,
             tol_root=float(np.abs(resid).max()) + 1e-30,
         )
@@ -535,7 +523,6 @@ def shadow_boundary_sweep(
         ypp=grid[kept],
         gamma=gammas[kept],
         residual=resids[kept],
-        direction=frame.direction,
         chart_frame=frame.chart.pose,
         tol_root=tol,
         surface_height=heights,

@@ -64,7 +64,6 @@ SIGMA_RANK_TOL = 1e-8  # relative threshold for rank counting
 SIGMA_TRACE_TOL = 1e-6  # relative health threshold while tracing
 NEAR_SINGULAR_TOL = 1e-3  # conditioning collapse classifying step failures
 MAX_SOLVE_ITER = 50
-FD_CONSISTENCY_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,6 @@ class ProjectionPoint:
     ``sigma_max`` are the smallest and largest of the n+3 singular values of
     its Jacobian there, and ``tangent`` is a unit vector spanning the
     Jacobian's null space (the curve direction when n = 3; either sign).
-    ``hessian_inconsistent`` flags points where finite-difference Hessians
-    at two step sizes disagree (boundary not twice differentiable there).
     """
 
     x: np.ndarray
@@ -317,7 +314,6 @@ class ProjectionPoint:
     sigma_max: float
     tangent: np.ndarray
     iterations: int = 0
-    hessian_inconsistent: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, float))
@@ -373,10 +369,9 @@ def solve_boundary_point(
     the solution manifold.  At convergence (checks shared with the trace)
     t must be positive, and one full SVD of the Jacobian gives the extreme
     singular values and the null tangent, with a RankDeficiencyWarning when
-    sigma_min falls under the rank threshold.  Bodies without an analytic
-    Hessian get a finite-difference consistency probe at the solved point.
-    ``tol`` must lie below 1e-3 max(1, bounding radii), and both bodies in
-    the same R^n (ParameterError).
+    sigma_min falls under the rank threshold.  ``tol`` must lie below 1e-3
+    max(1, bounding radii), and both bodies in the same R^n
+    (ParameterError).
     """
     _check_tol(omega, lam, tol)
     n = omega.dim
@@ -424,11 +419,11 @@ def _factor(omega: ImplicitBody, lam: ImplicitBody, z):
 def _finish(omega: ImplicitBody, lam: ImplicitBody, z, residual: float, iters: int):
     """Checks and factorisation of a corrected state, shared by the seed
     solve and the trace: t > 0, one full SVD (extreme singular values, null
-    tangent, RankDeficiencyWarning) and the finite-difference Hessian probe.
-    The hitting parameter needs no check of its own: the rows
-    y + t grad F - x of Phi bound |t - |x - y| / |grad F|| by
-    sqrt(n) residual / |grad F|.  Returns the point and the pseudo-inverse
-    of its Jacobian, the chord map for the next trace step.
+    tangent, RankDeficiencyWarning).  The hitting parameter needs no check
+    of its own: the rows y + t grad F - x of Phi bound
+    |t - |x - y| / |grad F|| by sqrt(n) residual / |grad F|.  Returns the
+    point and the pseudo-inverse of its Jacobian, the chord map for the
+    next trace step.
     """
     n = omega.dim
     x, y, t = z[:n], z[n : 2 * n], float(z[2 * n])
@@ -443,11 +438,7 @@ def _finish(omega: ImplicitBody, lam: ImplicitBody, z, residual: float, iters: i
             RankDeficiencyWarning,
             stacklevel=3,
         )
-    inconsistent = any(
-        body.hessian is None and body.fd_hessian_consistency(pt) > FD_CONSISTENCY_TOL
-        for body, pt in ((omega, x), (lam, y))
-    )
-    return ProjectionPoint(x, y, t, residual, sigma_min, sigma_max, vt[-1], iters, inconsistent), pinv
+    return ProjectionPoint(x, y, t, residual, sigma_min, sigma_max, vt[-1], iters), pinv
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +495,11 @@ def hitting_time_bound(omega: ImplicitBody, lam: ImplicitBody, chart_radius: flo
     """Upper bound for hitting times from a chart patch of the target.
 
     distance between the bodies plus twice the larger of the projected
-    body's diameter and the chart-patch diameter.
+    body's diameter bound 2 ``bounding_radius`` and the chart-patch diameter.
     """
     _, _, dist = closest_pair(omega, lam)
     diam_patch = 2.0 * (chart_radius if chart_radius is not None else lam.bounding_radius)
-    return dist + 2.0 * max(omega.diameter_bound(), diam_patch)
+    return dist + 2.0 * max(2.0 * omega.bounding_radius, diam_patch)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +524,12 @@ def seed_boundary(
     Raises SeedError when the sampled patch is entirely inside or entirely
     outside the shadow, OverlapError when omega's center lies inside the
     target, and ParameterError for bodies of different dimensions, a patch
-    center that is not a nonzero finite vector of the target's dimension or
-    a non-finite patch angle.
+    center that is not a nonzero finite vector of the target's dimension, a
+    non-finite patch angle or ``n_samples`` below 1.
     """
     _check_dims(omega, lam)
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(rng)
     if patch_center is None:  # in R^3 the cap of angle pi around e_3: the whole sphere
         c, ang = np.eye(lam.dim)[-1], math.pi
@@ -692,17 +685,18 @@ def trace_boundary(
     clamped to [step/16, step].  Tracing stops on closure (within step/2 of
     the start after at least 10 steps), on ``max_steps``, or with
     RankDeficiencyError when sigma_min falls under ``rank_tol * sigma_max``.
-    A step of twice the target's diameter bound or more raises
-    ParameterError: every target point would pass the closure test; so do
-    a ``tol`` and bodies as refused by ``solve_boundary_point``.
+    A step of twice the target's diameter bound 2 ``bounding_radius`` or
+    more raises ParameterError: every target point would pass the closure
+    test; so do a ``tol`` and bodies as refused by ``solve_boundary_point``.
     """
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
     check_positive("step", step)
     check_positive("rank_tol", rank_tol)
     _check_tol(omega, lam, tol)
-    if step >= 2.0 * lam.diameter_bound():
-        raise ParameterError(f"step = {step:.6g} is not below twice the target's diameter bound")
+    if step >= 4.0 * lam.bounding_radius:
+        bound = 4.0 * lam.bounding_radius
+        raise ParameterError(f"step = {step:.6g} is not below twice the target's diameter bound ({bound:.6g})")
     points = [start]
     if max_steps <= 0:
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")

@@ -51,7 +51,6 @@ class ConeCertificate:
     above at every sample."""
 
     apex: np.ndarray
-    axis: np.ndarray
     opening_slope: float
     violations: int
     samples: int
@@ -176,12 +175,8 @@ def cusp_check(curve, center, L, theta, alpha, tol: float = 1e-9) -> ConeCertifi
     slope = L / theta
     excess = (gamma - g0) - slope * dist**alpha
     violations = int(np.sum(excess > tol))
-    apex = np.append(center, g0)
-    axis = np.zeros(ypp.shape[1] + 1)
-    axis[-1] = 1.0
     return ConeCertificate(
-        apex=apex,
-        axis=axis,
+        apex=np.append(center, g0),
         opening_slope=slope,
         violations=violations,
         samples=len(gamma),

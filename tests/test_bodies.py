@@ -25,7 +25,7 @@ from umbra.errors import (
     SpecError,
     UmbraError,
 )
-from umbra.illumination import align_chart
+from umbra.illumination import align_chart, normal_from_superdifferential
 from umbra import projection as pj
 from umbra.projection import barrier_chart
 from umbra.regularity import chart_constants
@@ -136,17 +136,12 @@ def test_paraboloid_cap_chart_at_apex():
 
 def test_chart_world_roundtrip(rng):
     # graph points mapped back to world coordinates sit on the level set
-    for b in (
-        bodies.ellipsoid([1.5, 1.0, 0.8]),
-        bodies.translated_ball([0, 1, 0], 1.2),
-        bodies.kiselman(3),
+    for b, p in (
+        (bodies.ellipsoid([1.5, 1.0, 0.8]), None),
+        (bodies.translated_ball([0, 1, 0], 1.2), None),
+        (bodies.kiselman(3), np.zeros(3)),  # the unbounded patch is charted at its origin
     ):
-        p = (
-            sample_boundary_points(b, rng, 1)[0]
-            if b.bounded
-            else np.zeros(3)
-        )
-        ch = chart_at(b, p)
+        ch = chart_at(b, sample_boundary_points(b, rng, 1)[0] if p is None else p)
         for _ in range(50):
             xp = rng.normal(size=2)
             xp *= rng.random() * 0.8 * ch.domain_radius / np.linalg.norm(xp)
@@ -174,7 +169,7 @@ def test_chart_normal_consistency(rng):
     for _ in range(30):
         xp = rng.normal(size=2)
         xp *= rng.random() * 0.7 * ch.domain_radius / np.linalg.norm(xp)
-        nu_chart = ch.normal_world(xp)
+        nu_chart = ch.pose.rotate_to_world(normal_from_superdifferential(ch.gradient(xp)))
         w = ch.to_world(xp)
         nu_body = b.unit_normal(w)
         assert np.linalg.norm(nu_chart - nu_body) < 1e-6
@@ -545,6 +540,15 @@ def test_boundary_point_along_errors():
             bodies.boundary_point_along(wavy, [1.0, 0.0])
 
 
+def test_boundary_point_along_empty_stack():
+    # a quadric crosses in closed form, the cone by Newton: both give (0, n)
+    ball = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+    for body in (ball, bodies.ellipsoid([1.5, 1.0, 0.8]), bodies.cone_over_circle()):
+        assert bodies.boundary_point_along(body, np.empty((0, 3))).shape == (0, 3)
+    with pytest.raises(ChartError, match="interior"):
+        bodies.boundary_point_along(replace(ball, center=np.array([0.0, 0.0, 2.0])), np.empty((0, 3)))
+
+
 @pytest.mark.parametrize(
     "body",
     [bodies.cone_over_circle(), bodies.cantor_contact(1e-3, 4)],
@@ -830,11 +834,12 @@ def _stack_vs_rows(fn, stack_args, row_args, close):
 
 
 @pytest.mark.parametrize("body", _posed_catalog())
-def test_stacked_ray_crossings_match_points(body):
+def test_stacked_ray_crossings_match_points(body, request):
     # boundary_point_along, first_hitting_time and in_projection_shadow on a
     # stack agree with the same calls row by row: hits, misses and errors
     rng = np.random.default_rng(14)
     n, R, c = body.dim, body.bounding_radius, body.center
+    bounded = request.node.callspec.id != "kiselman"  # the unclamped patch is unbounded below
 
     def same_point(got, want):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, R)
@@ -860,7 +865,7 @@ def test_stacked_ray_crossings_match_points(body):
     times = _stack_vs_rows(hitting, (y, nu), list(zip(y, nu)), same_time)
     _stack_vs_rows(hitting, (y, nu[0]), [(yi, nu[0]) for yi in y], same_time)
     assert _stack_vs_rows(hitting, (y, zero_row), list(zip(y, zero_row)), same_time)[5][0] is ParameterError
-    assert None in times and (any(isinstance(t, float) for t in times) or not body.bounded)
+    assert None in times and (any(isinstance(t, float) for t in times) or not bounded)
 
     # the target's points around ys[0] face the ball omega: some are shadowed
     ys = [yi for yi in ys if not isinstance(yi, tuple)]
@@ -870,7 +875,7 @@ def test_stacked_ray_crossings_match_points(body):
     ys = np.array(ys + [yi for yi in near if not isinstance(yi, tuple)])
     member = lambda pts: pj.in_projection_shadow(omega, body, pts)
     flags = _stack_vs_rows(member, (ys,), [(yi,) for yi in ys], same_flag)
-    assert False in flags and (True in flags or not body.bounded)
+    assert False in flags and (True in flags or not bounded)
     off = np.vstack([ys[:3], c + 0.5 * (ys[3] - c), ys[3:]])
     assert _stack_vs_rows(member, (off,), [(yi,) for yi in off], same_flag)[3][0] is DomainError
 
@@ -1080,3 +1085,9 @@ def _planar_body(value, gradient, convexity=bodies.Convexity.convex()):
 def test_self_check_names_the_failed_invariant(body, message):
     with pytest.raises(ParameterError, match=message):
         body_self_check(body, rng=9, n_points=80)
+
+
+@pytest.mark.parametrize("n_points", [0, -2])
+def test_self_check_refuses_sample_counts_below_one(n_points):
+    with pytest.raises(ParameterError, match="n_points"):
+        body_self_check(bodies.translated_ball([0.0, 0.0, 0.0], 1.0), rng=0, n_points=n_points)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import cli, errors
+from umbra import cli, errors, projection
 from umbra.cli import main
 from umbra.illumination import ShadowCurve
 
@@ -471,6 +471,26 @@ def test_shadow_chart_point_of_another_dimension_exits_1(tmp_path, capsys):
     assert main(argv) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "chart base point has shape" in line
+
+
+@pytest.mark.parametrize("category, silenced", [(RuntimeWarning, False), (errors.RankDeficiencyWarning, True)])
+def test_project_silences_only_rank_warnings(coaxial_specs, tmp_path, monkeypatch, category, silenced):
+    # a numpy warning inside the trace reaches a caller that runs with it as an error
+    real = projection.trace_boundary
+
+    def warning_trace(*args, **kwargs):
+        warnings.warn("a warning inside the trace", category)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "trace_boundary", warning_trace)
+    argv = ["project", *coaxial_specs, "--out", str(tmp_path / "trace.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", category)
+        if silenced:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(category, match="inside the trace"):
+                main(argv)
 
 
 def test_project_bodies_of_different_dimensions_exit_1(coaxial_specs, tmp_path, capsys):

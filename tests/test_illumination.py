@@ -101,7 +101,8 @@ def test_sphere_silhouette_is_great_circle():
     ch = sphere_chart([0.0, 1.0, 0.0])
     u = Direction(np.array([1.0, 0.0, 0.0]))
     curve = shadow_boundary_sweep(ch, u, np.linspace(-0.3, 0.3, 21))
-    world = curve.world_points()
+    pts = np.column_stack([curve.ypp, curve.gamma, curve.surface_height])
+    world = np.array([curve.chart_frame.to_world(p) for p in pts])
     assert np.abs(world[:, 0]).max() < 1e-8
     assert np.abs(np.linalg.norm(world, axis=1) - 1.0).max() < 1e-9
 
@@ -125,7 +126,8 @@ def test_ellipsoid_silhouette_plane():
     ch = chart_at(body, [0.0, 1.0, 0.0], domain_radius=0.5)
     u = Direction(np.array([1.0, 0.0, 0.0]))
     curve = shadow_boundary_sweep(ch, u, np.linspace(-0.25, 0.25, 17))
-    world = curve.world_points()
+    pts = np.column_stack([curve.ypp, curve.gamma, curve.surface_height])
+    world = np.array([curve.chart_frame.to_world(p) for p in pts])
     assert np.abs(world[:, 0]).max() < 1e-8
 
 
@@ -228,14 +230,14 @@ def test_vertical_monotonicity_and_sign_structure(rng):
             # membership is monotone upward along the fiber
             t = rng.uniform(-0.95 * T, 0.95 * T)
             delta = rng.uniform(0.0, max(0.95 * T - t, 0.0))
-            in_low = frame.slope(zpp, t) < 0
-            in_high = frame.slope(zpp, t + delta) < 0
+            in_low = frame.slope(np.append(zpp, t)) < 0
+            in_high = frame.slope(np.append(zpp, t + delta)) < 0
             if in_low and not in_high:
                 violations += 1
             # sign structure around the constructed root t0
-            if t > t0 + 1e-9 and frame.slope(zpp, t) >= 1e-9:
+            if t > t0 + 1e-9 and frame.slope(np.append(zpp, t)) >= 1e-9:
                 violations += 1
-            if t < t0 - 1e-9 and frame.slope(zpp, t) <= -1e-9:
+            if t < t0 - 1e-9 and frame.slope(np.append(zpp, t)) <= -1e-9:
                 violations += 1
     assert violations == 0
 
@@ -284,10 +286,16 @@ def test_solved_samples_satisfy_sign_conditions():
     ch = chart_at(body, [0.0, 1.0, 0.0], domain_radius=0.4)
     u = Direction(np.array([1.0, 0.0, 0.0]))
     frame = align_chart(ch, u)
+    zs = []
     for x in np.linspace(-0.1, 0.1, 7):
         g, _ = shadow_boundary_gamma(ch, u, [x])
-        assert frame.slope(np.array([x]), g + 0.02) < 0
-        assert frame.slope(np.array([x]), g - 0.02) > 0
+        assert frame.slope([x, g + 0.02]) < 0
+        assert frame.slope([x, g - 0.02]) > 0
+        zs += [[x, g + 0.02], [x, g - 0.02]]
+    # one stacked call agrees with the point calls
+    stacked = frame.slope(np.array(zs))
+    assert stacked.shape == (len(zs),)
+    assert np.abs(stacked - [frame.slope(z) for z in zs]).max() <= 1e-14
 
 
 def test_curve_csv_roundtrip(tmp_path):

@@ -27,7 +27,7 @@ def synthetic_curve(radii, values, center_value=0.0):
     gamma = np.concatenate([values, values, [center_value]])
     resid = np.zeros(len(gamma))
     return ShadowCurve(
-        ypp=ypp, gamma=gamma, residual=resid, direction=None, chart_frame=None, tol_root=1e-12
+        ypp=ypp, gamma=gamma, residual=resid, chart_frame=None, tol_root=1e-12
     )
 
 
@@ -83,7 +83,7 @@ def _root_curve(n=65):
     """n samples of |y|^(1/2) on [-1/2, 1/2], the center 0 among them."""
     y = np.linspace(-0.5, 0.5, n)
     return ShadowCurve(
-        ypp=y[:, None], gamma=np.sqrt(np.abs(y)), residual=np.zeros(n), direction=None, chart_frame=None,
+        ypp=y[:, None], gamma=np.sqrt(np.abs(y)), residual=np.zeros(n), chart_frame=None,
         tol_root=1e-12,
     )
 
