@@ -393,9 +393,15 @@ class ConcaveChart:
     ``hess_phi``) take a point ``(m,)`` and return a float, ``(m,)`` or
     ``(m, m)``, or a stack ``(N, m)`` and return ``(N,)``, ``(N, m)`` or
     ``(N, m, m)``; a stack raises the error its first bad row raises as a
-    point.  All three callbacks are required: ``chart_at`` gives every chart
-    its ``hess_phi``, from the body Hessian or from differences of the body
-    gradient.
+    point, and any other shape is a ParameterError.  All three callbacks are
+    required: ``chart_at`` gives every chart its ``hess_phi``, from the body
+    Hessian or from differences of the body gradient.
+
+    ``quadric`` is ``(A, c, rhs)`` in chart coordinates when the graph is the
+    upper sheet of ``(x - c)^T A (x - c) = rhs``, else None.  It only proposes
+    shadow-boundary roots, which the chart's own ``grad_phi`` certifies: a
+    chart whose callbacks graph something else should set it to None, and
+    one that keeps it stays correct but pays for proposals it refuses.
     """
 
     dim_domain: int
@@ -404,6 +410,7 @@ class ConcaveChart:
     hess_phi: VecOracle
     domain_radius: float
     pose: Pose | None = None
+    quadric: tuple | None = None
 
     def __post_init__(self):
         if not (callable(self.phi) and callable(self.grad_phi) and callable(self.hess_phi)):
@@ -421,8 +428,12 @@ class ConcaveChart:
 
     def _in_domain(self, fn, xp) -> np.ndarray:
         """``fn`` at a point ``(m,)`` or at the rows of a stack ``(N, m)``,
-        after the domain check."""
+        after the shape and domain checks."""
         xp = np.atleast_1d(np.asarray(xp, float))
+        if xp.ndim > 2 or xp.shape[-1] != self.dim_domain:
+            raise ParameterError(
+                f"chart point has shape {xp.shape}, expected ({self.dim_domain},) or (N, {self.dim_domain})"
+            )
         if xp.ndim == 2:
             r2 = self.domain_radius * self.domain_radius
             outside = np.flatnonzero(np.einsum("ij,ij->i", xp, xp) >= r2)
@@ -484,7 +495,9 @@ def chart_at(
     from the body posed by the inverse chart pose (``_posed``), and
     ``hess_phi`` rests on its ``hessian_at`` at the stacked graph points:
     the analytic Hessian where the body has one, central differences of the
-    stacked gradient along the chart axes where it does not.
+    stacked gradient along the chart axes where it does not.  A quadric body
+    gives the chart its ``quadric`` in chart coordinates, from which
+    shadow-boundary solves propose their roots in closed form.
 
     When ``domain_radius`` is omitted it is probed: starting from half the
     bounding radius, the radius is halved until fiber solves succeed on a
@@ -621,6 +634,7 @@ def chart_at(
         hess_phi=lambda xp: graph(xp, 2),
         domain_radius=r_dom,
         pose=pose,
+        quadric=local.quadric,
     )
 
 

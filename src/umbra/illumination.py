@@ -11,6 +11,14 @@ unique root of the strictly decreasing slope function
 ``t -> d phi / d t (y'', t) - c`` with ``c = u_n / |u'|``; the graph
 ``y'' -> gamma(y'')`` of those roots is the object the regularity
 diagnostics consume.
+
+On a quadric ``(x - c)^T A (x - c) <= rho`` the shadow boundary is the
+section by the plane ``(x - c)^T (A + A^T) u = 0``, the contour generator cut
+by the polar plane of the light's point at infinity (Hartley & Zisserman,
+*Multiple View Geometry*, 2nd ed., 2004, sec. 8.3).  Sweeps on a chart that
+carries its ``quadric`` propose every root from that section in closed form
+and certify the proposals in one stacked slope call; a fiber whose proposal
+fails goes through the bracketed solve.
 """
 
 from __future__ import annotations
@@ -101,11 +109,14 @@ def is_in_shadow(chart: ConcaveChart, u, y_prime) -> bool:
     """Shadow membership of the boundary point above ``y_prime``.
 
     True exactly when ``<grad phi(y'), u'> < u_n`` in chart coordinates.
-    Raises DomainError for points outside the chart domain.
+    Raises DomainError for points outside the chart domain, and
+    ParameterError unless ``y_prime`` has shape ``(dim_domain,)``.
     """
     d = _as_direction(u, chart.dim_domain + 1)
     uc = chart.pose.rotate_to_local(d.u) if chart.pose is not None else d.u
     w = chart.gradient(y_prime)
+    if w.ndim != 1:
+        raise ParameterError(f"y' of shape {np.shape(y_prime)} is a stack, not one point")
     return float(np.dot(w, uc[:-1])) < uc[-1]
 
 
@@ -156,13 +167,17 @@ def align_chart(chart: ConcaveChart, u) -> AlignedFrame:
     grad_a = lambda z: np.asarray(chart.grad_phi(z @ Q.T), float) @ Q
     hess_a = lambda z: Q.T @ np.asarray(chart.hess_phi(z @ Q.T), float) @ Q
 
+    lift = np.eye(m + 1)
+    lift[:m, :m] = Q
     pose = None
     if chart.pose is not None and (m > 1 or Q[0, 0] > 0):
-        lift = np.eye(m + 1)
-        lift[:m, :m] = Q
         pose = Pose(chart.pose.rotation @ lift, chart.pose.translation)
+    quadric = None
+    if chart.quadric is not None:  # G(lift w) as a quadric in w
+        A, c, rhs = chart.quadric
+        quadric = (lift.T @ A @ lift, c @ lift, rhs)
 
-    aligned = replace(chart, phi=phi_a, grad_phi=grad_a, hess_phi=hess_a, pose=pose)
+    aligned = replace(chart, phi=phi_a, grad_phi=grad_a, hess_phi=hess_a, pose=pose, quadric=quadric)
     return AlignedFrame(chart=aligned, threshold=un / norm_up)
 
 
@@ -205,6 +220,49 @@ def _at_fibers(fn, ypp, segments):
     return out
 
 
+def _quadric_roots(quadric, threshold: float, ypp: np.ndarray) -> np.ndarray:
+    """Closed-form shadow-boundary heights over the rows of ``ypp``
+    ``(K, m - 1)`` on an aligned chart that is the upper sheet of the quadric
+    ``(A, c, rhs)``; NaN where the closed form gives none.
+
+    The root over ``y''`` is where the slope ``-G_t / G_s - threshold``
+    vanishes, that is where ``grad G = (A + A^T)(w - c)`` is orthogonal to
+    ``d = e_t + threshold e_n``: on the plane ``v . (w - c) = 0`` with
+    ``v = (A + A^T) d``.  It cuts the fiber's (t, s) plane in a line, walked
+    from its point nearest the origin along ``(v_s, -v_t)`` rather than
+    solved for s, whose coefficient v_s may vanish; G on it is
+    ``a2 l^2 + 2 a1 l + a0``.  On the
+    plane ``G_t = -threshold G_s``, so ``dG/dl = kappa G_s`` with
+    ``kappa = -threshold v_s - v_t = -d . v`` (negative for a positive
+    definite A): the root where dG/dl has the sign of kappa is the one on
+    the upper sheet, ``G_s > 0``.  Every row is NaN for
+    ``kappa = 0`` or ``a2 = 0``, and a row is NaN where the discriminant is
+    negative (the fiber plane misses the quadric).
+    """
+    A, c, rhs = quadric
+    S = A + A.T
+    n = len(c)
+    with np.errstate(all="ignore"):  # a miss or an overflow holds NaN or inf, which no fiber keeps
+        v = S[:, -2] + threshold * S[:, -1]
+        vt, vs = v[-2], v[-1]
+        kappa = -threshold * vs - vt
+        e = np.zeros(n)
+        e[-2:] = vs, -vt
+        a2 = float(e @ A @ e)
+        if kappa == 0 or a2 == 0:
+            return np.full(len(ypp), np.nan)
+        W = np.zeros((len(ypp), n))  # w - c at the line's point nearest the origin
+        W[:, :-2] = ypp
+        W -= c
+        W[:, -2:] -= np.outer(W @ v, [vt, vs]) / (vt * vt + vs * vs)
+        a1 = 0.5 * (W @ (S @ e))
+        a0 = np.vecdot(W, W @ A) - rhs
+        sign = 1.0 if kappa > 0 else -1.0
+        sq = np.sqrt(a1 * a1 - a2 * a0)
+        lam = np.where(sign * a1 <= 0, (sign * sq - a1) / a2, a0 / (-a1 - sign * sq))  # no cancellation
+        return c[-2] + W[:, -2] + lam * vs
+
+
 def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
     """Shadow-boundary heights over the rows of ``ypp`` ``(K, m - 1)``.
 
@@ -214,6 +272,12 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
     calls.  Per fiber, with T = 0.999 times the half-chord of the domain
     over ``y''``:
 
+    0. on a chart that carries its ``quadric``, a closed-form proposal
+       (``_quadric_roots``), certified before the first round by one stacked
+       slope call over every proposal with |t| < T_end (below): where
+       |slope| <= ``tol`` the proposal is the root and goes on to the sign
+       probes (3).  The quadric only proposes; every other fiber, including
+       one whose certifying call raises, takes steps 1 to 3 unchanged;
     1. expanding bracket: the slope is strictly decreasing along the fiber,
        so probe -+T(1 - 2^-k), k = 1..BRACKET_EXPANSIONS, until
        slope(t-) > 0 > slope(t+).  The last probes, -+T_end, bracket if and
@@ -251,6 +315,16 @@ def _gamma_rows(frame: AlignedFrame, ypp: np.ndarray, tol: float):
     s_neg, s_pos, lo, hi, best_t, best_s, raised, gamma, delta = np.full((9, K), np.nan)
     steps = np.zeros(K, int)
     later = {}  # fiber: its endpoint slopes and the error of an endpoint probe
+
+    if frame.chart.quadric is not None:  # 0. closed-form proposals and their certification
+        t0 = _quadric_roots(frame.chart.quadric, frame.threshold, ypp)
+        cand = np.flatnonzero((stage == _BRACKET) & (np.abs(t0) < T_end))
+        ((s0, _),) = _at_fibers(frame.slope, ypp, [(cand, t0[cand])])
+        ok = np.abs(s0) <= tol  # NaN where the certifying call raised
+        acc = cand[ok]
+        gamma[acc], best_s[acc] = t0[acc], s0[ok]
+        delta[acc] = np.minimum(0.01 * T[acc], 0.25 * (T[acc] - np.abs(gamma[acc])) + 1e-18)
+        stage[acc] = np.where(delta[acc] > floor[acc], _PROBE, _DONE)
 
     def fail(errs):
         """Records ``{fiber: error}``; a fiber keeps its first error."""

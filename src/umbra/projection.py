@@ -790,7 +790,8 @@ def barrier_chart(chart: ConcaveChart, t_star: float) -> ConcaveChart:
 
     Subtracting the paraboloid turns any concave chart into one with
     concavity modulus at least ``1/t*``, which is what makes the shadow
-    boundary of the barrier a Lipschitz graph.
+    boundary of the barrier a Lipschitz graph.  psi is not the graph of the
+    chart's quadric, so the barrier chart carries none.
     """
     if t_star <= 0:
         raise ParameterError("t_star must be positive")
@@ -798,7 +799,7 @@ def barrier_chart(chart: ConcaveChart, t_star: float) -> ConcaveChart:
     psi = lambda z: chart.phi(z) - 0.5 * inv * np.vecdot(z, z)
     grad = lambda z: np.asarray(chart.grad_phi(z), float) - inv * np.asarray(z, float)
     hess = lambda z: np.asarray(chart.hess_phi(z), float) - inv * np.eye(chart.dim_domain)
-    return replace(chart, phi=psi, grad_phi=grad, hess_phi=hess)
+    return replace(chart, phi=psi, grad_phi=grad, hess_phi=hess, quadric=None)
 
 
 def barrier_gamma_bar(chart: ConcaveChart, t_star: float, zpp, tol_root: float | None = None) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from umbra import bodies
+from umbra import bodies, illumination
 from umbra.bodies import ConcaveChart, chart_at, sample_boundary_points
 from umbra.errors import (
     BoundaryNotInChartError,
@@ -26,6 +27,7 @@ from umbra.illumination import (
     shadow_boundary_sweep,
     shadow_horizon_point,
 )
+from umbra.projection import barrier_chart
 
 import oracles
 
@@ -72,6 +74,24 @@ def test_membership_outside_domain_errors():
     ch = sphere_chart([0.0, 0.0, -1.0], r=0.5)
     with pytest.raises(DomainError):
         is_in_shadow(ch, Direction(np.array([1.0, 0.0, 0.0])), [0.6, 0.0])
+
+
+def test_chart_oracles_refuse_other_shapes():
+    # a (4,) point on a 2-d chart was read as a two-row stack, a (3,) point
+    # ended in a raw reshape error
+    ch = sphere_chart([0.0, 0.0, -1.0])
+    u = Direction(np.array([1.0, 0.0, 0.0]))
+    for bad in (0.01, [0.01] * 3, [0.01] * 4, np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ParameterError, match=r"expected \(2,\) or \(N, 2\)"):
+            is_in_shadow(ch, u, bad)
+        for oracle in (ch.value, ch.gradient, ch.hessian):
+            with pytest.raises(ParameterError, match="shape"):
+                oracle(bad)
+    with pytest.raises(ParameterError, match="not one point"):
+        is_in_shadow(ch, u, np.zeros((3, 2)))
+    assert ch.gradient([0.01, 0.02]).shape == (2,)
+    assert ch.gradient(np.zeros((3, 2))).shape == (3, 2)
+    assert ch.value(np.zeros((0, 2))).shape == (0,)
 
 
 def test_sphere_membership_against_normal_oracle(rng):
@@ -557,3 +577,143 @@ def test_fiber_solves_call_only_the_slope(rng):
         curve = shadow_boundary_sweep(counted, u, np.linspace(-0.4, 0.4, 65) * chart.domain_radius, tol_root=1e-10)
         shadow_boundary_gamma(counted, u, curve.ypp[len(curve) // 2], tol_root=1e-10)
         assert calls["grad_phi"] > 0 and calls["hess_phi"] == 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form roots on quadric charts
+
+
+def _quadric_case(kind):
+    """A chart of a quadric body, the light u and the body's semiaxis range
+    (lo, hi).  Ellipsoid charts are based at a horizon point of u; the ball's
+    is turned off it, where its great-circle silhouette is not the line
+    gamma = 0 but leaves the chart."""
+    rng = np.random.default_rng({"n3": 31, "n4": 41, "n5": 51, "ball": 61}[kind])
+    if kind == "ball":
+        body, lo, hi = bodies.translated_ball([0.4, -0.7, 1.3], 0.9), 0.9, 0.9
+    else:
+        n = int(kind[1])
+        semiaxes = rng.uniform(0.8, 1.6, size=n)
+        body = bodies.ellipsoid(semiaxes, bodies.Pose(oracles.random_rotation(rng, n), rng.normal(size=n)))
+        lo, hi = semiaxes.min(), semiaxes.max()
+    u = Direction.normalized(rng.normal(size=body.dim))
+    p = shadow_horizon_point(body, u, rng)
+    if kind == "ball":
+        p = bodies.boundary_point_along(body, p - body.center + 0.3 * u.u)
+    return chart_at(body, p, domain_radius=0.35 * lo), u, (lo, hi)
+
+
+def _past_the_chart(chart, hi, rng):
+    """Grid points y'' inside the chart domain, at its edge, and out past
+    the body itself."""
+    m = chart.dim_domain - 1
+    r = chart.domain_radius
+    radii = np.concatenate([np.linspace(0.0, 0.999, 97) * r, np.linspace(0.9, 0.9999, 32) * r,
+                            np.linspace(1.01 * r, 3.0 * hi, 16)])
+    dirs = rng.normal(size=(len(radii), m))
+    dirs[::2] *= -1.0
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None] * radii[:, None]
+
+
+@pytest.mark.parametrize("kind", ["n3", "n4", "n5", "ball"])
+def test_quadric_roots_match_the_bracket_path(kind):
+    # the same chart with and without its quadric: the closed form keeps the
+    # same rows and fails the same rows for the same reasons, and its
+    # residuals sit at the rounding level.  The bracket path stops at a
+    # slope residual within tol_root, and the slope falls at a rate of at
+    # least the least curvature lo / hi^2 along a fiber, so the two gammas
+    # differ by at most that residual over it (up to 1.4 tol_root here).
+    # The grid runs past where the silhouette leaves the chart (|gamma| >=
+    # T_end, no bracket) and past the body (the fiber plane misses the
+    # quadric: a negative discriminant), with no numpy warning
+    chart, u, (lo, hi) = _quadric_case(kind)
+    grid = _past_the_chart(chart, hi, np.random.default_rng(7))
+    tol = 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        closed = shadow_boundary_sweep(chart, u, grid, tol_root=tol)
+        bracket = shadow_boundary_sweep(replace(chart, quadric=None), u, grid, tol_root=tol)
+        frame = align_chart(chart, u)
+        proposed = illumination._quadric_roots(frame.chart.quadric, frame.threshold, grid)
+    assert np.array_equal(closed.ypp, bracket.ypp)
+    assert [(tuple(r), s) for r, s in closed.failures] == [(tuple(r), s) for r, s in bracket.failures]
+    kept = {tuple(r) for r in closed.ypp}
+    assert np.array_equal(closed.gamma, proposed[[tuple(r) in kept for r in grid]])
+    assert np.abs(closed.residual).max() <= 1e-13
+    assert (np.abs(closed.gamma - bracket.gamma) <= (np.abs(bracket.residual) + 1e-13) * hi**2 / lo).all()
+    reasons = [s for _, s in closed.failures]
+    assert any("expansion cap" in s for s in reasons) and any("outside the chart domain" in s for s in reasons)
+    assert np.isnan(proposed).any()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_planar_gamma_lies_on_the_closed_form_horizon(sign):
+    # n = 2: no sweep, and the root over the empty y'' is one of the two
+    # horizon points, where A(x - c) is orthogonal to u; charts are based
+    # off the horizon, and the light's sign flips the aligned axis or not
+    theta = 0.4
+    R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    semiaxes, c = np.array([1.3, 0.7]), np.array([0.2, -0.1])
+    body = bodies.ellipsoid(semiaxes, bodies.Pose(R, c))
+    A, _ = oracles.quadric_of_ellipsoid(semiaxes, R, c)
+    u = sign * np.array([0.6, 0.8])
+    v = np.array([-(A @ u)[1], (A @ u)[0]])
+    turn = np.array([[math.cos(0.15), -math.sin(0.15)], [math.sin(0.15), math.cos(0.15)]])
+    for h in (c + v / math.sqrt(v @ A @ v), c - v / math.sqrt(v @ A @ v)):
+        chart = chart_at(body, bodies.boundary_point_along(body, turn @ (h - c)), domain_radius=0.3)
+        assert chart.quadric is not None
+        gamma, resid = shadow_boundary_gamma(chart, u, [])
+        flip = 1.0 if chart.pose.rotate_to_local(u)[0] > 0 else -1.0
+        assert abs(gamma) > 0.01 and abs(resid) <= 1e-13
+        assert np.linalg.norm(chart.to_world([flip * gamma]) - h) <= 1e-9
+        assert abs(shadow_boundary_gamma(replace(chart, quadric=None), u, [])[0] - gamma) <= 1e-10
+
+
+def test_barrier_chart_drops_the_quadric():
+    # psi is not the graph of the quadric: the barrier chart solves on the
+    # bracket path, with the gamma of a chart that never had a quadric
+    chart, u, _ = _quadric_case("n3")
+    bc = barrier_chart(chart, 0.7)
+    assert chart.quadric is not None and bc.quadric is None
+    grid = np.linspace(-0.6, 0.6, 33) * chart.domain_radius
+    got = shadow_boundary_sweep(bc, u, grid, tol_root=1e-10)
+    want = shadow_boundary_sweep(barrier_chart(replace(chart, quadric=None), 0.7), u, grid, tol_root=1e-10)
+    assert np.array_equal(got.ypp, want.ypp) and np.array_equal(got.gamma, want.gamma)
+    # a chart that keeps a quadric its callbacks no longer graph is safe: the
+    # slope certifies each proposal against the callbacks, and the proposals
+    # it refuses go through the bracket path
+    stale = shadow_boundary_sweep(replace(bc, quadric=chart.quadric), u, grid, tol_root=1e-10)
+    assert np.array_equal(stale.ypp, want.ypp) and np.abs(stale.gamma - want.gamma).max() <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["n3", "n4", "n5", "ball", "planar"])
+def test_aligned_quadric_vanishes_on_the_aligned_graph(kind):
+    # align_chart rotates the quadric by the lift of Q: G(z, phi(z)) = 0 on
+    # the aligned chart (the planar light flips the aligned axis)
+    if kind == "planar":
+        chart = chart_at(bodies.ellipsoid([1.3, 0.7]), [0.0, 0.7], domain_radius=0.5)
+        u = Direction.normalized([-1.0, 0.2])
+    else:
+        chart, u, _ = _quadric_case(kind)
+    frame = align_chart(chart, u)
+    A, c, rhs = frame.chart.quadric
+    rng = np.random.default_rng(3)
+    m = chart.dim_domain
+    z = rng.normal(size=(200, m))
+    z *= (rng.random(200) * 0.99 * chart.domain_radius / np.linalg.norm(z, axis=1))[:, None]
+    w = np.column_stack([z, frame.chart.phi(z)]) - c
+    assert np.abs(np.vecdot(w, w @ A) - rhs).max() <= 1e-12
+
+
+def test_quadric_sweep_makes_two_stacked_slope_calls():
+    # one call certifies every proposal and one makes the sign probes; the
+    # same chart without its quadric brackets and refines in many rounds
+    chart, u, _ = _quadric_case("n3")
+    grid = np.linspace(-0.45, 0.45, 257) * chart.domain_radius
+    calls = []
+    counted = replace(chart, grad_phi=lambda z: calls.append(np.ndim(z)) or chart.grad_phi(z))
+    curve = shadow_boundary_sweep(counted, u, grid, tol_root=1e-10)
+    assert len(curve) == 257 and calls == [2, 2]
+    calls.clear()
+    shadow_boundary_sweep(replace(counted, quadric=None), u, grid, tol_root=1e-10)
+    assert len(calls) >= 10
