@@ -167,13 +167,16 @@ def cusp_check(curve, center, L, theta, alpha, tol: float = 1e-9) -> ConeCertifi
         raise ParameterError("cusp_check needs L, theta and alpha")
     if not (0 < L < math.inf and 0 < theta < math.inf and 0 < alpha <= 1 and 0 <= tol < math.inf):
         raise ParameterError("need finite L > 0, theta > 0 and tol >= 0, and alpha in (0, 1]")
+    slope = float(L) / float(theta)
+    if not math.isfinite(slope):
+        raise ParameterError(f"L / theta must be finite, got L = {L:.3g} and theta = {theta:.3g}")
     ypp = np.atleast_2d(np.asarray(curve.ypp, float))
     gamma = np.asarray(curve.gamma, float)
     center = np.atleast_1d(np.asarray(center, float))
     g0, dist = _center_value(ypp, gamma, center)
 
-    slope = L / theta
-    excess = (gamma - g0) - slope * dist**alpha
+    with np.errstate(over="ignore"):  # a bound past the float range is inf, which no sample exceeds
+        excess = (gamma - g0) - slope * dist**alpha
     violations = int(np.sum(excess > tol))
     return ConeCertificate(
         apex=np.append(center, g0),
@@ -192,14 +195,20 @@ def box_dimension(points, scales, rng=None) -> DimensionEstimate:
     least 100 finite points and at least 4 scales spanning a decade, the
     smallest at least 2**-62 of the points' extent.
 
-    Each scale floors all offsets at once into a ``(4, d, N)``
-    int64 box-index stack, the memory this function needs.  Each point folds
-    into one mixed-radix int64 key ``(i_0 s_1 + i_1) s_2 + ...``, where
-    ``s_j`` is one more than column j's largest index; the keys are sorted
-    along each offset and the occupied boxes are one plus the changes
-    between neighbours (Liebovitch & Toth, Phys. Lett. A 141, 1989).  When
-    the product of the ``s_j`` passes 2**63 the key would overflow, and the
-    rows of each offset are sorted with ``np.lexsort`` instead.
+    Each scale fills one float buffer of shape ``(4, d, N)``, allocated once
+    per call, with the shifted quotients ``(x - shift) / eps`` of all offsets.
+    Every quotient is at least 0, since ``shift = lo - offset * eps`` lies at
+    or below every coordinate and rounding is monotone, so the truncating
+    integer cast is already the floor.  Each point folds into one mixed-radix
+    key ``(i_0 s_1 + i_1) s_2 + ...``, where ``s_j`` is one more than column
+    j's largest index; the keys are sorted along each offset and the occupied
+    boxes are one plus the changes between neighbours (Liebovitch & Toth,
+    Phys. Lett. A 141, 1989).  The key width follows from the product of the
+    ``s_j``: int32 below 2**31, int64 up to 2**63, and past that the key would
+    overflow, so the rows of each offset are sorted with ``np.lexsort``
+    instead.  The memory this function needs is the buffer (8 bytes per point,
+    column and offset), its integer cast (4 or 8 bytes each) and the keys (4
+    or 8 bytes per point and offset).
     """
     pts = np.atleast_2d(np.asarray(points, float))
     if pts.shape[0] < 100:
@@ -211,17 +220,19 @@ def box_dimension(points, scales, rng=None) -> DimensionEstimate:
         raise ParameterError("need >= 4 scales")
     if not (scales[0] > 0 and np.isfinite(scales).all()):
         raise ParameterError("scales must be positive and finite")
-    if scales[-1] / scales[0] < 10.0:
+    # products of Python floats, not quotients: a subnormal scales[0] would overflow them
+    smallest, largest = float(scales[0]), float(scales[-1])
+    if largest < 10.0 * smallest:
         raise ParameterError("scales must span at least a decade")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     with np.errstate(over="ignore"):  # an overflowed extent is refused below
         extent = float((hi - lo).max())
     # every shifted coordinate below is at most |lo| + extent + eps in size
-    if not math.isfinite(float(np.abs(lo).max()) + extent + float(scales[-1])):
+    if not math.isfinite(float(np.abs(lo).max()) + extent + largest):
         raise ParameterError("points and scales must stay well below the float range")
-    if extent / scales[0] > 2.0**62:
+    if extent > 2.0**62 * smallest:
         raise ParameterError(
-            f"scales[0] = {scales[0]:.3g} is too small for points of extent {extent:.3g}: "
+            f"scales[0] = {smallest:.3g} is too small for points of extent {extent:.3g}: "
             "box indices would pass 2**62"
         )
     rng = np.random.default_rng(rng)
@@ -229,18 +240,23 @@ def box_dimension(points, scales, rng=None) -> DimensionEstimate:
     offsets = rng.random((4, dim))
 
     cols = np.ascontiguousarray(pts.T)  # (d, N): each column one contiguous run
+    buf = np.empty((4, dim, pts.shape[0]))
 
     counts = []
     for eps in scales:
         shift = lo - offsets * eps  # (4, d)
-        idx = np.floor((cols - shift[:, :, None]) / eps).astype(np.int64)  # (4, d, N)
-        # floor of the same monotone expression: each column's largest index
-        radix = np.floor((hi - shift) / eps).max(axis=0).astype(np.int64) + 1
+        # floor of the buffer's monotone expression at hi: each column's largest index
+        radix = (np.floor((hi - shift) / eps).max(axis=0).astype(np.int64) + 1).tolist()
+        size = math.prod(radix)
+        np.subtract(cols, shift[:, :, None], out=buf)
+        buf /= eps
+        idx = buf.astype(np.int32 if size < 2**31 else np.int64)  # (4, d, N), >= 0: the floor
         # occupied boxes: one plus the number of changes between sorted rows
-        if math.prod(radix.tolist()) <= 2**63:  # the largest key, the product - 1, fits
-            key = idx[:, 0]
+        if size <= 2**63:  # the largest key, size - 1, fits
+            key = np.ascontiguousarray(idx[:, 0])
             for j in range(1, dim):
-                key = key * radix[j] + idx[:, j]
+                key *= radix[j]
+                key += idx[:, j]
             key.sort(axis=1)
             n_occ = 1 + np.count_nonzero(key[:, 1:] != key[:, :-1], axis=1)
         else:

@@ -246,6 +246,10 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
         pytest.param(
             ["diagnose", "{curve}", "cusp", "--L", "inf", "--theta", "1", "--alpha", "1"], "L", id="cusp-L-inf"
         ),
+        pytest.param(  # finite flags whose ratio overflows: an infinite cone would pass on NaN
+            ["diagnose", "{curve}", "cusp", "--L", "1e308", "--theta", "1e-308", "--alpha", "1"], "L / theta",
+            id="cusp-slope-overflows",
+        ),
         pytest.param(
             ["diagnose", "{curve}", "cusp", "--L", "1", "--theta", "1", "--alpha", "1", "--cusp-tol", "nan"],
             "tol", id="cusp-tol-nan",
@@ -253,6 +257,10 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
         pytest.param(
             ["diagnose", "{curve}", "boxdim", "--scales", "nan", "0.01", "0.05", "0.1"], "scales",
             id="boxdim-scale-nan",
+        ),
+        pytest.param(  # extent / 5e-324 would overflow before the scale is refused
+            ["diagnose", "{curve}", "boxdim", "--scales", "5e-324", "1e-320", "1e-310", "1e-300"], "scales",
+            id="boxdim-scale-subnormal",
         ),
         pytest.param(  # a 2-vector center on a curve over a line broadcast into a 5-entry apex
             ["diagnose", "{curve}", "cusp", "--center", "0", "0", "--L", "1", "--theta", "1", "--alpha", "1"],

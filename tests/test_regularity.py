@@ -175,6 +175,12 @@ def test_cusp_check_missing_parameters():
         cusp_check(curve, [0.0], L=None, theta=1.0, alpha=1.0)
     with pytest.raises(ParameterError):
         cusp_check(curve, [0.0], L=1.0, theta=-1.0, alpha=1.0)
+    with warnings.catch_warnings():  # a finite L and theta whose ratio overflows
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="L / theta"):
+            cusp_check(curve, [0.0], L=1e308, theta=1e-308, alpha=1.0)
+        far = synthetic_curve(1e10 * r, r)  # a finite slope whose bound overflows far out
+        assert cusp_check(far, [0.0], L=1e308, theta=1.0, alpha=1.0).passed
 
 
 def test_kiselman_defeats_any_uniform_concavity_claim():
@@ -283,6 +289,36 @@ def test_box_dimension_overflowing_key_falls_back_to_row_sorts(monkeypatch):
     assert est.counts.tolist() == _tuple_counts(pts, scales, 4)
 
 
+def _integer_cloud(radices, n=400):
+    """Integer points whose column j spans 0 .. radices[j] - 1, both ends included."""
+    rng = np.random.default_rng(len(radices))
+    pts = np.column_stack([rng.integers(0, r, n) for r in radices]).astype(float)
+    pts[0], pts[1] = 0.0, np.array(radices) - 1.0
+    return pts
+
+
+@pytest.mark.parametrize(
+    "radices",
+    [
+        pytest.param((46341, 46340), id="int32-keys-2**31-41708"),
+        pytest.param((46341, 46341), id="int64-keys-2**31+4633"),
+        pytest.param((2**31 + 4633,), id="int64-keys-one-column"),  # no int32 cast could take its indices
+        pytest.param((2**31, 1), id="radix-2**31-first"),
+        pytest.param((1, 2**31), id="radix-2**31-last"),  # an int32 key could not take this multiplier
+    ],
+)
+def test_box_dimension_key_width_counts_match_tuples(radices):
+    # at eps = 1 column j of an integer cloud needs radices[j] indices, so the
+    # finest scale's key range is their product, on either side of 2**31
+    pts = _integer_cloud(radices)
+    scales = [1.0, 3.0, 10.0, 30.0]
+    offsets = np.random.default_rng(7).random((4, len(radices)))
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    assert np.floor(hi - (lo - offsets)).max(axis=0).tolist() == [r - 1 for r in radices]
+    est = box_dimension(pts, scales, rng=7)
+    assert est.counts.tolist() == _tuple_counts(pts, scales, 7)
+
+
 def test_box_dimension_parameter_errors():
     pts = np.random.default_rng(0).normal(size=(150, 2))
     with pytest.raises(ParameterError):
@@ -308,6 +344,8 @@ def _with(*cells):
         pytest.param(_with((0, 0, np.inf)), [0.01, 0.02, 0.05, 0.2], "points", id="inf-point"),
         pytest.param(np.zeros((150, 0)), [0.01, 0.02, 0.05, 0.2], "points", id="no-columns"),
         pytest.param(_with(), [1e-19, 1e-18, 1e-17, 1e-16], "scales", id="indices-past-2**62"),
+        pytest.param(_with(), [5e-324, 1e-320, 1e-310, 1e-300], "scales", id="subnormal-scale"),
+        pytest.param(_with(), [5e-324, 1e-320, 1e-310, 1e300], "scales", id="subnormal-scale-span-overflows"),
         pytest.param(_with((0, 0, 1.5e308), (1, 0, -1.5e308)), [0.01, 0.02, 0.05, 0.2], "points and scales",
                      id="extent-overflows"),
         pytest.param(_with() - 1e308, [1e307, 1e308, 1.5e308, 1.7e308], "points and scales",
