@@ -16,6 +16,7 @@ a strictly-but-not-uniformly convex patch with a controllable flat direction
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -191,6 +192,12 @@ class ImplicitBody:
     through them.  ``hessian`` may be None (C^{1,1} bodies, the Cantor
     contact pair): ``hessian_at`` then takes central differences of the
     gradient.
+
+    ``pieces`` holds, for a body with a gradient kink, the smooth convex
+    ``(value, gradient, Hessian or None)`` triples whose maximum is G, on
+    the same shapes: ``_max_of_pieces`` builds G's oracles from them, and
+    ``project_point`` solves for nearest points on them.  It is None for a
+    smooth body.
     """
 
     dim: int
@@ -200,10 +207,7 @@ class ImplicitBody:
     bounding_radius: float
     center: np.ndarray
     convexity: Convexity
-    # smallest |branch difference| for piecewise oracles, at a point or the rows
-    # of a stack; lets body_self_check skip finite-difference checks straddling
-    # a kink (None for globally smooth G)
-    kink_margin: Callable[[np.ndarray], float] | None = None
+    pieces: tuple | None = None
     # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
     quadric: tuple | None = None
 
@@ -652,6 +656,36 @@ def _quadric_oracles(A, c, rhs):
     return value, gradient, hessian
 
 
+def _max_of_pieces(pieces):
+    """Value, gradient and Hessian of G = max of smooth pieces
+    ``(value, gradient, Hessian or None)``, each on a point ``(n,)`` or a
+    stack ``(N, n)``.  Each row takes its largest piece, the first one on
+    ties, and only that piece's gradient and Hessian are evaluated on that
+    row.  G has a Hessian when every piece has one."""
+
+    def value(p):
+        return functools.reduce(np.maximum, [v(p) for v, _, _ in pieces])
+
+    def oracle(order):
+        def f(p):
+            p = np.asarray(p, float)
+            largest = np.argmax([v(p) for v, _, _ in pieces], axis=0)
+            first = largest.flat[0] if largest.size else 0
+            if (largest == first).all():  # one piece on every row
+                return pieces[first][order](p)
+            out = np.zeros(p.shape + p.shape[-1:] * (order - 1))
+            for i, piece in enumerate(pieces):
+                on = largest == i
+                if on.any():
+                    out[on] = piece[order](p[on])
+            return out
+
+        return f
+
+    hessian = oracle(2) if all(h is not None for _, _, h in pieces) else None
+    return value, oracle(1), hessian
+
+
 def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
     if pose is None:
         return base
@@ -665,16 +699,17 @@ def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
         value, gradient, hessian = _quadric_oracles(*quadric)
         return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, quadric=quadric)
 
-    # (x - t) @ R maps a point, or each row of a stack, to local coordinates
-    value = lambda x: base.value((x - t) @ R)
-    gradient = lambda x: base.gradient((x - t) @ R) @ Rt
-    hessian = None
-    if base.hessian is not None:
-        hessian = lambda x: R @ base.hessian((x - t) @ R) @ Rt
-    kink = None
-    if base.kink_margin is not None:
-        kink = lambda x: base.kink_margin((x - t) @ R)
-    return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, kink_margin=kink)
+    def posed(value, gradient, hessian):
+        # (x - t) @ R maps a point, or each row of a stack, to local coordinates
+        return (
+            lambda x: value((x - t) @ R),
+            lambda x: gradient((x - t) @ R) @ Rt,
+            None if hessian is None else lambda x: R @ hessian((x - t) @ R) @ Rt,
+        )
+
+    value, gradient, hessian = posed(base.value, base.gradient, base.hessian)
+    pieces = None if base.pieces is None else tuple(posed(*piece) for piece in base.pieces)
+    return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, pieces=pieces)
 
 
 def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
@@ -755,26 +790,20 @@ def _kiselman_profile(q: int):
     return f, fx, fy, fxx, fxy, fyy
 
 
-def kiselman(
-    q: int,
-    strip_half_width: float = 0.49,
-    clamp_radius: float | None = None,
-    pose: Pose | None = None,
-) -> ImplicitBody:
+def kiselman(q: int, clamp_radius: float | None = None, pose: Pose | None = None) -> ImplicitBody:
     """Strictly convex body whose shadow boundary is exactly C^(2/q).
 
     The boundary patch is the graph ``z = -f(x, y)`` of the strip profile
     above; the body occupies the subgraph.  By default this is a local patch
-    model: smooth and strictly convex on ``|y| < strip_half_width`` but
-    unbounded, with ``bounding_radius`` set to the validity radius.  Passing
+    model: smooth and strictly convex on ``|y| < 0.49`` but unbounded, with
+    ``bounding_radius`` set to that validity radius.  Passing
     ``clamp_radius`` intersects the patch with a ball of that radius around
     the origin, producing a bounded body suitable for projection queries (at
     the cost of a C0 seam where the ball meets the patch).
     """
     if not isinstance(q, (int, np.integer)) or q < 3 or q % 2 == 0:
         raise ParameterError("q must be an odd integer >= 3")
-    if not (0 < strip_half_width < 0.5):
-        raise ParameterError("strip_half_width must lie in (0, 1/2)")
+    half_width = 0.49
     f, fx, fy, fxx, fxy, fyy = _kiselman_profile(int(q))
 
     # x, y, z = p.T unpacks the coordinates of a point, or the columns of a
@@ -796,46 +825,27 @@ def kiselman(
         H[..., 0, 1] = H[..., 1, 0] = fxy(x, y)
         return H
 
-    if clamp_radius is None:
-        body = ImplicitBody(
-            dim=3,
-            value=patch_value,
-            gradient=patch_grad,
-            hessian=patch_hess,
-            bounding_radius=strip_half_width,
-            center=np.array([0.0, 0.0, -0.4 * strip_half_width]),
-            convexity=Convexity.strictly_convex(),
+    value, gradient, hessian, pieces, radius = patch_value, patch_grad, patch_hess, None, half_width
+    if clamp_radius is not None:
+        radius = float(clamp_radius)
+        if not (0 < radius <= half_width):
+            raise ParameterError(f"clamp_radius must lie in (0, {half_width}]")
+        ball = (
+            lambda p: np.vecdot(p, p) - radius * radius,
+            lambda p: 2.0 * p,
+            lambda p: np.zeros(np.shape(p) + (3,)) + 2.0 * np.eye(3),
         )
-        return _posed(body, pose)
-
-    rv = float(clamp_radius)
-    if not (0 < rv <= strip_half_width):
-        raise ParameterError("clamp_radius must lie in (0, strip_half_width]")
-
-    ball_value = lambda p: np.vecdot(p, p) - rv * rv
-    on_patch = lambda p: patch_value(p) >= ball_value(p)
-
-    def value(p):
-        return np.maximum(patch_value(p), ball_value(p))
-
-    def gradient(p):
-        return np.where(on_patch(p)[..., None], patch_grad(p), 2.0 * p)
-
-    def hessian(p):
-        return np.where(on_patch(p)[..., None, None], patch_hess(p), 2.0 * np.eye(3))
-
-    def kink(p):
-        return np.abs(patch_value(p) - ball_value(p))
-
+        pieces = ((patch_value, patch_grad, patch_hess), ball)
+        value, gradient, hessian = _max_of_pieces(pieces)
     body = ImplicitBody(
         dim=3,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        bounding_radius=rv,
-        center=np.array([0.0, 0.0, -0.4 * rv]),
+        bounding_radius=radius,
+        center=np.array([0.0, 0.0, -0.4 * radius]),
         convexity=Convexity.strictly_convex(),
-        kink_margin=kink,
+        pieces=pieces,
     )
     return _posed(body, pose)
 
@@ -850,37 +860,30 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
     strictly convex, and the boundary has an edge along the base rim.
     """
 
-    def parts(p, what=None):
-        """u = (x + y - 1, z), |u|, which points are on the lateral side,
-        and |u| with 1 off that side; ``what`` names the oracle that is
+    def gauge(p, what=None):
+        """u = (x + y - 1, z) and |u|; ``what`` names the oracle that is
         undefined on the cone axis."""
         u0, u1 = p[..., 0] + p[..., 1] - 1.0, p[..., 2]
         rho = np.sqrt(u0 * u0 + u1 * u1)
-        lateral = rho + p[..., 1] - 1.0 >= -p[..., 1]
-        if what is not None and np.any(lateral & (rho < 1e-14)):
+        if what is not None and np.any(rho < 1e-14):
             raise DegeneratePointError(f"gauge {what} undefined on the cone axis")
-        return u0, u1, rho, lateral, np.where(lateral, rho, 1.0)
+        return u0, u1, rho
 
-    def value(p):
-        _, _, rho, _, _ = parts(p)
-        return np.maximum(rho + p[..., 1] - 1.0, -p[..., 1])
+    def lateral_grad(p):
+        u0, u1, r = gauge(p, "gradient")
+        return np.stack([u0 / r, u0 / r + 1.0, u1 / r], axis=-1)
 
-    def gradient(p):
-        u0, u1, _, lateral, r = parts(p, "gradient")
-        g = np.stack([u0 / r, u0 / r + 1.0, u1 / r], axis=-1)
-        return np.where(lateral[..., None], g, [0.0, -1.0, 0.0])
-
-    def hessian(p):
+    def lateral_hess(p):
         # L^T M L with L = [[1, 1, 0], [0, 0, 1]], M = I/rho - u u^T/rho^3
-        u0, u1, _, lateral, r = parts(p, "Hessian")
+        u0, u1, r = gauge(p, "Hessian")
         a, b, c = 1.0 / r - u0 * u0 / r**3, -u0 * u1 / r**3, 1.0 / r - u1 * u1 / r**3
-        H = np.stack([a, a, b, a, a, b, b, b, c], axis=-1).reshape(np.shape(p) + (3,))
-        return np.where(lateral[..., None, None], H, 0.0)
+        return np.stack([a, a, b, a, a, b, b, b, c], axis=-1).reshape(np.shape(p) + (3,))
 
-    def kink(p):
-        _, _, rho, _, _ = parts(p)
-        return np.abs((rho + p[..., 1] - 1.0) - (-p[..., 1]))
-
+    pieces = (
+        (lambda p: gauge(p)[2] + p[..., 1] - 1.0, lateral_grad, lateral_hess),
+        (lambda p: -p[..., 1], lambda p: np.zeros(np.shape(p)) + [0.0, -1.0, 0.0], lambda p: np.zeros(np.shape(p) + (3,))),
+    )
+    value, gradient, hessian = _max_of_pieces(pieces)
     body = ImplicitBody(
         dim=3,
         value=value,
@@ -889,7 +892,7 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
         bounding_radius=1.3,
         center=np.array([0.75, 0.25, 0.0]),
         convexity=Convexity.convex(),
-        kink_margin=kink,
+        pieces=pieces,
     )
     return _posed(body, pose)
 
@@ -1047,18 +1050,15 @@ def cantor_contact(
         profile = lambda x: x * x
         profile_d = lambda x: 2.0 * x
 
-    def value(p):
-        return np.maximum(profile(p[..., 0]) - p[..., 1], p[..., 1] - cap)
-
-    def gradient(p):
-        x = p[..., 0]
-        on_graph = profile(x) - p[..., 1] >= p[..., 1] - cap
-        g = np.stack([profile_d(x), np.full(np.shape(x), -1.0)], axis=-1)
-        return np.where(on_graph[..., None], g, [0.0, 1.0])
-
-    def kink(p):
-        return np.abs((profile(p[..., 0]) - p[..., 1]) - (p[..., 1] - cap))
-
+    pieces = (
+        (
+            lambda p: profile(p[..., 0]) - p[..., 1],
+            lambda p: np.stack([profile_d(p[..., 0]), np.full(np.shape(p)[:-1], -1.0)], axis=-1),
+            None,
+        ),
+        (lambda p: p[..., 1] - cap, lambda p: np.zeros(np.shape(p)) + [0.0, 1.0], None),
+    )
+    value, gradient, _ = _max_of_pieces(pieces)
     half_span = math.sqrt(cap)
     center = np.array([0.0, 0.6 * cap])
     radius = math.hypot(half_span, 0.6 * cap) + 0.5
@@ -1070,7 +1070,7 @@ def cantor_contact(
         bounding_radius=radius,
         center=center,
         convexity=Convexity.convex(),
-        kink_margin=kink,
+        pieces=pieces,
     )
     return _posed(body, pose)
 
@@ -1081,25 +1081,23 @@ def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, di
     if not (0 < kappa < math.inf and 0 < H < math.inf):
         raise ParameterError("curvature and height must be positive and finite")
 
-    bowl = lambda p: 0.5 * kappa * np.vecdot(p[..., :-1], p[..., :-1]) - p[..., -1]
-    lid = lambda p: p[..., -1] - H
     e_n = np.eye(dim)[-1]
     H_bowl = kappa * np.diag(1.0 - e_n)
 
-    def value(p):
-        return np.maximum(bowl(p), lid(p))
-
-    def gradient(p):
+    def bowl_grad(p):
         g = kappa * p
         g[..., -1] = -1.0
-        return np.where((bowl(p) >= lid(p))[..., None], g, e_n)
+        return g
 
-    def hessian(p):
-        return np.where((bowl(p) >= lid(p))[..., None, None], H_bowl, 0.0)
-
-    def kink(p):
-        return np.abs(bowl(p) - lid(p))
-
+    pieces = (
+        (
+            lambda p: 0.5 * kappa * np.vecdot(p[..., :-1], p[..., :-1]) - p[..., -1],
+            bowl_grad,
+            lambda p: np.zeros(np.shape(p) + (dim,)) + H_bowl,
+        ),
+        (lambda p: p[..., -1] - H, lambda p: np.zeros(np.shape(p)) + e_n, lambda p: np.zeros(np.shape(p) + (dim,))),
+    )
+    value, gradient, hessian = _max_of_pieces(pieces)
     rim = math.sqrt(2.0 * H / kappa)
     center = np.zeros(dim)
     center[-1] = 0.5 * H
@@ -1111,7 +1109,7 @@ def paraboloid_cap(curvature: float, height: float, pose: Pose | None = None, di
         bounding_radius=math.hypot(rim, 0.5 * H),
         center=center,
         convexity=Convexity.convex(),
-        kink_margin=kink,
+        pieces=pieces,
     )
     return _posed(body, pose)
 
@@ -1247,12 +1245,13 @@ def body_self_check(body: ImplicitBody, rng=None, n_points: int = 100) -> None:
     These are necessary conditions certified on finitely many samples, not a
     proof of convexity.  ``n_points`` points are drawn uniformly from the
     bounding ball, with ``n_points`` segments and ``n_points`` monotone
-    pairs among them and ``min(n_points, 50)`` boundary points; points within
-    100 h of a kink (``kink_margin``) skip the difference and monotonicity
-    checks.  Each invariant is one stacked pass of oracle calls over its
-    samples.  Raises ParameterError for the first invariant that fails, in
-    the order above (gradients must match the differences to 1e-6), and for
-    ``n_points`` below 1.
+    pairs among them and ``min(n_points, 50)`` boundary points; points where
+    the two largest ``pieces`` lie within 100 h of each other straddle a
+    kink and skip the difference and monotonicity checks.  Each invariant is
+    one stacked pass of oracle calls over its samples.  Raises
+    ParameterError for the first invariant that fails, in the order above
+    (gradients must match the differences to 1e-6), and for ``n_points``
+    below 1.
     """
     if n_points < 1:
         raise ParameterError(f"n_points must be >= 1, got {n_points}")
@@ -1262,7 +1261,10 @@ def body_self_check(body: ImplicitBody, rng=None, n_points: int = 100) -> None:
     x *= (rng.random(n) ** (1.0 / d) / np.linalg.norm(x, axis=1))[:, None]
     pts = body.center + body.bounding_radius * x
     h = 1e-6 * max(1.0, body.bounding_radius)
-    near_kink = np.zeros(n, bool) if body.kink_margin is None else body.kink_margin(pts) < 100 * h
+    near_kink = np.zeros(n, bool)
+    if body.pieces is not None:
+        top = np.sort([v(pts) for v, _, _ in body.pieces], axis=0)
+        near_kink = top[-1] - top[-2] < 100 * h
     # fmax / fmin reductions skip NaN samples
     worst = lambda a: float(np.fmax.reduce(a, initial=0.0))
     least = lambda a: float(np.fmin.reduce(a, initial=math.inf))

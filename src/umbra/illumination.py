@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bodies import ConcaveChart, Pose, _arc_flip, boundary_point_along, rotation_with_last_axis
+from .bodies import ConcaveChart, Pose, _arc_flip, _quadratic_root, boundary_point_along, rotation_with_last_axis
 from .errors import (
     BoundaryNotInChartError,
     DomainError,
@@ -258,8 +258,7 @@ def _quadric_roots(quadric, threshold: float, ypp: np.ndarray) -> np.ndarray:
         a1 = 0.5 * (W @ (S @ e))
         a0 = np.vecdot(W, W @ A) - rhs
         sign = 1.0 if kappa > 0 else -1.0
-        sq = np.sqrt(a1 * a1 - a2 * a0)
-        lam = np.where(sign * a1 <= 0, (sign * sq - a1) / a2, a0 / (-a1 - sign * sq))  # no cancellation
+        lam = -sign * _quadratic_root(a2, -sign * a1, a0)  # the larger root for kappa > 0, else the smaller
         return c[-2] + W[:, -2] + lam * vs
 
 

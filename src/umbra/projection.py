@@ -21,8 +21,9 @@ values.
 Disjointness and seeding rest on nearest points (``project_point``).  On
 ellipsoids and balls these come in closed form up to one scalar root, the
 secular equation's; a point it leaves above the stationarity tolerance,
-and every point on other bodies, goes to damped Newton with a
-tangential-descent fallback.
+and every point on other bodies, goes to damped Newton on the stationarity
+system, which on a body with a gradient kink runs over each smooth piece
+and then over all pieces together (an active-set solve).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .bodies import (
     rotation_with_last_axis,
 )
 from .errors import (
-    ChartError,
     DomainError,
     InteriorPointError,
     NoConvergenceError,
@@ -68,48 +68,6 @@ MAX_SOLVE_ITER = 50
 
 # ---------------------------------------------------------------------------
 # elementary projection operations
-
-
-def _tangential_descent_projection(body: ImplicitBody, x, y0):
-    """Nearest-point fallback needing only boundary re-rooting.
-
-    Walks the boundary (radial re-rooting keeps iterates on it, the body
-    being star-shaped around its center) in the direction that shrinks
-    ``|x - y|``; halves the step on non-decrease.  Convexity of the distance
-    makes monotone descent converge to the argmin even across gradient
-    kinks, where the stationarity system has no smooth root.  Returns the
-    argmin and grad F there.
-    """
-    y = np.asarray(y0, float)
-    g = body.gradient_at(y)
-    dist = float(np.linalg.norm(x - y))
-    scale = max(1.0, body.bounding_radius)
-    step = 0.25 * scale
-    it = 0
-    while step > 1e-12 * scale and it < 400:
-        it += 1
-        d = x - y
-        nrm = np.linalg.norm(g)
-        if nrm < 1e-300:
-            break
-        nhat = g / nrm
-        d_tan = d - float(np.dot(d, nhat)) * nhat
-        nt = float(np.linalg.norm(d_tan))
-        if nt < 1e-14 * scale:
-            break
-        try:
-            y_try = boundary_point_along(body, y + min(step, nt) * d_tan / nt - body.center)
-        except (ChartError, ParameterError):
-            step *= 0.5
-            continue
-        d_try = float(np.linalg.norm(x - y_try))
-        if d_try < dist:
-            y, dist = y_try, d_try
-            g = body.gradient_at(y)
-            step *= 1.3
-        else:
-            step *= 0.5
-    return y, g
 
 
 def _secular_projection(quadric, x):
@@ -145,6 +103,50 @@ def _secular_projection(quadric, x):
     return c + Q @ (w / (1.0 + 2.0 * s * lam)), s
 
 
+def _kkt_newton(pieces, x, y, scale):
+    """Damped Newton on the stationarity system of the nearest point of x to
+    ``{F_i <= 0}`` with every piece i active: ``F_i(y) = 0`` and
+    ``x - y = sum_i s_i grad F_i(y)``, from the boundary point y.  Each
+    multiplier starts at the projection of x - y on its gradient and is kept
+    at 1e-14 or more.  Returns y and the max-norm residual there."""
+    n, k = len(x), len(pieces)
+
+    def residual(y, s, grads):
+        r = x - y
+        for si, g in zip(s, grads):
+            r = r - si * g
+        return np.concatenate([[piece.value_at(y) for piece in pieces], r])
+
+    grads = [piece.gradient_at(y) for piece in pieces]
+    s = np.array([max(float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300), 1e-12) for g in grads])
+    r = residual(y, s, grads)
+    res = float(np.abs(r).max())
+    for _ in range(100):
+        if res <= TOL_ROOT * scale:
+            break
+        J = np.zeros((n + k, n + k))
+        J[k:, :n] = -np.eye(n)
+        for i, (piece, g) in enumerate(zip(pieces, grads)):
+            J[i, :n] = g
+            J[k:, :n] -= s[i] * piece.hessian_at(y)
+            J[k:, n + i] = -g
+        try:
+            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        for j in range(30):  # backtracking: the iterate is always the best so far
+            y_new, s_new = y + 0.5**j * step[:n], np.maximum(s + 0.5**j * step[n:], 1e-14)
+            g_new = [piece.gradient_at(y_new) for piece in pieces]
+            r_new = residual(y_new, s_new, g_new)
+            res_new = float(np.abs(r_new).max())
+            if res_new < res:
+                y, s, grads, r, res = y_new, s_new, g_new, r_new, res_new
+                break
+        else:
+            break
+    return y, res
+
+
 def project_point(body: ImplicitBody, x) -> np.ndarray:
     """Nearest point of the body to ``x`` (unique by convexity).
 
@@ -152,12 +154,19 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     s >= 0.  A ``quadric`` body (ellipsoids and balls) takes the closed form
     of ``_secular_projection``, kept when its stationarity residual meets
     ``TOL_ROOT`` (very eccentric axes can leave it above, from rounding in
-    the eigenbasis).  Otherwise damped Newton runs from a ray-crossing seed;
-    when Newton stalls (the argmin can sit on a gradient kink of a
-    piecewise-smooth body) a monotone tangential-descent fallback finds the
-    argmin instead.  Points already on the boundary project to themselves;
-    interior points raise InteriorPointError since the disjoint-body
-    machinery never needs them.
+    the eigenbasis).  Otherwise an active-set solve (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., 2006, ch. 16) runs damped Newton
+    (``_kkt_newton``) on each smooth piece of a body with ``pieces`` from
+    the ray-crossing seed, then on all pieces together; a smooth body is
+    its own single piece.  As in a primal active-set method, a converged
+    point that another piece blocks (that piece > 0 there) is where the
+    next solve starts.  The first solve that converges with every other
+    piece <= 0 at its point is returned: its multipliers are positive, so
+    x - y lies in the body's normal cone at y, which makes y the nearest
+    point.  No such solve (the argmin at a vertex of one piece, such as the
+    cone's apex) raises NoConvergenceError.  Points already on the boundary
+    project to themselves; interior points raise InteriorPointError since
+    the disjoint-body machinery never needs them.
     """
     x = np.asarray(x, float)
     fx = body.value_at(x)
@@ -167,56 +176,26 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     if fx < 0:
         raise InteriorPointError("point lies inside the body; projection is itself")
 
-    def residual(y, s, g):
-        """The stationarity residual at (y, s), given g = grad F(y)."""
-        return np.concatenate([[body.value_at(y)], (x - y) - s * g])
-
     if body.quadric is not None:
         y, s = _secular_projection(body.quadric, x)
-        if float(np.abs(residual(y, s, body.gradient_at(y))).max()) <= TOL_ROOT * scale:
+        residual = np.append((x - y) - s * body.gradient_at(y), body.value_at(y))
+        if float(np.abs(residual).max()) <= TOL_ROOT * scale:
             return y
 
-    n = body.dim
-    y = boundary_point_along(body, x - body.center)
-    g = body.gradient_at(y)
-    s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
-    s = max(s, 1e-12)
-
-    r = residual(y, s, g)
-    res = float(np.abs(r).max())
-    for _ in range(100):
-        if res <= TOL_ROOT * scale:
-            break
-        J = np.zeros((n + 1, n + 1))
-        J[0, :n] = g
-        J[1:, :n] = -np.eye(n) - s * body.hessian_at(y)
-        J[1:, n] = -g
-        try:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        for k in range(30):  # backtracking: the iterate is always the best so far
-            y_new, s_new = y + 0.5**k * step[:n], max(s + 0.5**k * step[n], 1e-14)
-            g_new = body.gradient_at(y_new)
-            r_new = residual(y_new, s_new, g_new)
-            res_new = float(np.abs(r_new).max())
-            if res_new < res:
-                y, s, g, r, res = y_new, s_new, g_new, r_new, res_new
-                break
-        else:
-            break
-    if res <= TOL_ROOT * scale:
-        return y
-
-    y, g = _tangential_descent_projection(body, x, y)
-    s = float(np.dot(x - y, g)) / max(float(np.dot(g, g)), 1e-300)
-    kkt = float(np.abs(residual(y, max(s, 0.0), g)).max())
-    near_kink = body.kink_margin is not None and body.kink_margin(y) < 1e-4 * scale
-    if kkt > TOL_ROOT * scale and not near_kink:
-        raise NoConvergenceError(
-            f"projection residual {min(res, kkt):.3g} above tolerance {TOL_ROOT * scale:.3g}"
-        )
-    return y
+    pieces = [body] if body.pieces is None else [
+        replace(body, value=v, gradient=g, hessian=h, pieces=None) for v, g, h in body.pieces
+    ]
+    k, tol = len(pieces), TOL_ROOT * scale
+    y0 = boundary_point_along(body, x - body.center)
+    best = math.inf
+    for active in [[i] for i in range(k)] + ([list(range(k))] if k > 1 else []):
+        y, res = _kkt_newton([pieces[i] for i in active], x, y0, scale)
+        if res <= tol:
+            if all(pieces[i].value_at(y) <= tol for i in range(k) if i not in active):
+                return y
+            y0 = y  # another piece blocks this point: the next solve starts from it
+        best = min(best, res)
+    raise NoConvergenceError(f"projection residual {best:.3g} above tolerance {tol:.3g}")
 
 
 def first_hitting_time(body: ImplicitBody, y, nu):

@@ -248,3 +248,39 @@ def fibonacci_sphere(n):
     ct = 1.0 - 2.0 * i / n
     st = np.sqrt(1.0 - ct**2)
     return np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
+
+
+def radial_boundary_sample(value, center, radius, n_angle, dim):
+    """Points of the body ``{value <= 0}`` next to its boundary, one on each
+    ray from an interior ``center`` along a grid of hyperspherical angles:
+    ``n_angle`` polar angles on [0, pi] per polar axis and ``2 n_angle``
+    azimuths.  Thirty bisections of ``value`` on [0, 2 radius] along every
+    ray keep the inner end, so each point lies in the body, within
+    2 radius / 2^30 of the boundary along its ray, and no sampled distance
+    from an outside point undercuts the distance to the body.
+
+    Returns the points ``(K, dim)`` and the resolution at each: the sum over
+    grid axes of the larger distance to its two neighbours along that axis,
+    which bounds the diameter of the grid cells around the point.
+    """
+    polar = np.linspace(0.0, math.pi, n_angle)
+    azimuth = np.linspace(0.0, 2.0 * math.pi, 2 * n_angle, endpoint=False)
+    angles = np.meshgrid(*([polar] * (dim - 2) + [azimuth]), indexing="ij")
+    u = np.ones(angles[0].shape + (dim,))
+    for k, a in enumerate(angles):  # u_k = sin(a_0) ... sin(a_k-1) cos(a_k)
+        u[..., k] *= np.cos(a)
+        u[..., k + 1 :] *= np.sin(a)[..., None]
+    u = u.reshape(-1, dim)
+    lo, hi = np.zeros(len(u)), np.full(len(u), 2.0 * radius)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        inside = np.asarray(value(center + mid[:, None] * u), float) <= 0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    pts = (center + lo[:, None] * u).reshape(angles[0].shape + (dim,))
+    res = np.zeros(angles[0].shape)
+    for k in range(dim - 1):
+        step = np.linalg.norm(np.roll(pts, -1, axis=k) - pts, axis=-1)
+        if k < dim - 2:  # a polar axis does not wrap: its last point has one neighbour
+            step[(slice(None),) * k + (-1,)] = 0.0
+        res += np.maximum(step, np.roll(step, 1, axis=k))
+    return pts.reshape(-1, dim), res.ravel()

@@ -221,6 +221,16 @@ def test_chart_solves_a_fiber_thinner_than_a_fixed_step():
     assert abs(body.value_at(ch.to_world([-0.48, 0.0, 0.0]))) <= 1e-15
 
 
+def test_chart_based_just_inside_runs_its_fibers_down_from_the_top():
+    # chart_at accepts a base point inside by up to 10 TOL_BOUNDARY; here G
+    # is -5e-10 on the tangent plane above it, so that fiber is run down
+    # again from the top of its height range, and the boundary lies 5e-10 up
+    ch = chart_at(bodies.kiselman(3), [0.0, 0.0, -5e-10], 0.3)
+    assert abs(ch.value([0.0, 0.0]) - 5e-10) <= 1e-15
+    stack = np.array([[0.0, 0.0], [0.1, 0.05], [0.0, 0.0]])
+    assert np.array_equal(ch.value(stack), [ch.value(row) for row in stack])
+
+
 def test_a_refused_fiber_fails_alone():
     # the gradient oracle refuses points with x > 0.4, as the cone's gauge
     # does on its axis: a fiber there fails with the oracle's error, and so

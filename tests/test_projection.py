@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from umbra import bodies
-from umbra.bodies import Pose, chart_at, sample_boundary_points
+from umbra.bodies import TOL_BOUNDARY, Pose, chart_at, sample_boundary_points
 from umbra.errors import (
     DomainError,
     InteriorPointError,
+    NoConvergenceError,
     OverlapError,
     ParameterError,
     RankDeficiencyError,
@@ -182,6 +183,53 @@ def test_project_point_on_eccentric_ellipsoid_is_stationary():
             warnings.simplefilter("error", RuntimeWarning)
             y = pj.project_point(body, x)
         assert _stationarity(body, x, y) <= pj.TOL_ROOT * max(1.0, body.bounding_radius)
+
+
+# ---------------------------------------------------------------------------
+# nearest points on bodies with a gradient kink (the active-set solve)
+
+
+@pytest.mark.parametrize(
+    "make, n, vertex",
+    [
+        pytest.param(lambda pose: bodies.paraboloid_cap(1.5, 0.8, pose), 3, None, id="paraboloid_cap-n3"),
+        pytest.param(lambda pose: bodies.paraboloid_cap(1.5, 0.8, pose, dim=4), 4, None, id="paraboloid_cap-n4"),
+        pytest.param(lambda pose: bodies.kiselman(3, clamp_radius=0.3, pose=pose), 3, None, id="kiselman-q3"),
+        pytest.param(lambda pose: bodies.kiselman(5, clamp_radius=0.45, pose=pose), 3, None, id="kiselman-q5"),
+        pytest.param(lambda pose: bodies.cantor_contact(1e-4, 3, "omega", pose), 2, None, id="cantor_contact-omega"),
+        pytest.param(lambda pose: bodies.cantor_contact(1e-4, 3, "lambda", pose), 2, None, id="cantor_contact-lambda"),
+        pytest.param(lambda pose: bodies.cone_over_circle(pose), 3, [0.0, 1.0, 0.0], id="cone_over_circle"),
+    ],
+)
+def test_project_point_on_kinked_bodies_matches_boundary_sample(make, n, vertex):
+    # unposed and posed, 100 outside points each: every nearest point is on
+    # the boundary, no point of a dense sample of the body is nearer, and
+    # the nearest sample is at most the sample's resolution there farther.
+    # Only a cone point whose nearest sample lies within 1e-3 of the apex (a
+    # vertex of one piece, not a kink between two) may find no nearest point
+    base = make(None)
+    pts, res = oracles.radial_boundary_sample(
+        base.value, base.center, base.bounding_radius, {2: 4000, 3: 120, 4: 32}[n], n
+    )
+    if vertex is not None:  # the vertex joins the sample, so that points nearest it pick it
+        pts, res = np.vstack([pts, vertex]), np.append(res, res.max())
+    rng = np.random.default_rng(560)
+    for pose in (None, Pose(oracles.random_rotation(rng, n), rng.normal(size=n))):
+        body = make(pose)
+        world = pts if pose is None else pts @ pose.rotation.T + pose.translation
+        x = body.center + rng.uniform(1.0, 3.0, (120, 1)) * body.bounding_radius * _unit(rng.normal(size=(120, n)))
+        x = x[body.value(x) > 0][:100]  # a clamped Kiselman body reaches past its bounding radius
+        assert len(x) == 100
+        for xi in x:
+            k = int(np.argmin(np.vecdot(world - xi, world - xi)))
+            d_sample = float(np.linalg.norm(xi - world[k]))
+            try:
+                y = pj.project_point(body, xi)
+            except NoConvergenceError:
+                assert vertex is not None and np.linalg.norm(pts[k] - vertex) <= 1e-3
+                continue
+            assert abs(body.value_at(y)) <= TOL_BOUNDARY * max(1.0, body.bounding_radius)
+            assert d_sample - res[k] <= float(np.linalg.norm(xi - y)) <= d_sample + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +446,19 @@ def test_seed_boundary_patch_miss_errors():
         pj.seed_boundary(om, lam, patch_center=[0.0, 0.0, -1.0], patch_angle=0.5)
 
 
+def test_seed_boundary_on_a_patch_in_four_dimensions():
+    # outside n = 3 a patch draws its directions around the patch center;
+    # the seed lies on the patch and solves onto the coaxial tangency sphere
+    lam = bodies.translated_ball(np.zeros(4), 1.0)
+    om = bodies.translated_ball([0.0, 0.0, 0.0, 3.0], 1.0)
+    c = _unit(np.array([0.0, 0.0, 0.3, 1.0]))
+    x0, y0, t0 = pj.seed_boundary(om, lam, rng=7, patch_center=c, patch_angle=0.6)
+    assert math.acos(min(1.0, float(_unit(y0) @ c))) <= 0.6
+    pt = pj.solve_boundary_point(om, lam, (x0, y0, t0))
+    assert pt.residual <= pj.TOL_ROOT
+    assert pt.y[3] == pytest.approx(math.sqrt(8.0) / 3.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("n_samples", [0, -3])
 def test_seed_boundary_refuses_sample_counts_below_one(n_samples):
     om, lam = coaxial_pair()
@@ -424,7 +485,8 @@ def test_seed_boundary_random_poses(rng):
 
 
 def _unit(v):
-    return v / np.linalg.norm(v)
+    """v over its norm, or each row of a stack over its own."""
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _coaxial_pair_in(n, rng):
