@@ -470,16 +470,23 @@ class ConcaveChart:
 
 
 def _graph_hessian(gc, Hc):
-    """Hessian ``-(A + b f1^T + f1 b^T + c f1 f1^T) / g_n`` of the graph
+    """Hessian ``-(A + b f^T + f b^T + c f f^T) / g_n`` of the graph
     ``x_n = phi(x')`` of ``{G = 0}``, where ``gc = grad G`` and
     ``Hc = [[A, b], [b^T, c]] = hess G`` at the graph point and
-    ``f1 = -gc[:-1] / g_n = grad phi``.  Leading axes broadcast over stacks.
+    ``f = -gc[:-1] / g_n = grad phi``.  Each entry is
+    ``-(A_ij + b_i f_j + b_j f_i + c (f_i f_j)) / g_n``, built over the
+    leading axes from their columns, since broadcasting over the tiny
+    trailing ``(m, m)`` axes costs more than the arithmetic.
     """
-    gn = gc[..., -1:, None]
-    f1 = -gc[..., None, :-1] / gn  # row vector
-    bf = Hc[..., :-1, -1:] * f1
-    f1f1 = np.swapaxes(f1, -1, -2) * f1
-    return -(Hc[..., :-1, :-1] + bf + np.swapaxes(bf, -1, -2) + Hc[..., -1:, -1:] * f1f1) / gn
+    gn = gc[..., -1]
+    m = gc.shape[-1] - 1
+    f = [-gc[..., i] / gn for i in range(m)]
+    b, c = Hc[..., :-1, -1], Hc[..., -1, -1]
+    out = np.empty(Hc.shape[:-2] + (m, m))
+    for i in range(m):
+        for j in range(m):
+            out[..., i, j] = -(Hc[..., i, j] + b[..., i] * f[j] + b[..., j] * f[i] + c * (f[i] * f[j])) / gn
+    return out
 
 
 def chart_at(
@@ -797,9 +804,12 @@ def kiselman(q: int, clamp_radius: float | None = None, pose: Pose | None = None
     above; the body occupies the subgraph.  By default this is a local patch
     model: smooth and strictly convex on ``|y| < 0.49`` but unbounded, with
     ``bounding_radius`` set to that validity radius.  Passing
-    ``clamp_radius`` intersects the patch with a ball of that radius around
+    ``clamp_radius`` r intersects the patch with a ball of that radius around
     the origin, producing a bounded body suitable for projection queries (at
-    the cost of a C0 seam where the ball meets the patch).
+    the cost of a C0 seam where the ball meets the patch).  As f >= 0 on the
+    strip, that body lies in the lower half of the ball, whose points
+    farthest from ``center`` (0, 0, -0.4 r) are on its rim: so
+    ``bounding_radius`` is sqrt(1.16) r.
     """
     if not isinstance(q, (int, np.integer)) or q < 3 or q % 2 == 0:
         raise ParameterError("q must be an odd integer >= 3")
@@ -826,6 +836,7 @@ def kiselman(q: int, clamp_radius: float | None = None, pose: Pose | None = None
         return H
 
     value, gradient, hessian, pieces, radius = patch_value, patch_grad, patch_hess, None, half_width
+    bounding_radius = half_width
     if clamp_radius is not None:
         radius = float(clamp_radius)
         if not (0 < radius <= half_width):
@@ -837,12 +848,13 @@ def kiselman(q: int, clamp_radius: float | None = None, pose: Pose | None = None
         )
         pieces = ((patch_value, patch_grad, patch_hess), ball)
         value, gradient, hessian = _max_of_pieces(pieces)
+        bounding_radius = math.sqrt(1.16) * radius
     body = ImplicitBody(
         dim=3,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        bounding_radius=radius,
+        bounding_radius=bounding_radius,
         center=np.array([0.0, 0.0, -0.4 * radius]),
         convexity=Convexity.strictly_convex(),
         pieces=pieces,

@@ -199,12 +199,13 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
 
 
 def first_hitting_time(body: ImplicitBody, y, nu):
-    """Smallest t >= 0 with ``y + t nu`` on the body boundary, or None.
+    """Distance t >= 0 from y to the body boundary along ``nu / |nu|``: the
+    smallest t with ``y + t nu / |nu|`` on the boundary, or None.
 
     ``_line_roots`` runs the ray from y (in closed form for a ``quadric``);
     hits beyond twice ``|y - center| + bounding_radius`` are misses.  For stacks
     ``(N, n)`` of origins (and of directions, or one direction) it returns
-    the times ``(N,)``, NaN for a miss.  Raises ParameterError for a zero
+    the distances ``(N,)``, NaN for a miss.  Raises ParameterError for a zero
     direction or an origin inside the body; a stack, for its first bad row.
     """
     y = np.asarray(y, float)
@@ -504,11 +505,11 @@ def seed_boundary(
     outside the shadow, OverlapError when omega's center lies inside the
     target, and ParameterError for bodies of different dimensions, a patch
     center that is not a nonzero finite vector of the target's dimension, a
-    non-finite patch angle or ``n_samples`` below 1.
+    non-finite patch angle or an ``n_samples`` that is not an integer >= 1.
     """
     _check_dims(omega, lam)
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(rng)
     if patch_center is None:  # in R^3 the cap of angle pi around e_3: the whole sphere
         c, ang = np.eye(lam.dim)[-1], math.pi

