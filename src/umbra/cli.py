@@ -4,7 +4,8 @@ Subcommands:
 
 * ``shadow``  -- illumination shadow boundary of a body as a CSV curve
 * ``project`` -- trace the boundary of one body's projection shadow on
-  another, writing CSV plus a JSON sidecar
+  another, writing CSV plus a JSON sidecar.  The seed samples 64 target
+  directions; the trace's rank threshold ``SIGMA_TRACE_TOL`` is fixed.
 * ``diagnose`` -- Hoelder fit / cusp certificate / box dimension of a curve
   or trace CSV
 * ``counterexample`` -- run one of the sharpness constructions
@@ -123,15 +124,12 @@ def cmd_project(args) -> int:
 
     step = args.step if args.step is not None else 0.02 * max(1.0, lam.bounding_radius)
     seed = projection.seed_boundary(
-        omega, lam, n_samples=args.seed_samples, rng=args.rng_seed,
-        patch_center=args.seed_patch, patch_angle=args.seed_patch_angle,
+        omega, lam, rng=args.rng_seed, patch_center=args.seed_patch, patch_angle=args.seed_patch_angle
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         start = projection.solve_boundary_point(omega, lam, seed, tol=args.tol_root)
-        trace = projection.trace_boundary(
-            omega, lam, start, step, args.max_steps, tol=args.tol_root, rank_tol=args.sigma_fail_tol
-        )
+        trace = projection.trace_boundary(omega, lam, start, step, args.max_steps, tol=args.tol_root)
 
     trace.to_csv(args.out)
     meta = {"omega": spec_o.to_dict(), "lambda": spec_l.to_dict(), "separation": gap}
@@ -278,10 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--step", type=float, default=None)
     pr.add_argument("--max-steps", type=_int_from(0), default=2000)
     pr.add_argument("--tol-root", type=float, default=projection.TOL_ROOT)
-    pr.add_argument("--seed-samples", type=_int_from(1), default=128)
     pr.add_argument("--seed-patch", nargs=3, type=float, default=None)
     pr.add_argument("--seed-patch-angle", type=float, default=None)
-    pr.add_argument("--sigma-fail-tol", type=float, default=projection.SIGMA_TRACE_TOL)
     pr.add_argument("--rng-seed", type=_int_from(0), default=0)
     pr.add_argument("--out", default="trace.csv")
     pr.set_defaults(func=cmd_project)

@@ -102,19 +102,6 @@ def _rim_point(delta: float) -> np.ndarray:
     return np.array([1.0 + math.cos(w), 0.0, math.sin(w)])
 
 
-def cone_lateral_normal(p) -> np.ndarray:
-    """Outward unit normal of the lateral cone surface at a boundary point."""
-    x, y, z = p
-    rho = math.hypot(x + y - 1.0, z)
-    if rho < 1e-14:
-        raise ParameterError("normal undefined at the apex")
-    g = np.array([(x + y - 1.0) / rho, (x + y - 1.0) / rho + 1.0, z / rho])
-    return g / np.linalg.norm(g)
-
-
-_BASE_NORMAL = np.array([0.0, -1.0, 0.0])
-
-
 def _lateral_neighbors(p):
     """Lateral-surface points near p obtained by rotating the cross-section
     angle by -+1e-3 at the same height."""
@@ -133,19 +120,20 @@ def is_cone_shadow_boundary_point(body: ImplicitBody, p, u, tol: float = 1e-9) -
     (some normal with positive product against the light); a point is on the
     shadow boundary when it is a limit of lit points and of unlit points.
     Seam/lateral points have a single normal; rim points carry the cone
-    spanned by the lateral normal and the base normal.
+    spanned by the lateral normal and the base normal, the unit gradients
+    of the body's two ``pieces``.
     """
     p = np.asarray(p, float)
     u = np.asarray(u, float)
     if abs(body.value_at(p)) > 1e-9:
         return False
-    on_base = abs(p[1]) <= 1e-12
-    s_lat = float(np.dot(cone_lateral_normal(p), u))
-    cone_vals = [s_lat]
-    if on_base:
-        cone_vals.append(float(np.dot(_BASE_NORMAL, u)))
+    (_, lateral, _), (_, base, _) = body.pieces
+    slope = lambda grad, q: float(np.dot(grad(q) / np.linalg.norm(grad(q)), u))
+    cone_vals = [slope(lateral, p)]
+    if abs(p[1]) <= 1e-12:  # on the base rim
+        cone_vals.append(slope(base, p))
     lit_here = max(cone_vals) > tol
-    neigh = [float(np.dot(cone_lateral_normal(q), u)) for q in _lateral_neighbors(p)]
+    neigh = [slope(lateral, q) for q in _lateral_neighbors(p)]
     lit_near = lit_here or max(neigh) > tol
     dark_near = (not lit_here) or min(cone_vals) < -tol or min(neigh) < -tol
     return lit_near and dark_near

@@ -487,6 +487,15 @@ def read_csv_table(path) -> tuple[list, np.ndarray]:
     return header, data
 
 
+def write_csv_table(path, header, data):
+    """Header and numeric rows ``(N, columns)`` as a CSV file, each cell the
+    17 significant digits that read back as the same float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in np.asarray(data, float).tolist())
+
+
 @dataclass(frozen=True)
 class ShadowCurve:
     """Sampled shadow-boundary graph ``y'' -> gamma(y'')``.
@@ -523,13 +532,8 @@ class ShadowCurve:
         return self.ypp.shape[1]
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"ypp_{i + 1}" for i in range(self.ypp.shape[1])] + ["gamma", "residual"]
-            )
-            for row, g, r in zip(self.ypp, self.gamma, self.residual):
-                writer.writerow([f"{v:.17g}" for v in row] + [f"{g:.17g}", f"{r:.17g}"])
+        header = [f"ypp_{i + 1}" for i in range(self.ypp.shape[1])] + ["gamma", "residual"]
+        write_csv_table(path, header, np.column_stack([self.ypp, self.gamma, self.residual]))
 
     @staticmethod
     def from_csv(path) -> "ShadowCurve":

@@ -28,7 +28,6 @@ and then over all pieces together (an active-set solve).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -489,27 +488,25 @@ def hitting_time_bound(omega: ImplicitBody, lam: ImplicitBody, chart_radius: flo
 def seed_boundary(
     omega: ImplicitBody,
     lam: ImplicitBody,
-    n_samples: int = 64,
     rng=None,
     patch_center=None,
     patch_angle: float | None = None,
 ):
     """Seed (x0, y0, t0) near the shadow boundary on the target.
 
-    Samples target boundary points along rays from its center, classifies
-    them by shadow membership in one stacked pass, and k-sections the
-    membership flip along the great arc between the closest inside and
-    outside samples (``_arc_flip``).  ``patch_center`` and ``patch_angle``
-    optionally restrict sampling to a cap of directions.
+    Samples 64 target boundary points along rays from its center (plus, on
+    the whole target, the point nearest omega's center), classifies them by
+    shadow membership in one stacked pass of the arc search's own probe, and
+    k-sections the membership flip along the great arc between the closest
+    inside and outside samples (``_arc_flip``).  ``patch_center`` and
+    ``patch_angle`` optionally restrict sampling to a cap of directions.
     Raises SeedError when the sampled patch is entirely inside or entirely
     outside the shadow, OverlapError when omega's center lies inside the
     target, and ParameterError for bodies of different dimensions, a patch
-    center that is not a nonzero finite vector of the target's dimension, a
-    non-finite patch angle or an ``n_samples`` that is not an integer >= 1.
+    center that is not a nonzero finite vector of the target's dimension or
+    a non-finite patch angle.
     """
     _check_dims(omega, lam)
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(rng)
     if patch_center is None:  # in R^3 the cap of angle pi around e_3: the whole sphere
         c, ang = np.eye(lam.dim)[-1], math.pi
@@ -524,20 +521,20 @@ def seed_boundary(
     c = c / m / np.linalg.norm(c / m)
     if lam.dim == 3:
         # Fibonacci points on the cap around c of the given angular radius
-        i = np.arange(n_samples) + 0.5
+        i = np.arange(64) + 0.5
         az = math.pi * (3.0 - math.sqrt(5.0)) * i
-        ct = 1.0 - (1.0 - math.cos(ang)) * i / n_samples
+        ct = 1.0 - (1.0 - math.cos(ang)) * i / 64
         st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
         cap = np.column_stack([st * np.cos(az), st * np.sin(az), ct])
         dirs = cap @ rotation_with_last_axis(c).T
     elif patch_center is not None:
-        dirs = c + math.tan(ang) * rng.normal(size=(n_samples, lam.dim))
+        dirs = c + math.tan(ang) * rng.normal(size=(64, lam.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = dirs[dirs @ c >= math.cos(ang)]
         if len(dirs) == 0:
             raise SeedError("direction patch is empty")
     else:
-        dirs = rng.normal(size=(n_samples, lam.dim))
+        dirs = rng.normal(size=(64, lam.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     if patch_center is None:
         # the target point nearest omega's center is always shadowed (by KKT
@@ -549,7 +546,15 @@ def seed_boundary(
             raise OverlapError(f"bodies overlap: {exc}") from exc
         dirs = np.vstack([(z_close - lam.center) / np.linalg.norm(z_close - lam.center), dirs])
 
-    inside = in_projection_shadow(omega, lam, boundary_point_along(lam, dirs))
+    def hits(d):
+        """Membership of the target points in directions d, and each point
+        beside the hit of its normal ray on omega (NaN for a miss)."""
+        y = boundary_point_along(lam, d)
+        nu = lam.unit_normal(y)
+        t = first_hitting_time(omega, y, nu)
+        return ~np.isnan(t), np.hstack([y, y + t[:, None] * nu])
+
+    inside = hits(dirs)[0]
     if inside.all() or not inside.any():
         kind = "inside" if inside.all() else "outside"
         raise SeedError(f"all {len(dirs)} sampled directions are {kind} the shadow; cannot bracket its boundary "
@@ -559,15 +564,6 @@ def seed_boundary(
     # search for the membership flip between them
     d_in, d_out = dirs[inside], dirs[~inside]
     i, j = np.unravel_index(np.argmax(d_in @ d_out.T), (len(d_in), len(d_out)))
-
-    def hits(d):
-        """Membership of the target points in directions d, and each point
-        beside the hit of its normal ray on omega (NaN for a miss)."""
-        y = boundary_point_along(lam, d)
-        nu = lam.unit_normal(y)
-        t = first_hitting_time(omega, y, nu)
-        return ~np.isnan(t), np.hstack([y, y + t[:, None] * nu])
-
     found = _arc_flip(d_in[i], d_out[j], hits, rng)
     if found is None:
         raise SeedError("in-shadow sample lost its ray hit during the arc search")
@@ -599,19 +595,9 @@ class BoundaryTrace:
 
     def to_csv(self, path):
         n = self.points[0].y.shape[0]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x_{i + 1}" for i in range(n)]
-                + [f"y_{i + 1}" for i in range(n)]
-                + ["t", "residual", "sigma_min"]
-            )
-            for p in self.points:
-                writer.writerow(
-                    [f"{v:.17g}" for v in p.x]
-                    + [f"{v:.17g}" for v in p.y]
-                    + [f"{p.t:.17g}", f"{p.residual:.17g}", f"{p.sigma_min:.17g}"]
-                )
+        header = [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)] + ["t", "residual", "sigma_min"]
+        rows = [[*p.x, *p.y, p.t, p.residual, p.sigma_min] for p in self.points]
+        illumination.write_csv_table(path, header, rows)
 
     def to_json(self, path, metadata: dict | None = None):
         doc = {
@@ -637,6 +623,13 @@ class BoundaryTrace:
         return data
 
 
+def _check_health(point: ProjectionPoint, what: str):
+    """RankDeficiencyError, led by ``what``, when sigma_min falls under
+    ``SIGMA_TRACE_TOL * sigma_max`` at a point of the trace."""
+    if point.sigma_min < SIGMA_TRACE_TOL * point.sigma_max:
+        raise RankDeficiencyError(f"{what} (sigma_min/sigma_max = {point.sigma_min / point.sigma_max:.3g})")
+
+
 def trace_boundary(
     omega: ImplicitBody,
     lam: ImplicitBody,
@@ -644,7 +637,6 @@ def trace_boundary(
     step: float,
     max_steps: int,
     tol: float = TOL_ROOT,
-    rank_tol: float = SIGMA_TRACE_TOL,
 ) -> BoundaryTrace:
     """Predictor-corrector continuation of the shadow boundary curve (n = 3).
 
@@ -664,7 +656,10 @@ def trace_boundary(
     step halves on failure, doubles after three easy successes, and is
     clamped to [step/16, step].  Tracing stops on closure (within step/2 of
     the start after at least 10 steps), on ``max_steps``, or with
-    RankDeficiencyError when sigma_min falls under ``rank_tol * sigma_max``.
+    RankDeficiencyError: when sigma_min falls under ``SIGMA_TRACE_TOL *
+    sigma_max`` at the start or at an accepted point (``_check_health``), or
+    when the corrector fails at the minimal step where sigma_min/sigma_max
+    is under ``NEAR_SINGULAR_TOL`` at the predictor or the last point.
     A step of twice the target's diameter bound 2 ``bounding_radius`` or
     more raises ParameterError: every target point would pass the closure
     test; so do a ``tol`` and bodies as refused by ``solve_boundary_point``.
@@ -672,7 +667,6 @@ def trace_boundary(
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
     check_positive("step", step)
-    check_positive("rank_tol", rank_tol)
     _check_tol(omega, lam, tol)
     if step >= 4.0 * lam.bounding_radius:
         bound = 4.0 * lam.bounding_radius
@@ -681,11 +675,7 @@ def trace_boundary(
     if max_steps <= 0:
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
 
-    if start.sigma_min < rank_tol * start.sigma_max:
-        raise RankDeficiencyError(
-            "start point is rank deficient "
-            f"(sigma_min/sigma_max = {start.sigma_min / start.sigma_max:.3g})"
-        )
+    _check_health(start, "start point is rank deficient")
 
     h, h_min, h_max = step, step / 16.0, step
     tangent, z, pinv = start.tangent, start.state, _factor(omega, lam, start.state)[2]
@@ -720,7 +710,7 @@ def trace_boundary(
                     sv[-1] / sv[0] if sv[0] > 0 else 0.0,
                     last.sigma_min / last.sigma_max if last.sigma_max > 0 else 0.0,
                 ]
-                if min(rel) < max(rank_tol, NEAR_SINGULAR_TOL):
+                if min(rel) < NEAR_SINGULAR_TOL:
                     raise RankDeficiencyError(
                         "corrector failed at minimal step near a rank-deficient "
                         f"configuration (sigma_min/sigma_max = {min(rel):.3g})"
@@ -731,12 +721,7 @@ def trace_boundary(
             easy = 0
             continue
 
-        if pt.sigma_min < rank_tol * pt.sigma_max:
-            raise RankDeficiencyError(
-                "rank drop along the trace "
-                f"(sigma_min/sigma_max = {pt.sigma_min / pt.sigma_max:.3g})"
-            )
-
+        _check_health(pt, "rank drop along the trace")
         arc += float(np.linalg.norm(pt.y - points[-1].y))
         points.append(pt)
         turned = -pt.tangent if float(np.dot(pt.tangent, tangent)) < 0 else pt.tangent

@@ -210,14 +210,12 @@ def input_files(tmp_path):
     return _write_input_files(tmp_path)
 
 
-_FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", "0", "1", "0",
-         "--seed-patch-angle", "0.2"]
+_FLAT = ["project", "{kis}", "{ball}", "--seed-patch", "0", "1", "0", "--seed-patch-angle", "0.2"]
 
 
 @pytest.mark.parametrize(
     "argv, names",
     [
-        pytest.param([*_FLAT, "--sigma-fail-tol", "nan"], "rank_tol", id="project-sigma-fail-tol-nan"),
         pytest.param(["project", "{om}", "{lam}", "--tol-root", "nan"], "tol", id="project-tol-root-nan"),
         pytest.param(["project", "{om}", "{lam}", "--tol-root", "1e300"], "tol", id="project-tol-root-1e300"),
         pytest.param(["project", "{om}", "{lam}", "--tol-root", "0.5"], "tol", id="project-tol-root-0.5"),
@@ -241,7 +239,6 @@ _FLAT = ["project", "{kis}", "{ball}", "--seed-samples", "256", "--seed-patch", 
         pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--grid", "-5"], "--grid", id="grid-negative"),
         pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--span", "nan"], "--span", id="span-nan"),
         pytest.param(["shadow", "{ell}", "--u", "1", "0", "0", "--dyadic", "5", "3"], "KMAX", id="dyadic-reversed"),
-        pytest.param(["project", "{om}", "{lam}", "--seed-samples", "-1"], "--seed-samples", id="seed-samples"),
         pytest.param(["project", "{om}", "{lam}", "--max-steps", "-1"], "--max-steps", id="max-steps"),
         pytest.param(
             ["diagnose", "{curve}", "cusp", "--L", "inf", "--theta", "1", "--alpha", "1"], "L", id="cusp-L-inf"
@@ -465,14 +462,6 @@ def test_project_coaxial_closed_trace(coaxial_specs, tmp_path):
     assert len(rows) == sidecar["n_points"] + 1
 
 
-@pytest.mark.parametrize("tol, code", [(0.2, 4), (0.1, 0)])
-def test_project_sigma_fail_tol_reaches_the_trace(coaxial_specs, tmp_path, tol, code):
-    # sigma_min/sigma_max is 0.1635 along the coaxial trace
-    om, lam = coaxial_specs
-    out = str(tmp_path / "trace.csv")
-    assert main(["project", om, lam, "--sigma-fail-tol", str(tol), "--out", out]) == code
-
-
 def test_shadow_chart_point_of_another_dimension_exits_1(tmp_path, capsys):
     ell4 = write_spec(tmp_path, "e4.json", {"family": "ellipsoid", "params": {"semiaxes": [1.0, 1.0, 1.0, 1.0]}})
     argv = ["shadow", ell4, "--u", "0", "1", "0", "--chart-point", "0", "0", "0.9", "--out", str(tmp_path / "c.csv")]
@@ -524,35 +513,8 @@ def test_project_cantor_pair_overlap_exit(tmp_path):
     assert main(["project", om, lam]) == 3
 
 
-def test_project_flat_contact_rank_exit(tmp_path):
-    om = write_spec(
-        tmp_path,
-        "kis.json",
-        {"family": "kiselman", "params": {"q": 3, "clamp_radius": 0.45}},
-    )
-    lam = write_spec(
-        tmp_path,
-        "ball.json",
-        {"family": "translated_ball", "params": {"center": [0, -3.0, 0], "radius": 1.0}},
-    )
-    code = main(
-        [
-            "project",
-            om,
-            lam,
-            "--seed-samples",
-            "256",
-            "--seed-patch",
-            "0",
-            "1",
-            "0",
-            "--seed-patch-angle",
-            "0.2",
-            "--out",
-            str(tmp_path / "t.csv"),
-        ]
-    )
-    assert code == 4
+def test_project_flat_contact_rank_exit(input_files):
+    assert main([input_files.get(a, a) for a in _FLAT] + ["--out", input_files["{out}"]]) == 4
 
 
 def test_project_seed_failure_exit(coaxial_specs, tmp_path):
@@ -774,9 +736,7 @@ def test_numeric_flags_end_in_a_documented_exit_code(fuzz_files, flags):
         ["--step", "inf"],
         ["--max-steps", "0"],
         ["--tol-root", "1e300"],
-        ["--sigma-fail-tol", "inf"],
         ["--seed-patch", "0", "0", "1e300", "--seed-patch-angle", "1e300"],
-        ["--seed-samples", "1"],
     ],
 )
 def test_project_flags_end_in_a_documented_exit_code(fuzz_files, flags):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -27,7 +29,7 @@ from umbra.illumination import (
     shadow_boundary_sweep,
     shadow_horizon_point,
 )
-from umbra.projection import barrier_chart
+from umbra.projection import BoundaryTrace, ProjectionPoint, barrier_chart
 
 import oracles
 
@@ -328,6 +330,32 @@ def test_curve_csv_roundtrip(tmp_path):
     assert np.allclose(again.ypp, curve.ypp)
     assert np.allclose(again.gamma, curve.gamma)
     assert np.allclose(again.residual, curve.residual)
+
+
+def _csv_bytes_per_float64(header, rows):
+    """A CSV file as the writers made it by formatting each np.float64 cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{np.float64(v):.17g}" for v in row])
+    return buf.getvalue().encode()
+
+
+def test_csv_writers_keep_the_per_float64_bytes(tmp_path):
+    # -0.0, subnormals, the largest decades and values that need all 17
+    # digits, each in every column
+    v = np.array([-0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0,
+                  -9007199254740993.0, 123456789.12345679, 6.02214076e23])
+    rolled = np.array([np.roll(v, k) for k in range(len(v))])
+    ShadowCurve(rolled[:, :2], rolled[:, 2], rolled[:, 3], None, math.inf).to_csv(tmp_path / "curve.csv")
+    header = ["ypp_1", "ypp_2", "gamma", "residual"]
+    assert (tmp_path / "curve.csv").read_bytes() == _csv_bytes_per_float64(header, rolled[:, :4])
+
+    points = [ProjectionPoint(r[:3], r[3:6], *r[6:9].tolist(), 1.0, np.zeros(7)) for r in rolled]
+    BoundaryTrace(points, False, 0.0, 0.1).to_csv(tmp_path / "trace.csv")
+    header = ["x_1", "x_2", "x_3", "y_1", "y_2", "y_3", "t", "residual", "sigma_min"]
+    assert (tmp_path / "trace.csv").read_bytes() == _csv_bytes_per_float64(header, rolled[:, :9])
 
 
 def test_samples_stay_in_domain():

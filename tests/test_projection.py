@@ -459,23 +459,6 @@ def test_seed_boundary_on_a_patch_in_four_dimensions():
     assert pt.y[3] == pytest.approx(math.sqrt(8.0) / 3.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("n_samples", [0, -3])
-def test_seed_boundary_refuses_sample_counts_below_one(n_samples):
-    om, lam = coaxial_pair()
-    for patch in (None, [0.0, 0.0, 1.0]):
-        with pytest.raises(ParameterError, match="n_samples"):
-            pj.seed_boundary(om, lam, n_samples=n_samples, patch_center=patch)
-
-
-@pytest.mark.parametrize("n_samples", [2.5, math.nan])
-def test_seed_boundary_refuses_non_integer_sample_counts(n_samples):
-    # in R^3 the Fibonacci cap took 2.5 as three samples
-    om, lam = coaxial_pair()
-    for patch in (None, [0.0, 0.0, 1.0]):
-        with pytest.raises(ParameterError, match="n_samples"):
-            pj.seed_boundary(om, lam, n_samples=n_samples, patch_center=patch)
-
-
 def test_seed_boundary_random_poses(rng):
     for _ in range(3):
         d = rng.normal(size=3)
@@ -832,6 +815,16 @@ def test_certify_rank_detects_flat_direction():
     assert abs(gF @ om.hessian_at(pt.x) @ gF) < 1e-12
 
 
+def test_trace_refuses_a_rank_deficient_start():
+    # the solved flat-direction point of test_certify_rank_detects_flat_direction
+    om = quartic_flat_body()
+    lam = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+    with pytest.warns(RankDeficiencyWarning):
+        pt = pj.solve_boundary_point(om, lam, (np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]), 0.5))
+    with pytest.raises(RankDeficiencyError, match="start point is rank deficient"):
+        pj.trace_boundary(om, lam, pt, step=0.02, max_steps=10)
+
+
 def test_certify_rank_scale_invariance():
     om, lam = coaxial_pair()
     pt = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
@@ -846,9 +839,7 @@ def test_certify_rank_scale_invariance():
 def test_trace_raises_rank_deficiency_near_flat_contact():
     om = bodies.kiselman(3, clamp_radius=0.45)
     lam = bodies.translated_ball([0.0, -3.0, 0.0], 1.0)
-    seed = pj.seed_boundary(
-        om, lam, n_samples=256, patch_center=[0.0, 1.0, 0.0], patch_angle=0.2
-    )
+    seed = pj.seed_boundary(om, lam, patch_center=[0.0, 1.0, 0.0], patch_angle=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         start = pj.solve_boundary_point(om, lam, seed)
