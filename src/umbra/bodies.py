@@ -198,6 +198,11 @@ class ImplicitBody:
     the same shapes: ``_max_of_pieces`` builds G's oracles from them, and
     ``project_point`` solves for nearest points on them.  It is None for a
     smooth body.
+
+    ``vertices`` holds ``(v, in_normal_cone)`` pairs for boundary points v
+    where a piece has no gradient (the cone's apex), so no smooth solve
+    reaches them: ``in_normal_cone(d)`` tells whether d lies in the body's
+    normal cone at v, which makes v the nearest point of ``v + d``.
     """
 
     dim: int
@@ -208,6 +213,7 @@ class ImplicitBody:
     center: np.ndarray
     convexity: Convexity
     pieces: tuple | None = None
+    vertices: tuple | None = None
     # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
     quadric: tuple | None = None
 
@@ -254,6 +260,15 @@ def _quadratic_root(a2, a1, a0):
     return np.where(a1 < 0, a0 / (sq - a1), -(a1 + sq) / a2)
 
 
+def _line_quadric(quadric, origins, directions):
+    """Coefficients ``(a2, a1, a0)`` of ``G(o + s d) = a2 s^2 + 2 a1 s + a0``
+    on the quadric ``(A, c, rhs)``, for origins ``(N, n)`` and directions
+    ``(n,)`` or ``(N, n)``."""
+    A, c, rhs = quadric
+    w, Ad = origins - c, directions @ A
+    return np.vecdot(directions, Ad), np.vecdot(w, Ad), np.vecdot(w, w @ A) - rhs
+
+
 def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
     """For origins ``(N, n)``, directions ``(n,)`` or ``(N, n)`` and t_max
     scalar or ``(N,)``: the smallest t in [0, t_max] with G(o + t d) = 0 on
@@ -272,10 +287,8 @@ def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
     working, which are compacted only in a round where some row stops.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # misses and zero directions hold NaN
-        if quadric is not None:  # G(o + t d) = a2 t^2 + 2 a1 t + a0
-            A, c, rhs = quadric
-            w, Ad = origins - c, directions @ A
-            a2, a1, a0 = np.vecdot(directions, Ad), np.vecdot(w, Ad), np.vecdot(w, w @ A) - rhs
+        if quadric is not None:
+            a2, a1, a0 = _line_quadric(quadric, origins, directions)
             t = _quadratic_root(a2, a1, a0)
             t = np.where(a0 <= 0, 0.0, np.where((a1 < 0) & (t <= t_max), t, np.nan))
             return t, a0 + t * (2.0 * a1 + a2 * t)
@@ -716,7 +729,12 @@ def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
 
     value, gradient, hessian = posed(base.value, base.gradient, base.hessian)
     pieces = None if base.pieces is None else tuple(posed(*piece) for piece in base.pieces)
-    return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, pieces=pieces)
+    vertices = None if base.vertices is None else tuple(
+        (pose.to_world(v), lambda d, test=test: test(pose.rotate_to_local(d))) for v, test in base.vertices
+    )
+    return replace(
+        base, value=value, gradient=gradient, hessian=hessian, center=center, pieces=pieces, vertices=vertices
+    )
 
 
 def ellipsoid(semiaxes, pose: Pose | None = None) -> ImplicitBody:
@@ -869,7 +887,11 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
     ``q(p) = |(x + y - 1, z)| + y - 1`` and the base disk is cut by
     ``y >= 0``; the hull is ``{max(q, -y) <= 0}``.  The segment from the
     origin to the apex lies on the boundary, so the body is convex but not
-    strictly convex, and the boundary has an edge along the base rim.
+    strictly convex, and the boundary has an edge along the base rim.  The
+    apex v = (0, 1, 0) is a vertex of the gauge: only the lateral piece is
+    active there, so the normal cone is {l (L^T w + e_y) : l >= 0, |w| <= 1}
+    with L = [[1, 1, 0], [0, 0, 1]], and d lies in it exactly when
+    ``|(d_x, d_z)| <= d_y - d_x``.
     """
 
     def gauge(p, what=None):
@@ -905,6 +927,7 @@ def cone_over_circle(pose: Pose | None = None) -> ImplicitBody:
         center=np.array([0.75, 0.25, 0.0]),
         convexity=Convexity.convex(),
         pieces=pieces,
+        vertices=((np.array([0.0, 1.0, 0.0]), lambda d: math.hypot(d[0], d[2]) <= d[1] - d[0]),),
     )
     return _posed(body, pose)
 

@@ -18,6 +18,18 @@ corrector with the pseudo-inverse of the SVD that each accepted point takes
 anyway; that SVD also certifies full rank n+3 of DPhi through its singular
 values.
 
+When the projected body is a quadric, tracing starts with a step 0 that
+solves the whole curve at once.  Along the normal line y + s grad F(y) the
+quadric's G is a2 s^2 + 2 a1 s + a0, so a target point y is shadowed exactly
+when a1 < 0 and the discriminant D = a1^2 - a2 a0 is >= 0.  The curve is
+{F = 0, D = 0}, where t = -a1 / a2 and x = y + t grad F(y) in closed form.
+Its points are the roots of D on arcs of the target fanned out from the
+closest pair's target point, bracketed on a radial grid and refined by
+bisection and Illinois steps, all arcs in each stacked pass.  They are
+certified with one stacked Phi, Jacobian and SVD; an arc that crosses
+twice on the grid, or any point the certification refuses, sends the call
+to the sequential trace.
+
 Disjointness and seeding rest on nearest points (``project_point``).  On
 ellipsoids and balls these come in closed form up to one scalar root, the
 secular equation's; a point it leaves above the stationarity tolerance,
@@ -41,6 +53,7 @@ from .bodies import (
     ConcaveChart,
     ImplicitBody,
     _arc_flip,
+    _line_quadric,
     _line_roots,
     boundary_point_along,
     chart_at,
@@ -55,6 +68,7 @@ from .errors import (
     RankDeficiencyError,
     RankDeficiencyWarning,
     SeedError,
+    UmbraError,
     check_positive,
 )
 
@@ -63,6 +77,9 @@ SIGMA_RANK_TOL = 1e-8  # relative threshold for rank counting
 SIGMA_TRACE_TOL = 1e-6  # relative health threshold while tracing
 NEAR_SINGULAR_TOL = 1e-3  # conditioning collapse classifying step failures
 MAX_SOLVE_ITER = 50
+ARC_GRID = np.geomspace(1e-4, 1e2, 24)  # radii of the step-0 arc bracket, in units of |y0 - center|
+COARSE_ARCS = 64  # arcs of the step-0 pass that measures the curve's length
+MAX_STACKED_POINTS = 8192  # step 0 holds len(ARC_GRID) target points per curve point at once
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +179,13 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
     next solve starts.  The first solve that converges with every other
     piece <= 0 at its point is returned: its multipliers are positive, so
     x - y lies in the body's normal cone at y, which makes y the nearest
-    point.  No such solve (the argmin at a vertex of one piece, such as the
-    cone's apex) raises NoConvergenceError.  Points already on the boundary
+    point.  A vertex of one piece (the cone's apex) is no smooth solve's
+    root: a body's ``vertices`` are returned first when x - v lies in their
+    normal cone, and when no solve from the ray-crossing seed converges,
+    the solves run again from the crossing toward v + (x - v) / 100, which
+    starts Newton on v's side of a nearest point close to v, where a
+    piece's Hessian grows without bound.  No such solve raises
+    NoConvergenceError.  Points already on the boundary
     project to themselves; interior points raise InteriorPointError since
     the disjoint-body machinery never needs them.
     """
@@ -181,19 +203,23 @@ def project_point(body: ImplicitBody, x) -> np.ndarray:
         if float(np.abs(residual).max()) <= TOL_ROOT * scale:
             return y
 
+    for v, in_normal_cone in body.vertices or ():
+        if in_normal_cone(x - v):
+            return v.copy()
     pieces = [body] if body.pieces is None else [
         replace(body, value=v, gradient=g, hessian=h, pieces=None) for v, g, h in body.pieces
     ]
     k, tol = len(pieces), TOL_ROOT * scale
-    y0 = boundary_point_along(body, x - body.center)
     best = math.inf
-    for active in [[i] for i in range(k)] + ([list(range(k))] if k > 1 else []):
-        y, res = _kkt_newton([pieces[i] for i in active], x, y0, scale)
-        if res <= tol:
-            if all(pieces[i].value_at(y) <= tol for i in range(k) if i not in active):
-                return y
-            y0 = y  # another piece blocks this point: the next solve starts from it
-        best = min(best, res)
+    for aim in [x] + [v + 0.01 * (x - v) for v, _ in body.vertices or ()]:
+        y0 = boundary_point_along(body, aim - body.center)
+        for active in [[i] for i in range(k)] + ([list(range(k))] if k > 1 else []):
+            y, res = _kkt_newton([pieces[i] for i in active], x, y0, scale)
+            if res <= tol:
+                if all(pieces[i].value_at(y) <= tol for i in range(k) if i not in active):
+                    return y
+                y0 = y  # another piece blocks this point: the next solve starts from it
+            best = min(best, res)
     raise NoConvergenceError(f"projection residual {best:.3g} above tolerance {tol:.3g}")
 
 
@@ -243,35 +269,37 @@ def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
 
 
 def boundary_map(omega: ImplicitBody, lam: ImplicitBody, z) -> np.ndarray:
-    """The (n+3)-vector Phi(x, y, t) whose zero set is the shadow boundary."""
+    """The (n+3)-vector Phi(x, y, t) whose zero set is the shadow boundary,
+    at a state z ``(2n+1,)``, or ``(N, n+3)`` at each row of a stack
+    ``(N, 2n+1)`` (each row the point call's, bit for bit, when the oracles'
+    rows are)."""
     n = omega.dim
-    x, y, t = z[:n], z[n : 2 * n], z[2 * n]
+    z = np.asarray(z, float)
+    x, y, t = z[..., :n], z[..., n : 2 * n], z[..., 2 * n :]
     gG = omega.gradient_at(x)
     gF = lam.gradient_at(y)
-    return np.concatenate(
-        [
-            [omega.value_at(x), lam.value_at(y), float(np.dot(gG, gF))],
-            y + t * gF - x,
-        ]
-    )
+    head = np.stack([omega.value(x), lam.value(y), np.vecdot(gG, gF)], axis=-1)
+    return np.concatenate([head, y + t * gF - x], axis=-1)
 
 
 def boundary_jacobian(omega: ImplicitBody, lam: ImplicitBody, z) -> np.ndarray:
-    """Analytic (n+3) x (2n+1) Jacobian of the boundary-defining map."""
+    """Analytic (n+3) x (2n+1) Jacobian of the boundary-defining map, or
+    ``(N, n+3, 2n+1)`` at the rows of a stack ``(N, 2n+1)``."""
     n = omega.dim
-    x, y, t = z[:n], z[n : 2 * n], z[2 * n]
+    z = np.asarray(z, float)
+    x, y, t = z[..., :n], z[..., n : 2 * n], z[..., 2 * n :]
     gG = omega.gradient_at(x)
     gF = lam.gradient_at(y)
     HG = omega.hessian_at(x)
     HF = lam.hessian_at(y)
-    J = np.zeros((n + 3, 2 * n + 1))
-    J[0, :n] = gG
-    J[1, n : 2 * n] = gF
-    J[2, :n] = HG @ gF
-    J[2, n : 2 * n] = HF @ gG
-    J[3:, :n] = -np.eye(n)
-    J[3:, n : 2 * n] = np.eye(n) + t * HF
-    J[3:, 2 * n] = gF
+    J = np.zeros(z.shape[:-1] + (n + 3, 2 * n + 1))
+    J[..., 0, :n] = gG
+    J[..., 1, n : 2 * n] = gF
+    J[..., 2, :n] = (HG @ gF[..., None])[..., 0]
+    J[..., 2, n : 2 * n] = (HF @ gG[..., None])[..., 0]
+    J[..., 3:, :n] = -np.eye(n)
+    J[..., 3:, n : 2 * n] = np.eye(n) + t[..., None] * HF
+    J[..., 3:, 2 * n] = gF
     return J
 
 
@@ -623,6 +651,145 @@ class BoundaryTrace:
         return data
 
 
+def _discriminant(quadric, lam: ImplicitBody, y):
+    """At target points y ``(N, n)``: g = grad F(y), and a2, a1 and
+    D = a1^2 - a2 a0 from the coefficients of the quadric G along the
+    normal lines y + s g.  A point outside the quadric is shadowed exactly
+    when a1 < 0 and D >= 0; on the shadow boundary the line grazes the
+    quadric at s = -a1 / a2."""
+    g = lam.gradient_at(y)
+    a2, a1, a0 = _line_quadric(quadric, y, g)
+    return g, a2, a1, a1 * a1 - a2 * a0
+
+
+def _arc_crossings(omega: ImplicitBody, lam: ImplicitBody, frame, alpha, tol: float):
+    """Shadow-boundary states ``(N, 2n+1)`` on the arcs
+    ``boundary_point_along(lam, base + r (cos a e1 + sin a e2))``, r > 0, of
+    the angles ``alpha`` ``(N,)``, and the root rounds each arc took.
+
+    The arcs start in the shadow (D(y0) = d0 > 0 at r = 0).  One stacked
+    pass over the radii ``ARC_GRID |base|`` brackets each arc's crossing;
+    then four stacked bisections and Illinois steps (Dowell & Jarratt, BIT
+    11, 1971) run on D until |D| <= tol a2 / 100, where |G(x)| = |D| / a2,
+    or the bracket is down to rounding.  x and t come in closed form.
+    None when an arc is not lit at the end of the grid or is shadowed
+    again past its first lit radius, or a root is still open after
+    ``MAX_SOLVE_ITER`` rounds.
+    """
+    base, e1, e2, d0 = frame
+    n, N, K = lam.dim, len(alpha), len(ARC_GRID)
+    E = np.cos(alpha)[:, None] * e1 + np.sin(alpha)[:, None] * e2
+    radii = float(np.linalg.norm(base)) * ARC_GRID
+
+    def at(r, E):
+        y = boundary_point_along(lam, base + r[:, None] * E)
+        return (y, *_discriminant(omega.quadric, lam, y))
+
+    D_grid = at(np.repeat(radii, N), np.tile(E, (K, 1)))[4].reshape(K, N)
+    lit = D_grid < 0
+    k = np.argmax(lit, axis=0)  # each arc's first lit radius
+    if not lit[-1].all() or (~lit & (np.arange(K)[:, None] > k)).any():
+        return None
+    cols = np.arange(N)
+    lo, hi = np.where(k > 0, radii[k - 1], 0.0), radii[k]
+    f_lo, f_hi = np.where(k > 0, D_grid[k - 1, cols], d0), D_grid[k, cols]
+    y, g, a2, a1 = np.empty((N, n)), np.empty((N, n)), np.empty(N), np.empty(N)
+    rounds, kept = np.zeros(N, int), np.zeros(N)  # kept: +1 lo, -1 hi kept in the last Illinois step
+    act = cols
+    for it in range(MAX_SOLVE_ITER):
+        l, h, fl, fh = lo[act], hi[act], f_lo[act], f_hi[act]
+        r = 0.5 * (l + h) if it < 4 else l - fl * (h - l) / (fh - fl)
+        y[act], g[act], a2[act], a1[act], D = at(r, E[act])
+        rounds[act] += 1
+        up = D >= 0  # still shadowed: r replaces lo
+        lo[act], f_lo[act] = np.where(up, r, l), np.where(up, D, fl)
+        hi[act], f_hi[act] = np.where(up, h, r), np.where(up, fh, D)
+        if it >= 4:  # Illinois: an end kept twice in a row has its value halved
+            f_hi[act[up & (kept[act] < 0)]] *= 0.5
+            f_lo[act[~up & (kept[act] > 0)]] *= 0.5
+            kept[act] = np.where(up, -1.0, 1.0)
+        done = (np.abs(D) <= 1e-2 * tol * a2[act]) | (hi[act] - lo[act] <= 4e-16 * hi[act])
+        act = act[~done]
+        if not act.size:
+            break
+    else:
+        return None
+    t = -a1 / a2
+    return np.hstack([y + t[:, None] * g, y, t[:, None]]), rounds
+
+
+def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoint, step: float, max_steps: int,
+                   tol: float):
+    """Step 0 of ``trace_boundary`` for a quadric omega: every point of the
+    closed curve in stacked passes, or None where the sequential trace must
+    run instead.
+
+    The arcs of ``_arc_crossings`` are based at the target point y0 of the
+    closest pair, which is shadowed, and fan out in the tangent plane
+    there, the angles running from start's arc in the direction of
+    start's tangent.  A pass over ``COARSE_ARCS`` arcs measures the curve's
+    length L in (x, y, t); the points are then solved on the
+    max(11, ceil(L / step)) arcs that split the coarse polyline into equal
+    lengths, the last on start's own arc.  They are certified like the
+    sequential trace's: max|Phi| <= tol and t > 0 (one stacked
+    ``boundary_map``), jumps |y_k+1 - y_k| <= 3 step and closure
+    |y_last - y_start| < step / 2, and no more points than ``max_steps`` or
+    ``MAX_STACKED_POINTS``.
+    One stacked ``boundary_jacobian`` and one SVD then give the singular
+    values and tangents; a rank drop raises as in the sequential trace.
+    """
+    n = lam.dim
+    try:
+        _, y0, _ = closest_pair(omega, lam)
+        base = y0 - lam.center
+        R = rotation_with_last_axis(lam.unit_normal(y0))
+        e1, e2 = R[:, 0], R[:, 1]
+        B = np.column_stack([base, e1, e2])
+        along, b1, b2 = np.linalg.solve(B, start.y - lam.center)  # start.y - center = along (base + r E(alpha))
+        _, c1, c2 = np.linalg.solve(B, start.tangent[n : 2 * n])
+        d0 = float(_discriminant(omega.quadric, lam, y0[None])[3][0])
+        turn = b1 * c2 - b2 * c1  # the angle's rate along start's tangent
+        if not (along > 0 and d0 > 0 and turn != 0):
+            return None
+        frame = (base, e1, e2, d0)
+        alpha0, sweep = math.atan2(b2, b1), math.copysign(2.0 * math.pi, turn)
+        coarse = _arc_crossings(omega, lam, frame, alpha0 + sweep * np.arange(COARSE_ARCS) / COARSE_ARCS, tol)
+        if coarse is None:
+            return None
+        Zc = coarse[0]
+        s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(Zc, axis=0, append=Zc[:1]), axis=1))])
+        count = max(11, math.ceil(s[-1] / step))
+        if count > min(max_steps, MAX_STACKED_POINTS):
+            return None
+        frac = np.interp(s[-1] * np.arange(1, count + 1) / count, s, np.arange(COARSE_ARCS + 1) / COARSE_ARCS)
+        fine = _arc_crossings(omega, lam, frame, alpha0 + sweep * frac, tol)
+        if fine is None:
+            return None
+        Z, rounds = fine
+        res = np.abs(boundary_map(omega, lam, Z)).max(axis=1)
+    except (UmbraError, np.linalg.LinAlgError):
+        return None
+    Y = np.vstack([start.y, Z[:, n : 2 * n]])
+    jumps = np.linalg.norm(np.diff(Y, axis=0), axis=1)
+    closure = float(np.linalg.norm(Y[-1] - Y[0]))
+    if not ((res <= tol).all() and (Z[:, 2 * n] > 0).all() and jumps.max() <= 3.0 * step and closure < step / 2.0):
+        return None
+
+    _, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, Z))
+    points = [start]
+    for z, r, smin, smax, tangent, k in zip(Z, res, sv[:, -1], sv[:, 0], vt[:, -1], rounds):
+        pt = ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), float(r), float(smin), float(smax), tangent, int(k))
+        if pt.sigma_min < SIGMA_RANK_TOL * pt.sigma_max:
+            warnings.warn(
+                f"Jacobian nearly rank deficient at solved point (sigma_min = {pt.sigma_min:.3g})",
+                RankDeficiencyWarning,
+                stacklevel=3,
+            )
+        _check_health(pt, "rank drop along the trace")
+        points.append(pt)
+    return BoundaryTrace(points, True, float(jumps.sum()) + closure, step)
+
+
 def _check_health(point: ProjectionPoint, what: str):
     """RankDeficiencyError, led by ``what``, when sigma_min falls under
     ``SIGMA_TRACE_TOL * sigma_max`` at a point of the trace."""
@@ -638,9 +805,25 @@ def trace_boundary(
     max_steps: int,
     tol: float = TOL_ROOT,
 ) -> BoundaryTrace:
-    """Predictor-corrector continuation of the shadow boundary curve (n = 3).
+    """The shadow boundary curve through ``start`` (n = 3): step 0 when
+    omega is a quadric, else predictor-corrector continuation.
 
-    The predictor is ``z + h tangent + h^2 kappa / 2``: a step along the null
+    Step 0 (``_stacked_trace``) solves every point at once as a root of the
+    discriminant D = a1^2 - a2 a0 of omega's quadric along the target's
+    normal lines, on arcs of the target fanned out from the closest pair's
+    target point y0, and takes x and t in closed form (module docstring).
+    The points are spaced by the arc length of a coarse pass, run on from
+    start's arc along start's tangent, and the last one lies on start's
+    arc.  One stacked ``boundary_map`` certifies max|Phi| <= tol and t > 0 at
+    every point, the jumps |y_k+1 - y_k| must stay <= 3 step, the closure
+    |y_last - y_start| < step / 2, and the point count <= ``max_steps`` (and
+    ``MAX_STACKED_POINTS``, which bounds step 0's memory);
+    one stacked ``boundary_jacobian`` and one SVD give the singular values
+    and tangents, with the sequential trace's rank warning and error.  A
+    refusal anywhere, including an arc that crosses D = 0 twice on its
+    radial grid, runs the sequential trace below instead, unchanged.
+
+    The sequential predictor is ``z + h tangent + h^2 kappa / 2``: a step along the null
     space of the defining Jacobian, bent by the curvature estimate
     ``kappa = (tangent_k - tangent_k-1) / |z_k - z_k-1|`` from the last two
     accepted points (kappa = 0 on the first step; Allgower & Georg,
@@ -676,6 +859,10 @@ def trace_boundary(
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
 
     _check_health(start, "start point is rank deficient")
+    if omega.quadric is not None:
+        trace = _stacked_trace(omega, lam, start, step, max_steps, tol)
+        if trace is not None:
+            return trace
 
     h, h_min, h_max = step, step / 16.0, step
     tangent, z, pinv = start.tangent, start.state, _factor(omega, lam, start.state)[2]
