@@ -724,9 +724,27 @@ def test_refused_stacked_trace_is_the_sequential_trace():
     start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
     limit = len(pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000)) // 2
     got = pj.trace_boundary(om, lam, start, step=0.02, max_steps=limit)
-    want = pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=limit)
+    assert len(got) == limit + 1 and not got.closed
+    _assert_same_trace(got, pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=limit))
+
+
+def test_arcs_that_cross_twice_send_the_trace_to_the_sequential_path():
+    # a thin disk below a ball near its rim: the normal lines of the top face
+    # and those of the rim both reach the ball, so arcs from the closest pair
+    # run shadowed, lit and shadowed again on the radial grid, and step 0
+    # refuses
+    lam = bodies.ellipsoid([2.0, 2.0, 0.2])
+    om = bodies.translated_ball([1.9, 0.0, 0.5], 0.3)
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
+    assert pj._stacked_trace(om, lam, start, 0.02, 4000, pj.TOL_ROOT) is None
+    got = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
+    assert got.closed
+    _assert_same_trace(got, pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=4000))
+
+
+def _assert_same_trace(got, want):
     assert (got.closed, got.arc_length, got.diagnostics) == (want.closed, want.arc_length, want.diagnostics)
-    assert len(got) == len(want) == limit + 1 and not got.closed
+    assert len(got) == len(want)
     for p, q in zip(got.points, want.points):
         assert np.array_equal(p.state, q.state) and np.array_equal(p.tangent, q.tangent)
         assert (p.residual, p.sigma_min, p.sigma_max, p.iterations) == (q.residual, q.sigma_min, q.sigma_max, q.iterations)
