@@ -274,7 +274,8 @@ def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
     scalar or ``(N,)``: the smallest t in [0, t_max] with G(o + t d) = 0 on
     each row (0 where G(o) <= 0, NaN for a miss), and G at each row's last
     evaluated point.  ``value`` and ``gradient`` take stacks ``(N, n)``; a
-    ``quadric`` (ellipsoids and balls) replaces them by ``_quadratic_root``.
+    ``quadric`` (ellipsoids and balls) replaces them by ``_quadratic_root``'s
+    a0 / (sqrt(a1^2 - a2 a0) - a1), the only root a row can return (a1 < 0).
 
     Else monotone one-sided Newton on the convex g(t) = G(o + t d) (Ortega &
     Rheinboldt, 1970): while g > 0 the step t += g / (-g') lands where a
@@ -289,7 +290,7 @@ def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
     with np.errstate(divide="ignore", invalid="ignore"):  # misses and zero directions hold NaN
         if quadric is not None:
             a2, a1, a0 = _line_quadric(quadric, origins, directions)
-            t = _quadratic_root(a2, a1, a0)
+            t = a0 / (np.sqrt(a1 * a1 - a2 * a0) - a1)
             t = np.where(a0 <= 0, 0.0, np.where((a1 < 0) & (t <= t_max), t, np.nan))
             return t, a0 + t * (2.0 * a1 + a2 * t)
         N = len(origins)

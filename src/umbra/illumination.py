@@ -489,11 +489,12 @@ def read_csv_table(path) -> tuple[list, np.ndarray]:
 
 def write_csv_table(path, header, data):
     """Header and numeric rows ``(N, columns)`` as a CSV file, each cell the
-    17 significant digits that read back as the same float."""
+    17 significant digits that read back as the same float, with
+    ``csv.writer``'s CRLF line ends."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" for v in row] for row in np.asarray(data, float).tolist())
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % tuple(row) for row in np.asarray(data, float).tolist())
 
 
 @dataclass(frozen=True)

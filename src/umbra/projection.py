@@ -21,14 +21,15 @@ values.
 When the projected body is a quadric, tracing starts with a step 0 that
 solves the whole curve at once.  Along the normal line y + s grad F(y) the
 quadric's G is a2 s^2 + 2 a1 s + a0, so a target point y is shadowed exactly
-when a1 < 0 and the discriminant D = a1^2 - a2 a0 is >= 0.  The curve is
-{F = 0, D = 0}, where t = -a1 / a2 and x = y + t grad F(y) in closed form.
-Its points are the roots of D on arcs of the target fanned out from the
-closest pair's target point, bracketed on a radial grid and refined by
-bisection and Illinois steps, all arcs in each stacked pass.  They are
-certified with one stacked Phi, Jacobian and SVD; an arc that crosses
-twice on the grid, or any point the certification refuses, sends the call
-to the sequential trace.
+when a1 < 0 and the discriminant D = a1^2 - a2 a0 is >= 0 (the membership
+test of ``in_projection_shadow``).  The curve is {F = 0, D = 0}, where
+t = -a1 / a2 and x = y + t grad F(y) in closed form.  Its points are the
+roots of D on arcs of the target fanned out from the target point whose
+normal ray passes through the quadric's center (so D > 0 there), bracketed
+on a radial grid and refined by bisection and Illinois steps, all arcs in
+each stacked pass.  They are certified with one stacked Phi, Jacobian and
+SVD; an arc that crosses twice on the grid, or any point the certification
+refuses, sends the call to the sequential trace.
 
 Disjointness and seeding rest on nearest points (``project_point``).  On
 ellipsoids and balls these come in closed form up to one scalar root, the
@@ -254,14 +255,25 @@ def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
     True exactly when the outward-normal ray of the target at y hits the
     closure of omega.  y must lie on the target's boundary (DomainError),
     and both bodies in the same R^n (ParameterError).  A stack ``(N, n)``
-    of points gives a bool array ``(N,)``.
+    of points gives a bool array ``(N,)``.  On a ``quadric`` omega, whose
+    G along the unit normal line is a2 s^2 + 2 a1 s + a0, that is a0 <= 0
+    (y on omega) or a1 < 0 and D = a1^2 - a2 a0 >= 0, with no root solved.
+    A y inside omega raises ParameterError, and a vanishing normal
+    DegeneratePointError.
     """
     _check_dims(omega, lam)
     y = np.asarray(y, float)
     if np.any(np.abs(lam.value(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)):
         raise DomainError("y is not on the target boundary")
-    t = first_hitting_time(omega, y, lam.unit_normal(y))
-    return ~np.isnan(t) if y.ndim == 2 else t is not None
+    nu = lam.unit_normal(y)
+    if omega.quadric is None:
+        t = first_hitting_time(omega, y, nu)
+        return ~np.isnan(t) if y.ndim == 2 else t is not None
+    a2, a1, a0 = _line_quadric(omega.quadric, np.atleast_2d(y), nu)
+    if (a0 < -TOL_BOUNDARY * max(1.0, omega.bounding_radius)).any():
+        raise ParameterError("ray origin lies inside the body")
+    member = (a0 <= 0) | (a1 < 0) & (a1 * a1 - a2 * a0 >= 0)
+    return member if y.ndim == 2 else bool(member[0])
 
 
 # ---------------------------------------------------------------------------
@@ -724,23 +736,23 @@ def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoin
     closed curve in stacked passes, or None where the sequential trace must
     run instead.
 
-    The arcs of ``_arc_crossings`` are based at the target point y0 of the
-    closest pair, which is shadowed, and fan out in the tangent plane
-    there, the angles running from start's arc in the direction of
-    start's tangent.  A pass over ``COARSE_ARCS`` arcs measures the curve's
-    length L in (x, y, t); the points are then solved on the
-    max(11, ceil(L / step)) arcs that split the coarse polyline into equal
-    lengths, the last on start's own arc.  They are certified like the
-    sequential trace's: max|Phi| <= tol and t > 0 (one stacked
+    The arcs of ``_arc_crossings`` are based at the target point y0 nearest
+    omega's center, which is strictly shadowed (its outward normal ray
+    passes through that center; ``seed_boundary`` anchors on it too), and
+    fan out in the tangent plane there, the angles running from start's arc
+    in the direction of start's tangent.  A pass over ``COARSE_ARCS`` arcs
+    measures the curve's length L in (x, y, t); the points are then solved
+    on the max(11, ceil(L / step)) arcs that split the coarse polyline into
+    equal lengths, the last on start's own arc.  They are certified like
+    the sequential trace's: max|Phi| <= tol and t > 0 (one stacked
     ``boundary_map``), jumps |y_k+1 - y_k| <= 3 step and closure
     |y_last - y_start| < step / 2, and no more points than ``max_steps`` or
-    ``MAX_STACKED_POINTS``.
-    One stacked ``boundary_jacobian`` and one SVD then give the singular
+    ``MAX_STACKED_POINTS``.  One stacked ``boundary_jacobian`` and one SVD then give the singular
     values and tangents; a rank drop raises as in the sequential trace.
     """
     n = lam.dim
     try:
-        _, y0, _ = closest_pair(omega, lam)
+        y0 = project_point(lam, omega.center)
         base = y0 - lam.center
         R = rotation_with_last_axis(lam.unit_normal(y0))
         e1, e2 = R[:, 0], R[:, 1]
@@ -810,15 +822,15 @@ def trace_boundary(
 
     Step 0 (``_stacked_trace``) solves every point at once as a root of the
     discriminant D = a1^2 - a2 a0 of omega's quadric along the target's
-    normal lines, on arcs of the target fanned out from the closest pair's
-    target point y0, and takes x and t in closed form (module docstring).
-    The points are spaced by the arc length of a coarse pass, run on from
-    start's arc along start's tangent, and the last one lies on start's
-    arc.  One stacked ``boundary_map`` certifies max|Phi| <= tol and t > 0 at
-    every point, the jumps |y_k+1 - y_k| must stay <= 3 step, the closure
-    |y_last - y_start| < step / 2, and the point count <= ``max_steps`` (and
-    ``MAX_STACKED_POINTS``, which bounds step 0's memory);
-    one stacked ``boundary_jacobian`` and one SVD give the singular values
+    normal lines, on arcs of the target fanned out from the target point y0
+    nearest omega's center, and takes x and t in closed form (module
+    docstring).  The points are spaced by the arc length of a coarse pass,
+    run on from start's arc along start's tangent, and the last one lies on
+    start's arc.  One stacked ``boundary_map`` certifies max|Phi| <= tol and
+    t > 0 at every point, the jumps |y_k+1 - y_k| must stay <= 3 step, the
+    closure |y_last - y_start| < step / 2, and the point count
+    <= ``max_steps`` (and ``MAX_STACKED_POINTS``, which bounds step 0's
+    memory); one stacked ``boundary_jacobian`` and one SVD give the singular values
     and tangents, with the sequential trace's rank warning and error.  A
     refusal anywhere, including an arc that crosses D = 0 twice on its
     radial grid, runs the sequential trace below instead, unchanged.
@@ -837,15 +849,16 @@ def trace_boundary(
     ``MAX_SOLVE_ITER`` steps, and lands at most 3 steps from the last point.
     Accepted points go through the checks of ``solve_boundary_point``.  The
     step halves on failure, doubles after three easy successes, and is
-    clamped to [step/16, step].  Tracing stops on closure (within step/2 of
-    the start after at least 10 steps), on ``max_steps``, or with
-    RankDeficiencyError: when sigma_min falls under ``SIGMA_TRACE_TOL *
-    sigma_max`` at the start or at an accepted point (``_check_health``), or
-    when the corrector fails at the minimal step where sigma_min/sigma_max
-    is under ``NEAR_SINGULAR_TOL`` at the predictor or the last point.
-    A step of twice the target's diameter bound 2 ``bounding_radius`` or
-    more raises ParameterError: every target point would pass the closure
-    test; so do a ``tol`` and bodies as refused by ``solve_boundary_point``.
+    clamped to [step/16, step].  Tracing stops on closure (y within step/2
+    of the start after at least 10 steps, once y has been a step away), on
+    ``max_steps``, or with RankDeficiencyError: when sigma_min falls under
+    ``SIGMA_TRACE_TOL * sigma_max`` at the start or at an accepted point
+    (``_check_health``), or when the corrector fails at the minimal step
+    where sigma_min/sigma_max is under ``NEAR_SINGULAR_TOL`` at the
+    predictor or the last point.  A step of twice the target's diameter
+    bound 2 ``bounding_radius`` or more raises ParameterError: no target
+    point lies a step from the start, so the trace could not close; so do a
+    ``tol`` and bodies as refused by ``solve_boundary_point``.
     """
     if omega.dim != 3:
         raise ParameterError("curve tracing is implemented for dimension 3 only")
@@ -867,7 +880,7 @@ def trace_boundary(
     h, h_min, h_max = step, step / 16.0, step
     tangent, z, pinv = start.tangent, start.state, _factor(omega, lam, start.state)[2]
     kappa = np.zeros_like(z)  # tangent turn per unit length between the last two points
-    easy, closed, diagnostics, arc = 0, False, "", 0.0
+    easy, closed, diagnostics, arc, left = 0, False, "", 0.0, False
     for k in range(max_steps):
         predictor = z + h * tangent + 0.5 * h * h * kappa
         try:
@@ -923,9 +936,11 @@ def trace_boundary(
         else:
             easy = 0
 
-        if k >= 10 and float(np.linalg.norm(pt.y - start.y)) < step / 2.0:
+        back = float(np.linalg.norm(pt.y - start.y))
+        left = left or back >= step
+        if k >= 10 and left and back < step / 2.0:
             closed = True
-            arc += float(np.linalg.norm(pt.y - start.y))
+            arc += back
             break
     else:
         diagnostics = diagnostics or "max_steps reached without closure"

@@ -8,6 +8,7 @@ import pytest
 from umbra import bodies
 from umbra.bodies import TOL_BOUNDARY, Pose, chart_at, sample_boundary_points
 from umbra.errors import (
+    DegeneratePointError,
     DomainError,
     InteriorPointError,
     OverlapError,
@@ -375,6 +376,60 @@ def test_membership_flip_at_tangency_angle():
     assert abs(0.5 * (lo + hi) - theta_star) < 1e-6
 
 
+_MEMBERSHIP_OMEGAS = {
+    "ball": lambda rng: bodies.translated_ball([0.4, -0.2, 3.0], 1.0),
+    "posed_ellipsoid": lambda rng: bodies.ellipsoid(
+        rng.uniform(0.5, 0.9, size=3), Pose(oracles.random_rotation(rng), [0.3, 0.5, 3.6])
+    ),
+    "eccentric_ellipsoid": lambda rng: bodies.ellipsoid(
+        [1.0, 0.1, 0.003], Pose(np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]]), [0.5, 0.3, 3.6])
+    ),
+}
+
+
+@pytest.mark.parametrize("make", list(_MEMBERSHIP_OMEGAS.values()), ids=list(_MEMBERSHIP_OMEGAS))
+def test_membership_on_a_quadric_is_the_ray_hit(make):
+    # a quadric omega decides membership by the signs of a1 and D, without
+    # the ray's root; it agrees with the ray hit wherever |D| is above the
+    # rounding of a1^2 - a2 a0, on stacks and on single points
+    rng = np.random.default_rng(29)
+    om = make(rng)
+    lam = bodies.ellipsoid([1.2, 1.0, 0.9], Pose(oracles.random_rotation(rng), np.zeros(3)))
+    Y = bodies.boundary_point_along(lam, _unit(om.center) + 0.15 * rng.normal(size=(600, 3)))
+    nu = lam.unit_normal(Y)
+    a2, a1, a0 = bodies._line_quadric(om.quadric, Y, nu)
+    Y, nu = (v[np.abs(a1 * a1 - a2 * a0) > 1e-9 * (a1 * a1 + np.abs(a2 * a0))] for v in (Y, nu))
+    want = ~np.isnan(pj.first_hitting_time(om, Y, nu))
+    assert 20 <= want.sum() <= len(Y) - 20
+    assert np.array_equal(pj.in_projection_shadow(om, lam, Y), want)
+    assert [pj.in_projection_shadow(om, lam, y) for y in Y[:80]] == want[:80].tolist()
+
+
+@pytest.mark.parametrize("quadric", [True, False], ids=["sign_test", "ray"])
+def test_membership_outcomes_are_the_same_on_either_path(quadric):
+    lam = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+    top = np.array([0.0, 0.0, 1.0])
+
+    def omega(center, radius):
+        om = bodies.translated_ball(center, radius)
+        return om if quadric else replace(om, quadric=None)
+
+    # y on omega, the normal pointing away from it: the ray starts on omega
+    touching = omega([0.0, 0.0, 0.5], 0.5)
+    assert pj.in_projection_shadow(touching, lam, top) is True
+    assert pj.in_projection_shadow(touching, lam, np.stack([top, -top])).tolist() == [True, False]
+    with pytest.raises(ParameterError, match="inside"):
+        pj.in_projection_shadow(omega([0.0, 0.0, 1.5], 1.0), lam, np.stack([-top, top]))
+    om = omega([0.0, 0.0, 3.0], 1.0)
+    with pytest.raises(DomainError):
+        pj.in_projection_shadow(om, lam, [0.0, 0.0, 0.5])
+    with pytest.raises(ParameterError, match="different dimensions"):
+        pj.in_projection_shadow(om, bodies.ellipsoid([1.0, 0.8]), [1.0, 0.0])
+    flat = replace(lam, gradient=lambda p: np.zeros_like(np.asarray(p, float)))
+    with pytest.raises(DegeneratePointError):
+        pj.in_projection_shadow(om, flat, top)
+
+
 # ---------------------------------------------------------------------------
 # boundary solving
 
@@ -688,7 +743,7 @@ def test_trace_at_a_loose_tolerance_keeps_its_converged_points():
 @pytest.mark.parametrize("seed", [5, 6, 7, 8])
 def test_stacked_trace_points_are_ray_quadric_tangencies(seed):
     # a quadric omega takes step 0: every point solved at once on the arcs
-    # from the closest pair, certified, closed, and as well conditioned as
+    # from the target point nearest omega's center, certified, closed, and as well conditioned as
     # the sequential trace of the same curve
     om, lam, A, c, start = _posed_ellipsoid_pair(seed)
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
@@ -730,8 +785,8 @@ def test_refused_stacked_trace_is_the_sequential_trace():
 
 def test_arcs_that_cross_twice_send_the_trace_to_the_sequential_path():
     # a thin disk below a ball near its rim: the normal lines of the top face
-    # and those of the rim both reach the ball, so arcs from the closest pair
-    # run shadowed, lit and shadowed again on the radial grid, and step 0
+    # and those of the rim both reach the ball, so arcs from the point nearest
+    # its center run shadowed, lit and shadowed again on the radial grid, and step 0
     # refuses
     lam = bodies.ellipsoid([2.0, 2.0, 0.2])
     om = bodies.translated_ball([1.9, 0.0, 0.5], 0.3)
@@ -740,6 +795,21 @@ def test_arcs_that_cross_twice_send_the_trace_to_the_sequential_path():
     got = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
     assert got.closed
     _assert_same_trace(got, pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=4000))
+
+
+def test_sequential_trace_closes_only_after_leaving_the_start():
+    # here the contact x moves much faster than the shadow point y, so y
+    # stays within step/2 of the start for more than 10 steps; the
+    # sequential trace must still go round the curve that step 0 solves
+    lam = bodies.ellipsoid([0.37, 0.66, 0.91])
+    om = bodies.ellipsoid(
+        [0.15, 0.11, 1.08], Pose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [1.08, 2.5, 3.24])
+    )
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam, rng=0))
+    stacked = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
+    sequential = pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=4000)
+    assert stacked.closed and sequential.closed and len(sequential) > 200
+    assert sequential.arc_length == pytest.approx(stacked.arc_length, rel=1e-2)
 
 
 def _assert_same_trace(got, want):
@@ -752,7 +822,8 @@ def _assert_same_trace(got, want):
 
 def test_stacked_trace_builds_one_jacobian(monkeypatch):
     # one stacked Jacobian and one stacked SVD certify every point, and the
-    # arcs are based at one closest pair
+    # arcs are based at the target point nearest omega's center, with no
+    # closest-pair search
     om, lam = coaxial_pair()
     start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
     calls = {"boundary_jacobian": 0, "closest_pair": 0}
@@ -764,7 +835,7 @@ def test_stacked_trace_builds_one_jacobian(monkeypatch):
         monkeypatch.setattr(pj, name, counted)
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000)
     assert trace.closed and len(trace) > 300
-    assert calls == {"boundary_jacobian": 1, "closest_pair": 1}
+    assert calls == {"boundary_jacobian": 1, "closest_pair": 0}
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7, 8])
