@@ -743,8 +743,8 @@ def test_trace_at_a_loose_tolerance_keeps_its_converged_points():
 @pytest.mark.parametrize("seed", [5, 6, 7, 8])
 def test_stacked_trace_points_are_ray_quadric_tangencies(seed):
     # a quadric omega takes step 0: every point solved at once on the arcs
-    # from the target point nearest omega's center, certified, closed, and as well conditioned as
-    # the sequential trace of the same curve
+    # from the target point nearest omega's center, certified, closed, and
+    # as well conditioned as the sequential trace of the same curve
     om, lam, A, c, start = _posed_ellipsoid_pair(seed)
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
     assert trace.closed and trace.points[0] is start and trace.diagnostics == ""
@@ -785,9 +785,9 @@ def test_refused_stacked_trace_is_the_sequential_trace():
 
 def test_arcs_that_cross_twice_send_the_trace_to_the_sequential_path():
     # a thin disk below a ball near its rim: the normal lines of the top face
-    # and those of the rim both reach the ball, so arcs from the point nearest
-    # its center run shadowed, lit and shadowed again on the radial grid, and step 0
-    # refuses
+    # and those of the rim both reach the ball, so arcs from the point
+    # nearest its center run shadowed, lit and shadowed again on the radial
+    # grid, and step 0 refuses
     lam = bodies.ellipsoid([2.0, 2.0, 0.2])
     om = bodies.translated_ball([1.9, 0.0, 0.5], 0.3)
     start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam))
