@@ -250,7 +250,7 @@ class ImplicitBody:
         ng = np.sqrt(np.vecdot(g, g))
         if (ng < 1e-12).any():
             raise DegeneratePointError("gradient vanishes; no normal direction")
-        return g / ng[..., None]
+        return g / ng if g.ndim == 1 else g / ng[..., None]
 
 
 def _quadratic_root(a2, a1, a0):
@@ -291,7 +291,8 @@ def _line_roots(value, gradient, origins, directions, t_max, quadric=None):
         if quadric is not None:
             a2, a1, a0 = _line_quadric(quadric, origins, directions)
             t = a0 / (np.sqrt(a1 * a1 - a2 * a0) - a1)
-            t = np.where(a0 <= 0, 0.0, np.where((a1 < 0) & (t <= t_max), t, np.nan))
+            t[(a1 >= 0) | (t > t_max)] = np.nan  # a NaN t (D < 0) stays NaN
+            t[a0 <= 0] = 0.0
             return t, a0 + t * (2.0 * a1 + a2 * t)
         N = len(origins)
         t, dw = np.zeros(N), np.empty_like(origins)
@@ -344,8 +345,8 @@ def boundary_point_along(body: ImplicitBody, direction) -> np.ndarray:
     x0 = body.center
     s = 2.0 * body.bounding_radius
     u = rows / np.where(zero, 1.0, nd)[:, None]
-    quad = body.quadric  # a quadric's G at the center is the closed form's on a ray of length 0
-    g0 = body.value_at(x0) if quad is None else _line_roots(None, None, x0[None], np.zeros_like(x0), 0.0, quad)[1][0]
+    quad = body.quadric  # a quadric's G at the center is the a0 of any line through it
+    g0 = body.value_at(x0) if quad is None else _line_quadric(quad, x0, x0)[2]
     if not g0 < 0:  # every row is bad: the first one raises; an empty stack, the center's error
         if zero[:1].any():
             raise ParameterError("zero direction")

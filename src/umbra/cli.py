@@ -4,8 +4,10 @@ Subcommands:
 
 * ``shadow``  -- illumination shadow boundary of a body as a CSV curve
 * ``project`` -- trace the boundary of one body's projection shadow on
-  another, writing CSV plus a JSON sidecar.  The seed samples 64 target
-  directions; the trace's rank threshold ``SIGMA_TRACE_TOL`` is fixed.
+  another, writing CSV plus a JSON sidecar.  A quadric omega is seeded by
+  step 0's own root on the target; other bodies and ``--seed-patch`` by 64
+  sampled target directions.  The trace's rank threshold
+  ``SIGMA_TRACE_TOL`` is fixed.
 * ``diagnose`` -- Hoelder fit / cusp certificate / box dimension of a curve
   or trace CSV
 * ``counterexample`` -- run one of the sharpness constructions
@@ -278,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--tol-root", type=float, default=projection.TOL_ROOT)
     pr.add_argument("--seed-patch", nargs=3, type=float, default=None)
     pr.add_argument("--seed-patch-angle", type=float, default=None)
-    pr.add_argument("--rng-seed", type=_int_from(0), default=0)
+    pr.add_argument("--rng-seed", type=_int_from(0), default=0,
+                    help="seed of the sampled directions; a quadric omega without --seed-patch samples none")
     pr.add_argument("--out", default="trace.csv")
     pr.set_defaults(func=cmd_project)
 

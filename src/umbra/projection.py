@@ -27,9 +27,12 @@ t = -a1 / a2 and x = y + t grad F(y) in closed form.  Its points are the
 roots of D on arcs of the target fanned out from the target point whose
 normal ray passes through the quadric's center (so D > 0 there), bracketed
 on a radial grid and refined by bisection and Illinois steps, all arcs in
-each stacked pass.  They are certified with one stacked Phi, Jacobian and
-SVD; an arc that crosses twice on the grid, or any point the certification
-refuses, sends the call to the sequential trace.
+each stacked pass; the pass that places the points starts each arc's
+Illinois steps from the roots of a coarser pass.  They are certified with
+one stacked Phi, Jacobian and SVD; an arc that crosses twice on the grid,
+or any point the certification refuses, sends the call to the sequential
+trace.  The same root on the arc at angle 0 seeds a quadric omega over the
+whole target: it solves Phi already, so the start solve takes no step.
 
 Disjointness and seeding rest on nearest points (``project_point``).  On
 ellipsoids and balls these come in closed form up to one scalar root, the
@@ -238,13 +241,13 @@ def first_hitting_time(body: ImplicitBody, y, nu):
     rows = np.atleast_2d(y)
     nu = np.asarray(nu, float)
     nn = np.sqrt(np.vecdot(nu, nu))
-    u = nu / np.where(nn < 1e-14, 1.0, nn)[..., None]
+    zero = nn < 1e-14
     c = rows - body.center
     t_max = 2.0 * (np.sqrt(np.vecdot(c, c)) + body.bounding_radius)
-    t, g = _line_roots(body.value, body.gradient, rows, u, t_max, body.quadric)
-    bad = (nn < 1e-14) | ((t == 0) & (g < -TOL_BOUNDARY * max(1.0, body.bounding_radius)))
+    t, g = _line_roots(body.value, body.gradient, rows, nu / np.maximum(nn, 1e-14)[..., None], t_max, body.quadric)
+    bad = zero | (t == 0) & (g < -TOL_BOUNDARY * max(1.0, body.bounding_radius))
     if bad.any():  # the first bad row's error
-        zero = np.broadcast_to(nn, bad.shape)[np.argmax(bad)] < 1e-14
+        zero = np.broadcast_to(zero, bad.shape)[np.argmax(bad)]
         raise ParameterError("zero ray direction" if zero else "ray origin lies inside the body")
     return t if y.ndim == 2 else None if np.isnan(t[0]) else float(t[0])
 
@@ -263,17 +266,17 @@ def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
     """
     _check_dims(omega, lam)
     y = np.asarray(y, float)
-    if np.any(np.abs(lam.value(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)):
+    if (np.abs(lam.value(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)).any():
         raise DomainError("y is not on the target boundary")
     nu = lam.unit_normal(y)
     if omega.quadric is None:
         t = first_hitting_time(omega, y, nu)
         return ~np.isnan(t) if y.ndim == 2 else t is not None
-    a2, a1, a0 = _line_quadric(omega.quadric, np.atleast_2d(y), nu)
+    a2, a1, a0 = _line_quadric(omega.quadric, y, nu)  # scalars for a point y
     if (a0 < -TOL_BOUNDARY * max(1.0, omega.bounding_radius)).any():
         raise ParameterError("ray origin lies inside the body")
     member = (a0 <= 0) | (a1 < 0) & (a1 * a1 - a2 * a0 >= 0)
-    return member if y.ndim == 2 else bool(member[0])
+    return member if y.ndim == 2 else bool(member)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +537,17 @@ def seed_boundary(
 ):
     """Seed (x0, y0, t0) near the shadow boundary on the target.
 
-    Samples 64 target boundary points along rays from its center (plus, on
-    the whole target, the point nearest omega's center), classifies them by
-    shadow membership in one stacked pass of the arc search's own probe, and
-    k-sections the membership flip along the great arc between the closest
-    inside and outside samples (``_arc_flip``).  ``patch_center`` and
-    ``patch_angle`` optionally restrict sampling to a cap of directions.
+    On the whole target (no ``patch_center``) with a ``quadric`` omega, the
+    seed is step 0's root of D on its arc at angle 0 from the target point z
+    nearest omega's center (``_arc_frame``, ``_arc_crossings``), which
+    solves Phi to ``TOL_ROOT``; ``rng`` plays no part.  Otherwise, or when
+    that arc refuses (D(z) <= 0, None or an UmbraError), it samples 64
+    target boundary points along rays from its center (plus, on the whole
+    target, z), classifies them by shadow membership in one stacked pass of
+    the arc search's own probe, and k-sections the membership flip along the
+    great arc between the closest inside and outside samples (``_arc_flip``).
+    ``patch_center`` and ``patch_angle`` optionally restrict sampling to a
+    cap of directions.
     Raises SeedError when the sampled patch is entirely inside or entirely
     outside the shadow, OverlapError when omega's center lies inside the
     target, and ParameterError for bodies of different dimensions, a patch
@@ -559,6 +567,22 @@ def seed_boundary(
     if patch_angle is not None and not math.isfinite(patch_angle):
         raise ParameterError(f"patch_angle must be finite, got {patch_angle}")
     c = c / m / np.linalg.norm(c / m)
+    if patch_center is None:
+        # the target point nearest omega's center is always shadowed (by KKT
+        # its outward normal ray passes through that center)
+        try:
+            z_close = project_point(lam, omega.center)
+        except InteriorPointError as exc:
+            raise OverlapError(f"bodies overlap: {exc}") from exc
+        if omega.quadric is not None:  # the root of D on step 0's arc from z_close at angle 0
+            try:
+                frame = _arc_frame(omega, lam, z_close)
+                found = _arc_crossings(omega, lam, frame, np.zeros(1), TOL_ROOT) if frame[3] > 0 else None
+            except UmbraError:
+                found = None
+            if found is not None:
+                z = found[0][0]
+                return z[: lam.dim], z[lam.dim : 2 * lam.dim], float(z[-1])
     if lam.dim == 3:
         # Fibonacci points on the cap around c of the given angular radius
         i = np.arange(64) + 0.5
@@ -576,14 +600,7 @@ def seed_boundary(
     else:
         dirs = rng.normal(size=(64, lam.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    if patch_center is None:
-        # the target point nearest omega's center is always shadowed (by KKT
-        # its outward normal ray passes through that center), so it anchors
-        # the inside class even when the shadow cap is tiny
-        try:
-            z_close = project_point(lam, omega.center)
-        except InteriorPointError as exc:
-            raise OverlapError(f"bodies overlap: {exc}") from exc
+    if patch_center is None:  # z_close anchors the inside class even when the shadow cap is tiny
         dirs = np.vstack([(z_close - lam.center) / np.linalg.norm(z_close - lam.center), dirs])
 
     def hits(d):
@@ -674,17 +691,28 @@ def _discriminant(quadric, lam: ImplicitBody, y):
     return g, a2, a1, a1 * a1 - a2 * a0
 
 
-def _arc_crossings(omega: ImplicitBody, lam: ImplicitBody, frame, alpha, tol: float):
+def _arc_frame(omega: ImplicitBody, lam: ImplicitBody, y0):
+    """``_arc_crossings``' frame at a target point y0: y0 - lam.center, the first two
+    columns of the rotation whose last column is the unit normal at y0, and D(y0)."""
+    R = rotation_with_last_axis(lam.unit_normal(y0))
+    d0 = float(_discriminant(omega.quadric, lam, y0[None])[3][0])
+    return y0 - lam.center, R[:, 0], R[:, 1], d0
+
+
+def _arc_crossings(omega: ImplicitBody, lam: ImplicitBody, frame, alpha, tol: float, guess=None):
     """Shadow-boundary states ``(N, 2n+1)`` on the arcs
     ``boundary_point_along(lam, base + r (cos a e1 + sin a e2))``, r > 0, of
-    the angles ``alpha`` ``(N,)``, and the root rounds each arc took.
+    the angles ``alpha`` ``(N,)`` (``frame`` from ``_arc_frame``), the root
+    rounds each arc took and the radius r of each root.
 
     The arcs start in the shadow (D(y0) = d0 > 0 at r = 0).  One stacked
     pass over the radii ``ARC_GRID |base|`` brackets each arc's crossing;
-    then four stacked bisections and Illinois steps (Dowell & Jarratt, BIT
-    11, 1971) run on D until |D| <= tol a2 / 100, where |G(x)| = |D| / a2,
-    or the bracket is down to rounding.  x and t come in closed form.
-    None when an arc is not lit at the end of the grid or is shadowed
+    then stacked Illinois steps (Dowell & Jarratt, BIT 11, 1971) run on D
+    until |D| <= tol a2 / 100, where |G(x)| = |D| / a2, or the bracket is
+    down to rounding.  They start after four bisections, or after one round
+    at the arc's first guess, ``guess`` ``(N,)`` (NaN or None for none),
+    when it lies strictly inside the arc's grid bracket.  x and t come in closed
+    form.  None when an arc is not lit at the end of the grid or is shadowed
     again past its first lit radius, or a root is still open after
     ``MAX_SOLVE_ITER`` rounds.
     """
@@ -705,21 +733,27 @@ def _arc_crossings(omega: ImplicitBody, lam: ImplicitBody, frame, alpha, tol: fl
     cols = np.arange(N)
     lo, hi = np.where(k > 0, radii[k - 1], 0.0), radii[k]
     f_lo, f_hi = np.where(k > 0, D_grid[k - 1, cols], d0), D_grid[k, cols]
-    y, g, a2, a1 = np.empty((N, n)), np.empty((N, n)), np.empty(N), np.empty(N)
+    guess = np.full(N, np.nan) if guess is None else guess
+    warm = (lo < guess) & (guess < hi)  # False for a NaN guess
+    first, bisect = np.where(warm, guess, 0.5 * (lo + hi)), np.where(warm, 1, 4)  # bisect: rounds before Illinois
+    y, g, a2, a1, root = np.empty((N, n)), np.empty((N, n)), np.empty(N), np.empty(N), np.empty(N)
     rounds, kept = np.zeros(N, int), np.zeros(N)  # kept: +1 lo, -1 hi kept in the last Illinois step
     act = cols
     for it in range(MAX_SOLVE_ITER):
         l, h, fl, fh = lo[act], hi[act], f_lo[act], f_hi[act]
-        r = 0.5 * (l + h) if it < 4 else l - fl * (h - l) / (fh - fl)
+        illinois = it >= bisect[act]
+        r = first[act] if it == 0 else np.where(illinois, l - fl * (h - l) / (fh - fl), 0.5 * (l + h))
         y[act], g[act], a2[act], a1[act], D = at(r, E[act])
+        root[act] = r
         rounds[act] += 1
         up = D >= 0  # still shadowed: r replaces lo
         lo[act], f_lo[act] = np.where(up, r, l), np.where(up, D, fl)
         hi[act], f_hi[act] = np.where(up, h, r), np.where(up, fh, D)
-        if it >= 4:  # Illinois: an end kept twice in a row has its value halved
-            f_hi[act[up & (kept[act] < 0)]] *= 0.5
-            f_lo[act[~up & (kept[act] > 0)]] *= 0.5
-            kept[act] = np.where(up, -1.0, 1.0)
+        # Illinois: an end kept by two Illinois steps in a row has its value halved
+        turn = np.where(up, -1.0, 1.0) * illinois
+        f_hi[act[(turn < 0) & (kept[act] < 0)]] *= 0.5
+        f_lo[act[(turn > 0) & (kept[act] > 0)]] *= 0.5
+        kept[act] = turn
         done = (np.abs(D) <= 1e-2 * tol * a2[act]) | (hi[act] - lo[act] <= 4e-16 * hi[act])
         act = act[~done]
         if not act.size:
@@ -727,7 +761,7 @@ def _arc_crossings(omega: ImplicitBody, lam: ImplicitBody, frame, alpha, tol: fl
     else:
         return None
     t = -a1 / a2
-    return np.hstack([y + t[:, None] * g, y, t[:, None]]), rounds
+    return np.hstack([y + t[:, None] * g, y, t[:, None]]), rounds, root
 
 
 def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoint, step: float, max_steps: int,
@@ -743,48 +777,50 @@ def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoin
     in the direction of start's tangent.  A pass over ``COARSE_ARCS`` arcs
     measures the curve's length L in (x, y, t); the points are then solved
     on the max(11, ceil(L / step)) arcs that split the coarse polyline into
-    equal lengths, the last on start's own arc.  They are certified like
-    the sequential trace's: max|Phi| <= tol and t > 0 (one stacked
-    ``boundary_map``), jumps |y_k+1 - y_k| <= 3 step and closure
-    |y_last - y_start| < step / 2, and no more points than ``max_steps`` or
-    ``MAX_STACKED_POINTS``.  One stacked ``boundary_jacobian`` and one SVD then give the singular
-    values and tangents; a rank drop raises as in the sequential trace.
+    equal lengths, the last on start's own arc, each arc's root first
+    guessed from the coarse roots' radii.  They are certified like the
+    sequential trace's: max|Phi| <= tol and t > 0 (one stacked
+    ``boundary_map``), state moves |z_k+1 - z_k| <= 3 step in (x, y, t)
+    from start on, closure |y_last - y_start| < step / 2, and no more points
+    than ``max_steps`` or ``MAX_STACKED_POINTS``.  One stacked
+    ``boundary_jacobian`` and one SVD then give the singular values and
+    tangents; a rank drop raises as in the sequential trace.
     """
     n = lam.dim
     try:
-        y0 = project_point(lam, omega.center)
-        base = y0 - lam.center
-        R = rotation_with_last_axis(lam.unit_normal(y0))
-        e1, e2 = R[:, 0], R[:, 1]
+        frame = _arc_frame(omega, lam, project_point(lam, omega.center))
+        base, e1, e2, d0 = frame
         B = np.column_stack([base, e1, e2])
         along, b1, b2 = np.linalg.solve(B, start.y - lam.center)  # start.y - center = along (base + r E(alpha))
         _, c1, c2 = np.linalg.solve(B, start.tangent[n : 2 * n])
-        d0 = float(_discriminant(omega.quadric, lam, y0[None])[3][0])
         turn = b1 * c2 - b2 * c1  # the angle's rate along start's tangent
         if not (along > 0 and d0 > 0 and turn != 0):
             return None
-        frame = (base, e1, e2, d0)
         alpha0, sweep = math.atan2(b2, b1), math.copysign(2.0 * math.pi, turn)
-        coarse = _arc_crossings(omega, lam, frame, alpha0 + sweep * np.arange(COARSE_ARCS) / COARSE_ARCS, tol)
+        at_coarse = np.arange(COARSE_ARCS + 1) / COARSE_ARCS  # the last is the first arc again
+        coarse = _arc_crossings(omega, lam, frame, alpha0 + sweep * at_coarse[:-1], tol)
         if coarse is None:
             return None
-        Zc = coarse[0]
+        Zc, _, rc = coarse
         s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(Zc, axis=0, append=Zc[:1]), axis=1))])
         count = max(11, math.ceil(s[-1] / step))
         if count > min(max_steps, MAX_STACKED_POINTS):
             return None
-        frac = np.interp(s[-1] * np.arange(1, count + 1) / count, s, np.arange(COARSE_ARCS + 1) / COARSE_ARCS)
-        fine = _arc_crossings(omega, lam, frame, alpha0 + sweep * frac, tol)
+        frac = np.interp(s[-1] * np.arange(1, count + 1) / count, s, at_coarse)
+        guess = np.interp(frac, at_coarse, np.append(rc, rc[0]))  # the coarse roots' radii
+        fine = _arc_crossings(omega, lam, frame, alpha0 + sweep * frac, tol, guess)
         if fine is None:
             return None
-        Z, rounds = fine
+        Z, rounds, _ = fine
         res = np.abs(boundary_map(omega, lam, Z)).max(axis=1)
     except (UmbraError, np.linalg.LinAlgError):
         return None
-    Y = np.vstack([start.y, Z[:, n : 2 * n]])
-    jumps = np.linalg.norm(np.diff(Y, axis=0), axis=1)
-    closure = float(np.linalg.norm(Y[-1] - Y[0]))
-    if not ((res <= tol).all() and (Z[:, 2 * n] > 0).all() and jumps.max() <= 3.0 * step and closure < step / 2.0):
+    moves = np.diff(np.vstack([start.state, Z]), axis=0)
+    jumps = np.linalg.norm(moves[:, n : 2 * n], axis=1)
+    closure = float(np.linalg.norm(Z[-1, n : 2 * n] - start.y))
+    # the state moves are bounded as the sequential corrector bounds them; the y jumps with them
+    if not ((res <= tol).all() and (Z[:, 2 * n] > 0).all() and np.linalg.norm(moves, axis=1).max() <= 3.0 * step
+            and closure < step / 2.0):
         return None
 
     _, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, Z))
@@ -827,8 +863,9 @@ def trace_boundary(
     docstring).  The points are spaced by the arc length of a coarse pass,
     run on from start's arc along start's tangent, and the last one lies on
     start's arc.  One stacked ``boundary_map`` certifies max|Phi| <= tol and
-    t > 0 at every point, the jumps |y_k+1 - y_k| must stay <= 3 step, the
-    closure |y_last - y_start| < step / 2, and the point count
+    t > 0 at every point, the state moves |z_k+1 - z_k| must stay <= 3 step,
+    as in the sequential corrector, the closure |y_last - y_start| < step / 2,
+    and the point count
     <= ``max_steps`` (and ``MAX_STACKED_POINTS``, which bounds step 0's
     memory); one stacked ``boundary_jacobian`` and one SVD give the singular values
     and tangents, with the sequential trace's rank warning and error.  A

@@ -8,6 +8,7 @@ import pytest
 from umbra import bodies
 from umbra.bodies import TOL_BOUNDARY, Pose, chart_at, sample_boundary_points
 from umbra.errors import (
+    ChartError,
     DegeneratePointError,
     DomainError,
     InteriorPointError,
@@ -325,6 +326,27 @@ def test_first_hit_parameter_errors():
         pj.first_hitting_time(om, [0.0, 0.0, 3.0], [1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("quadric", [True, False], ids=["closed_form", "newton"])
+def test_ray_queries_keep_their_outcomes_on_nan_rows(quadric):
+    # a NaN origin or direction is no error: the closed form reads it as a
+    # miss, while the Newton ray sees no G > 0 at a NaN origin and stops there
+    # at t = 0, which membership counts as y on omega
+    om = bodies.translated_ball([0.0, 0.0, 3.0], 1.0)
+    om = om if quadric else replace(om, quadric=None)
+    lam = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+    top, nan = np.array([0.0, 0.0, 1.0]), math.nan
+    assert pj.first_hitting_time(om, [nan, 0.0, 0.0], top) == (None if quadric else 0.0)
+    assert pj.first_hitting_time(om, np.zeros(3), [nan, 0.0, 1.0]) is None
+    got = pj.first_hitting_time(om, np.array([[nan, 0.0, 0.0], np.zeros(3)]), top)
+    assert np.array_equal(got, [nan if quadric else 0.0, 2.0], equal_nan=True)
+    got = pj.first_hitting_time(om, np.zeros((2, 3)), np.stack([[nan, 0.0, 1.0], top]))
+    assert np.array_equal(got, [nan, 2.0], equal_nan=True)
+    with pytest.raises(ParameterError, match="zero ray direction"):
+        pj.first_hitting_time(om, np.array([[nan, 0.0, 0.0], np.zeros(3)]), np.stack([top, np.zeros(3)]))
+    assert pj.in_projection_shadow(om, lam, [nan, 0.0, 1.0]) is (not quadric)
+    assert pj.in_projection_shadow(om, lam, np.stack([[nan, 0.0, 1.0], top])).tolist() == [not quadric, True]
+
+
 @pytest.mark.parametrize(
     "body",
     [bodies.cone_over_circle(), bodies.cantor_contact(1e-3, 4)],
@@ -527,6 +549,56 @@ def test_seed_boundary_random_poses(rng):
         seed = pj.seed_boundary(om, lam, rng=rng)
         pt = pj.solve_boundary_point(om, lam, seed)
         assert pt.residual <= 1e-10
+
+
+def _quadric_seed_pair(case):
+    """A quadric omega over a target lam, for the discriminant seed."""
+    rng = np.random.default_rng(31)
+    if case == "coaxial":
+        return coaxial_pair()
+    if case.startswith("balls"):
+        om, lam, _ = _coaxial_pair_in(int(case[-1]), rng)
+        return om, lam
+    n = int(case[-1])
+    d = _unit(rng.normal(size=n))
+    om = bodies.ellipsoid(rng.uniform(0.5, 0.9, n), Pose(oracles.random_rotation(rng, n), 3.6 * d))
+    return om, bodies.ellipsoid(rng.uniform(0.8, 1.3, n), Pose(oracles.random_rotation(rng, n), np.zeros(n)))
+
+
+@pytest.mark.parametrize("case", ["coaxial", "balls2", "balls4", "posed2", "posed3", "posed4"])
+def test_quadric_seed_is_already_solved(case, monkeypatch):
+    # on the whole target, a quadric omega is seeded by the root of D on step
+    # 0's arc from the point nearest omega's center, at angle 0: Phi holds
+    # there to TOL_ROOT, and the start solve takes no Gauss-Newton step
+    om, lam = _quadric_seed_pair(case)
+    monkeypatch.setattr(pj, "_arc_flip", None)  # no k-section
+    x0, y0, t0 = pj.seed_boundary(om, lam)
+    assert np.abs(pj.boundary_map(om, lam, np.concatenate([x0, y0, [t0]]))).max() <= pj.TOL_ROOT
+    assert pj.solve_boundary_point(om, lam, (x0, y0, t0)).iterations == 0
+
+
+@pytest.mark.parametrize("case", ["patch", "non_quadric", "refused_arc", "raising_arc"])
+def test_other_seeds_are_the_k_section(case, monkeypatch):
+    # a patch, a non-quadric omega or an arc that refuses (None or an error)
+    # leaves the seed to the k-section of the membership flip, unchanged
+    om, lam = _quadric_seed_pair("posed3")
+    kwargs = {"patch_center": _unit(om.center), "patch_angle": 0.8} if case == "patch" else {}
+    if case == "non_quadric":
+        om = replace(om, quadric=None)
+    if case.endswith("_arc"):
+        def refuse(*args):
+            if case == "raising_arc":
+                raise ChartError("refused")
+
+        monkeypatch.setattr(pj, "_arc_crossings", refuse)
+    else:
+        monkeypatch.setattr(pj, "_arc_crossings", None)  # never reached
+    found, flip = [], pj._arc_flip
+    monkeypatch.setattr(pj, "_arc_flip", lambda *args: found.append(flip(*args)) or found[-1])
+    x0, y0, t0 = pj.seed_boundary(om, lam, rng=5, **kwargs)
+    [(hit, mid)] = found
+    assert np.array_equal(x0, hit[3:]) and np.array_equal(y0, mid[:3])
+    assert t0 == float(np.linalg.norm(x0 - y0)) / float(np.linalg.norm(lam.gradient_at(y0)))
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +882,28 @@ def test_sequential_trace_closes_only_after_leaving_the_start():
     sequential = pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=4000)
     assert stacked.closed and sequential.closed and len(sequential) > 200
     assert sequential.arc_length == pytest.approx(stacked.arc_length, rel=1e-2)
+
+
+def test_stacked_trace_bounds_its_state_moves(monkeypatch):
+    # the pair above, with step 0's arcs based at the closest pair: the fine
+    # arcs are spaced by the coarse polyline, which misses state length
+    # concentrated between two coarse arcs, so its points jump by up to 8.3
+    # steps in (x, y, t) while y moves by at most 0.96 step.  The state moves
+    # are bounded by 3 steps, as the sequential corrector bounds them: step 0
+    # refuses, and the trace is the sequential one
+    lam = bodies.ellipsoid([0.37, 0.66, 0.91])
+    om = bodies.ellipsoid(
+        [0.15, 0.11, 1.08], Pose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]), [1.08, 2.5, 3.24])
+    )
+    start = pj.solve_boundary_point(om, lam, pj.seed_boundary(om, lam, rng=0))
+    _, z, _ = pj.closest_pair(om, lam)
+    project = pj.project_point
+    base_at_z = lambda body, x: z.copy() if body is lam and np.array_equal(x, om.center) else project(body, x)
+    monkeypatch.setattr(pj, "project_point", base_at_z)
+    assert pj._stacked_trace(om, lam, start, 0.02, 4000, pj.TOL_ROOT) is None
+    got = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
+    assert got.closed
+    _assert_same_trace(got, pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=4000))
 
 
 def _assert_same_trace(got, want):
