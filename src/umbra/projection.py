@@ -234,39 +234,46 @@ def first_hitting_time(body: ImplicitBody, y, nu):
     ``_line_roots`` runs the ray from y (in closed form for a ``quadric``);
     hits beyond twice ``|y - center| + bounding_radius`` are misses.  For stacks
     ``(N, n)`` of origins (and of directions, or one direction) it returns
-    the distances ``(N,)``, NaN for a miss.  Raises ParameterError for a zero
-    direction or an origin inside the body; a stack, for its first bad row.
+    the distances ``(N,)``, NaN for a miss.  Raises ParameterError for a NaN
+    or infinite origin or direction, a zero direction or an origin inside the
+    body; a stack, for its first bad row.
     """
     y = np.asarray(y, float)
-    rows = np.atleast_2d(y)
+    rows = y if y.ndim > 1 else y.reshape(1, -1)  # np.atleast_2d, at less cost for a point
     nu = np.asarray(nu, float)
     nn = np.sqrt(np.vecdot(nu, nu))
-    zero = nn < 1e-14
     c = rows - body.center
     t_max = 2.0 * (np.sqrt(np.vecdot(c, c)) + body.bounding_radius)
-    t, g = _line_roots(body.value, body.gradient, rows, nu / np.maximum(nn, 1e-14)[..., None], t_max, body.quadric)
-    bad = zero | (t == 0) & (g < -TOL_BOUNDARY * max(1.0, body.bounding_radius))
+    unit = nu / np.minimum(np.maximum(nn, 1e-14), 1e300)[..., None]  # inf, not inf / inf, for an infinite nu
+    t, g = _line_roots(body.value, body.gradient, rows, unit, t_max, body.quadric)
+    # |nu| + t_max is NaN or inf on a row whose origin or direction is (or whose lengths overflow)
+    bad = ~(nn + t_max < math.inf) | (nn < 1e-14) | (t == 0) & (g < -TOL_BOUNDARY * max(1.0, body.bounding_radius))
     if bad.any():  # the first bad row's error
-        zero = np.broadcast_to(zero, bad.shape)[np.argmax(bad)]
-        raise ParameterError("zero ray direction" if zero else "ray origin lies inside the body")
-    return t if y.ndim == 2 else None if np.isnan(t[0]) else float(t[0])
+        i = np.argmax(bad)
+        nn = np.broadcast_to(nn, bad.shape)[i]
+        raise ParameterError("ray origin or direction is not finite" if not nn + t_max[i] < math.inf
+                             else "zero ray direction" if nn < 1e-14 else "ray origin lies inside the body")
+    return t if y.ndim == 2 else None if math.isnan(t[0]) else float(t[0])
 
 
 def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
     """Whether the target boundary point ``y`` is shadowed by ``omega``.
 
     True exactly when the outward-normal ray of the target at y hits the
-    closure of omega.  y must lie on the target's boundary (DomainError),
-    and both bodies in the same R^n (ParameterError).  A stack ``(N, n)``
-    of points gives a bool array ``(N,)``.  On a ``quadric`` omega, whose
-    G along the unit normal line is a2 s^2 + 2 a1 s + a0, that is a0 <= 0
-    (y on omega) or a1 < 0 and D = a1^2 - a2 a0 >= 0, with no root solved.
+    closure of omega.  y must be finite (ParameterError) and lie on the
+    target's boundary (DomainError), and both bodies in the same R^n
+    (ParameterError).  A stack ``(N, n)`` of points gives a bool array
+    ``(N,)``.  On a ``quadric`` omega, whose G along the unit normal line is
+    a2 s^2 + 2 a1 s + a0, that is a0 <= 0 (y on omega) or a1 < 0 and
+    D = a1^2 - a2 a0 >= 0, with no root solved.
     A y inside omega raises ParameterError, and a vanishing normal
     DegeneratePointError.
     """
     _check_dims(omega, lam)
     y = np.asarray(y, float)
-    if (np.abs(lam.value(y)) > 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)).any():
+    if not (np.abs(lam.value(y)) <= 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)).all():  # so at a NaN y
+        if not np.isfinite(y).all():
+            raise ParameterError("y is not finite")
         raise DomainError("y is not on the target boundary")
     nu = lam.unit_normal(y)
     if omega.quadric is None:
@@ -326,6 +333,9 @@ class ProjectionPoint:
     ``sigma_max`` are the smallest and largest of the n+3 singular values of
     its Jacobian there, and ``tangent`` is a unit vector spanning the
     Jacobian's null space (the curve direction when n = 3; either sign).
+    ``iterations`` counts the steps that solved the point: Gauss-Newton
+    steps from ``solve_boundary_point``, chord steps for a point of the
+    sequential trace, and root rounds on its arc for a point of step 0.
     """
 
     x: np.ndarray
@@ -388,12 +398,12 @@ def solve_boundary_point(
     """Gauss-Newton solve of the boundary-defining map from a seed (x, y, t).
 
     Uses least-norm steps (pseudoinverse) so iterates stay near the seed on
-    the solution manifold.  At convergence (checks shared with the trace)
-    t must be positive, and one full SVD of the Jacobian gives the extreme
-    singular values and the null tangent, with a RankDeficiencyWarning when
-    sigma_min falls under the rank threshold.  ``tol`` must lie below 1e-3
-    max(1, bounding radii), and both bodies in the same R^n
-    (ParameterError).
+    the solution manifold.  At convergence (``_certified``, shared with the
+    trace) t must be positive, and one full SVD of the Jacobian gives the
+    extreme singular values and the null tangent, with a
+    RankDeficiencyWarning when sigma_min falls under the rank threshold.
+    ``tol`` must lie below 1e-3 max(1, bounding radii), and both bodies in
+    the same R^n (ParameterError).
     """
     _check_tol(omega, lam, tol)
     n = omega.dim
@@ -427,40 +437,39 @@ def solve_boundary_point(
             break
     if res > tol:
         raise NoConvergenceError(f"boundary solve stalled at residual {res:.3g} after {iters} iterations")
-    return _finish(omega, lam, z, res, iters)[0]
+    return _certified(omega, lam, z, [res], [iters])[0][0]
 
 
-def _factor(omega: ImplicitBody, lam: ImplicitBody, z):
-    """Full SVD of the Jacobian at z (only the full V^T of the (n+3) x (2n+1)
-    matrix holds the null rows) and its pseudo-inverse V_r S^-1 U^T."""
-    u, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, z))
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 0)
-    return sv, vt, (vt[: sv.shape[0]].T * inv) @ u.T
-
-
-def _finish(omega: ImplicitBody, lam: ImplicitBody, z, residual: float, iters: int):
-    """Checks and factorisation of a corrected state, shared by the seed
-    solve and the trace: t > 0, one full SVD (extreme singular values, null
-    tangent, RankDeficiencyWarning).  The hitting parameter needs no check
-    of its own: the rows y + t grad F - x of Phi bound
-    |t - |x - y| / |grad F|| by sqrt(n) residual / |grad F|.  Returns the
-    point and the pseudo-inverse of its Jacobian, the chord map for the
-    next trace step.
+def _certified(omega: ImplicitBody, lam: ImplicitBody, Z, residual, iterations, what: str | None = None):
+    """The certification of every solved state, a point Z ``(2n+1,)`` or
+    the rows of a stack ``(N, 2n+1)``, with one ``residual`` and one count of
+    ``iterations`` per state: its ProjectionPoints and the pseudo-inverse
+    V_r S^-1 U^T of the last one's Jacobian, the chord map of the next trace
+    step.  One full SVD of the Jacobians (only the full V^T holds the null
+    rows) gives the extreme singular values and the null tangents.  Point by
+    point, t must be positive (NoConvergenceError), a RankDeficiencyWarning
+    flags sigma_min under the rank threshold and, given ``what``,
+    ``_check_health`` raises where it falls under the trace's.  The hitting
+    parameter needs no check of its own: the rows y + t grad F - x of Phi
+    bound |t - |x - y| / |grad F|| by sqrt(n) residual / |grad F|.
     """
     n = omega.dim
-    x, y, t = z[:n], z[n : 2 * n], float(z[2 * n])
-    if t <= 0:
-        raise NoConvergenceError(f"solve converged to nonpositive hitting scale t = {t:.3g}")
-
-    sv, vt, pinv = _factor(omega, lam, z)
-    sigma_min, sigma_max = float(sv[-1]), float(sv[0])
-    if sigma_min < SIGMA_RANK_TOL * sigma_max:
-        warnings.warn(
-            f"Jacobian nearly rank deficient at solved point (sigma_min = {sigma_min:.3g})",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
-    return ProjectionPoint(x, y, t, residual, sigma_min, sigma_max, vt[-1], iters), pinv
+    # a state goes in as a point, not a stack, and its Jacobian comes out as a stack of one
+    u, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, Z).reshape(-1, n + 3, 2 * n + 1))
+    points = []
+    rows = Z.reshape(-1, 2 * n + 1)
+    for z, r, smin, smax, tangent, k in zip(rows, residual, sv[:, -1], sv[:, 0], vt[:, -1], iterations):
+        pt = ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), float(r), float(smin), float(smax), tangent, int(k))
+        if pt.t <= 0:
+            raise NoConvergenceError(f"solve converged to nonpositive hitting scale t = {pt.t:.3g}")
+        if pt.sigma_min < SIGMA_RANK_TOL * pt.sigma_max:
+            warnings.warn(f"Jacobian nearly rank deficient at solved point (sigma_min = {pt.sigma_min:.3g})",
+                          RankDeficiencyWarning, stacklevel=3)
+        if what is not None:
+            _check_health(pt, what)
+        points.append(pt)
+    inv = np.divide(1.0, sv[-1], out=np.zeros(n + 3), where=sv[-1] > 0)
+    return points, (vt[-1, : n + 3].T * inv) @ u[-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -477,25 +486,18 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
     """
     _check_dims(omega, lam)
     scale = max(1.0, omega.bounding_radius, lam.bounding_radius)
-    try:
-        z = project_point(lam, omega.center)
-        x = project_point(omega, z)
-    except InteriorPointError as exc:
-        raise OverlapError(f"bodies overlap: {exc}") from exc
-    dist = float(np.linalg.norm(x - z))
-    for _ in range(500):
+    x = z = omega.center
+    for _ in range(501):
         try:
             z_new = project_point(lam, x)
             x_new = project_point(omega, z_new)
         except InteriorPointError as exc:
             raise OverlapError(f"bodies overlap: {exc}") from exc
-        d_new = float(np.linalg.norm(x_new - z_new))
-        move = max(
-            float(np.linalg.norm(x_new - x)), float(np.linalg.norm(z_new - z))
-        )
-        x, z, dist = x_new, z_new, d_new
+        move = max(float(np.linalg.norm(x_new - x)), float(np.linalg.norm(z_new - z)))
+        x, z = x_new, z_new
         if move < 1e-12 * scale:
             break
+    dist = float(np.linalg.norm(x - z))
     if dist <= 1e-9 * scale:
         raise OverlapError(f"bodies touch or overlap (closest gap {dist:.3g})")
     return x, z, dist
@@ -766,9 +768,10 @@ def _arc_crossings(omega: ImplicitBody, lam: ImplicitBody, frame, alpha, tol: fl
 
 def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoint, step: float, max_steps: int,
                    tol: float):
-    """Step 0 of ``trace_boundary`` for a quadric omega: every point of the
-    closed curve in stacked passes, or None where the sequential trace must
-    run instead.
+    """Step 0 of ``trace_boundary`` for a quadric omega: the states
+    ``(N, 2n+1)`` of every point of the closed curve after start, solved in
+    stacked passes, their residuals and root rounds, and the curve's arc
+    length in y; or None where the sequential trace must run instead.
 
     The arcs of ``_arc_crossings`` are based at the target point y0 nearest
     omega's center, which is strictly shadowed (its outward normal ray
@@ -778,13 +781,11 @@ def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoin
     measures the curve's length L in (x, y, t); the points are then solved
     on the max(11, ceil(L / step)) arcs that split the coarse polyline into
     equal lengths, the last on start's own arc, each arc's root first
-    guessed from the coarse roots' radii.  They are certified like the
-    sequential trace's: max|Phi| <= tol and t > 0 (one stacked
-    ``boundary_map``), state moves |z_k+1 - z_k| <= 3 step in (x, y, t)
-    from start on, closure |y_last - y_start| < step / 2, and no more points
-    than ``max_steps`` or ``MAX_STACKED_POINTS``.  One stacked
-    ``boundary_jacobian`` and one SVD then give the singular values and
-    tangents; a rank drop raises as in the sequential trace.
+    guessed from the coarse roots' radii.  They must pass the sequential
+    trace's gates: max|Phi| <= tol and t > 0 (one stacked ``boundary_map``),
+    state moves |z_k+1 - z_k| <= 3 step in (x, y, t) from start on, closure
+    |y_last - y_start| < step / 2, and no more points than ``max_steps`` or
+    ``MAX_STACKED_POINTS``.  The caller certifies them (``_certified``).
     """
     n = lam.dim
     try:
@@ -823,19 +824,7 @@ def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoin
             and closure < step / 2.0):
         return None
 
-    _, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, Z))
-    points = [start]
-    for z, r, smin, smax, tangent, k in zip(Z, res, sv[:, -1], sv[:, 0], vt[:, -1], rounds):
-        pt = ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), float(r), float(smin), float(smax), tangent, int(k))
-        if pt.sigma_min < SIGMA_RANK_TOL * pt.sigma_max:
-            warnings.warn(
-                f"Jacobian nearly rank deficient at solved point (sigma_min = {pt.sigma_min:.3g})",
-                RankDeficiencyWarning,
-                stacklevel=3,
-            )
-        _check_health(pt, "rank drop along the trace")
-        points.append(pt)
-    return BoundaryTrace(points, True, float(jumps.sum()) + closure, step)
+    return Z, res, rounds, float(jumps.sum()) + closure
 
 
 def _check_health(point: ProjectionPoint, what: str):
@@ -865,12 +854,13 @@ def trace_boundary(
     start's arc.  One stacked ``boundary_map`` certifies max|Phi| <= tol and
     t > 0 at every point, the state moves |z_k+1 - z_k| must stay <= 3 step,
     as in the sequential corrector, the closure |y_last - y_start| < step / 2,
-    and the point count
-    <= ``max_steps`` (and ``MAX_STACKED_POINTS``, which bounds step 0's
-    memory); one stacked ``boundary_jacobian`` and one SVD give the singular values
-    and tangents, with the sequential trace's rank warning and error.  A
-    refusal anywhere, including an arc that crosses D = 0 twice on its
-    radial grid, runs the sequential trace below instead, unchanged.
+    and the point count <= ``max_steps`` (and ``MAX_STACKED_POINTS``, which
+    bounds step 0's memory).  A refusal anywhere, including an arc that
+    crosses D = 0 twice on its radial grid, runs the sequential trace below
+    instead, unchanged.  The solved points of either path take the
+    certification of ``solve_boundary_point`` (``_certified``: one full SVD
+    of the Jacobian, one stacked for step 0, and the rank warning) and the
+    trace's rank error below.
 
     The sequential predictor is ``z + h tangent + h^2 kappa / 2``: a step along the null
     space of the defining Jacobian, bent by the curvature estimate
@@ -883,13 +873,12 @@ def trace_boundary(
     maps into the row space, orthogonal to that tangent: the bordered row
     ``tangent . (w - predictor) = 0`` holds by construction.  The corrector
     fails unless each chord step at least halves max|Phi|, within
-    ``MAX_SOLVE_ITER`` steps, and lands at most 3 steps from the last point.
-    Accepted points go through the checks of ``solve_boundary_point``.  The
-    step halves on failure, doubles after three easy successes, and is
+    ``MAX_SOLVE_ITER`` steps, and lands at most 3 steps from the last point
+    with t > 0.  The step halves on failure, doubles after three easy successes, and is
     clamped to [step/16, step].  Tracing stops on closure (y within step/2
     of the start after at least 10 steps, once y has been a step away), on
     ``max_steps``, or with RankDeficiencyError: when sigma_min falls under
-    ``SIGMA_TRACE_TOL * sigma_max`` at the start or at an accepted point
+    ``SIGMA_TRACE_TOL * sigma_max`` at the start or at a solved point
     (``_check_health``), or when the corrector fails at the minimal step
     where sigma_min/sigma_max is under ``NEAR_SINGULAR_TOL`` at the
     predictor or the last point.  A step of twice the target's diameter
@@ -909,13 +898,16 @@ def trace_boundary(
         return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
 
     _check_health(start, "start point is rank deficient")
+    drop = "rank drop along the trace"
     if omega.quadric is not None:
-        trace = _stacked_trace(omega, lam, start, step, max_steps, tol)
-        if trace is not None:
-            return trace
+        stacked = _stacked_trace(omega, lam, start, step, max_steps, tol)
+        if stacked is not None:
+            Z, res, rounds, arc = stacked
+            return BoundaryTrace([start, *_certified(omega, lam, Z, res, rounds, drop)[0]], True, arc, step)
 
     h, h_min, h_max = step, step / 16.0, step
-    tangent, z, pinv = start.tangent, start.state, _factor(omega, lam, start.state)[2]
+    tangent, z = start.tangent, start.state
+    pinv = _certified(omega, lam, z, [start.residual], [start.iterations])[1]
     kappa = np.zeros_like(z)  # tangent turn per unit length between the last two points
     easy, closed, diagnostics, arc, left = 0, False, "", 0.0, False
     for k in range(max_steps):
@@ -935,7 +927,7 @@ def trace_boundary(
             jump = float(np.linalg.norm(w - z))
             if jump > 3.0 * h + 1e-12:
                 raise NoConvergenceError(f"corrector jumped {jump:.3g} for step {h:.3g}")
-            pt, pinv = _finish(omega, lam, w, res, iters)
+            (pt,), pinv = _certified(omega, lam, w, [res], [iters], drop)
         except NoConvergenceError as exc:
             if h <= h_min * 1.0001:
                 # certify the failure region: a flat contact direction shows
@@ -958,7 +950,6 @@ def trace_boundary(
             easy = 0
             continue
 
-        _check_health(pt, "rank drop along the trace")
         arc += float(np.linalg.norm(pt.y - points[-1].y))
         points.append(pt)
         turned = -pt.tangent if float(np.dot(pt.tangent, tangent)) < 0 else pt.tangent

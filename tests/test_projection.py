@@ -12,6 +12,7 @@ from umbra.errors import (
     DegeneratePointError,
     DomainError,
     InteriorPointError,
+    NoConvergenceError,
     OverlapError,
     ParameterError,
     RankDeficiencyError,
@@ -327,24 +328,30 @@ def test_first_hit_parameter_errors():
 
 
 @pytest.mark.parametrize("quadric", [True, False], ids=["closed_form", "newton"])
-def test_ray_queries_keep_their_outcomes_on_nan_rows(quadric):
-    # a NaN origin or direction is no error: the closed form reads it as a
-    # miss, while the Newton ray sees no G > 0 at a NaN origin and stops there
-    # at t = 0, which membership counts as y on omega
+def test_ray_queries_refuse_non_finite_rows(quadric):
+    # a NaN or infinite origin or direction is refused on either ray path, a
+    # stack for its first bad row, and so is a NaN target point
     om = bodies.translated_ball([0.0, 0.0, 3.0], 1.0)
     om = om if quadric else replace(om, quadric=None)
     lam = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
     top, nan = np.array([0.0, 0.0, 1.0]), math.nan
-    assert pj.first_hitting_time(om, [nan, 0.0, 0.0], top) == (None if quadric else 0.0)
-    assert pj.first_hitting_time(om, np.zeros(3), [nan, 0.0, 1.0]) is None
-    got = pj.first_hitting_time(om, np.array([[nan, 0.0, 0.0], np.zeros(3)]), top)
-    assert np.array_equal(got, [nan if quadric else 0.0, 2.0], equal_nan=True)
-    got = pj.first_hitting_time(om, np.zeros((2, 3)), np.stack([[nan, 0.0, 1.0], top]))
-    assert np.array_equal(got, [nan, 2.0], equal_nan=True)
+    not_finite = "ray origin or direction is not finite"
+    for bad in (nan, math.inf, -math.inf):
+        for y, nu in [([bad, 0.0, 0.0], top), (np.zeros(3), [bad, 0.0, 1.0]),
+                      (np.array([np.zeros(3), [bad, 0.0, 0.0]]), top),
+                      (np.zeros((2, 3)), np.stack([top, [0.0, bad, 1.0]]))]:
+            with pytest.raises(ParameterError, match=not_finite):
+                pj.first_hitting_time(om, y, nu)
+    rows, dirs = np.array([[nan, 0.0, 0.0], np.zeros(3)]), np.stack([top, np.zeros(3)])
+    with pytest.raises(ParameterError, match=not_finite):
+        pj.first_hitting_time(om, rows, dirs)
     with pytest.raises(ParameterError, match="zero ray direction"):
-        pj.first_hitting_time(om, np.array([[nan, 0.0, 0.0], np.zeros(3)]), np.stack([top, np.zeros(3)]))
-    assert pj.in_projection_shadow(om, lam, [nan, 0.0, 1.0]) is (not quadric)
-    assert pj.in_projection_shadow(om, lam, np.stack([[nan, 0.0, 1.0], top])).tolist() == [not quadric, True]
+        pj.first_hitting_time(om, rows[::-1], dirs[::-1])
+    with pytest.raises(ParameterError, match="inside"):
+        pj.first_hitting_time(om, np.array([om.center, [nan, 0.0, 0.0]]), top)
+    for y in ([nan, 0.0, 1.0], np.stack([top, [nan, 0.0, 1.0]])):
+        with pytest.raises(ParameterError, match="y is not finite"):
+            pj.in_projection_shadow(om, lam, y)
 
 
 @pytest.mark.parametrize(
@@ -484,6 +491,19 @@ def test_solve_certifies_orthogonality_and_colinearity():
     assert abs(np.dot(gG, gF)) <= 1e-10
     assert np.abs(pt.y + pt.t * gF - pt.x).max() <= 1e-10
     assert pt.residual <= 1e-10
+
+
+def test_solve_refuses_a_nonpositive_hitting_scale():
+    # the grazing point behind the target, y = (sin, 0, -cos) theta* with
+    # sin theta* = 1/3: Phi vanishes there with the ray run backwards,
+    # x = (1 + 2t) y on omega at t = -1.91
+    om, lam = coaxial_pair()
+    y = np.array([1.0 / 3.0, 0.0, -math.sqrt(8.0) / 3.0])
+    t = -(2.0 * math.sqrt(2.0) + 1.0) / 2.0
+    x = (1.0 + 2.0 * t) * y
+    assert np.abs(pj.boundary_map(om, lam, np.concatenate([x, y, [t]]))).max() <= pj.TOL_ROOT
+    with pytest.raises(NoConvergenceError, match="nonpositive hitting scale t = -1.91"):
+        pj.solve_boundary_point(om, lam, (x, y, t))
 
 
 def test_seed_boundary_coaxial_accuracy():
@@ -930,6 +950,25 @@ def test_stacked_trace_builds_one_jacobian(monkeypatch):
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000)
     assert trace.closed and len(trace) > 300
     assert calls == {"boundary_jacobian": 1, "closest_pair": 0}
+
+
+def test_trace_stops_at_a_rank_drop_on_either_path(monkeypatch):
+    # with the health threshold between the start's sigma ratio (0.0668) and
+    # the least along the curve (0.0649), the start passes and both step 0
+    # (its one stacked Jacobian) and the sequential trace raise at their
+    # first point under it
+    om, lam, _, _, start = _posed_ellipsoid_pair(5)
+    ratio = lambda p: p.sigma_min / p.sigma_max
+    least = min(ratio(p) for p in pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000).points)
+    monkeypatch.setattr(pj, "SIGMA_TRACE_TOL", 0.5 * (ratio(start) + least))
+    calls, build = [], pj.boundary_jacobian
+    monkeypatch.setattr(pj, "boundary_jacobian", lambda *args: calls.append(1) or build(*args))
+    drop = r"rank drop along the trace \(sigma_min/sigma_max = 0\.0657\)"
+    with pytest.raises(RankDeficiencyError, match=drop):
+        pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
+    assert len(calls) == 1
+    with pytest.raises(RankDeficiencyError, match=drop):
+        pj.trace_boundary(replace(om, quadric=None), lam, start, step=0.02, max_steps=4000)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7, 8])
