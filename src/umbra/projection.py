@@ -456,8 +456,7 @@ def _certified(omega: ImplicitBody, lam: ImplicitBody, Z, residual, iterations, 
     n = omega.dim
     # a state goes in as a point, not a stack, and its Jacobian comes out as a stack of one
     u, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, Z).reshape(-1, n + 3, 2 * n + 1))
-    points = []
-    rows = Z.reshape(-1, 2 * n + 1)
+    rows, points = Z.reshape(-1, 2 * n + 1), []
     for z, r, smin, smax, tangent, k in zip(rows, residual, sv[:, -1], sv[:, 0], vt[:, -1], iterations):
         pt = ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), float(r), float(smin), float(smax), tangent, int(k))
         if pt.t <= 0:
