@@ -203,6 +203,13 @@ class ImplicitBody:
     where a piece has no gradient (the cone's apex), so no smooth solve
     reaches them: ``in_normal_cone(d)`` tells whether d lies in the body's
     normal cone at v, which makes v the nearest point of ``v + d``.
+
+    ``profile`` is f, a callable on stacks ``(N, n - 1)`` returning ``(N,)``,
+    when G(x) = x_n + f(x') exactly, so that the boundary is the graph
+    x_n = -f(x').  The catalog sets it on the unclamped ``kiselman`` patch;
+    the clamped body has none, and ``_posed`` drops it for any pose.
+    ``chart_at`` reads each fiber's height from it when the chart axes are
+    the body's own.
     """
 
     dim: int
@@ -216,6 +223,7 @@ class ImplicitBody:
     vertices: tuple | None = None
     # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
     quadric: tuple | None = None
+    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 2:
@@ -514,14 +522,22 @@ def chart_at(
     The chart frame sends ``p`` to the origin and the outward normal to
     ``+e_n``; phi is the upper root of G along each vertical fiber.
     ``phi``, ``grad_phi`` and ``hess_phi`` take a point ``(m,)`` or a stack
-    ``(N, m)`` and solve all its fibers at once: by ``_quadratic_root`` down
-    every fiber for bodies carrying ``quadric`` (ellipsoids and balls), else
-    by ``_line_roots`` run down them in lockstep.  Both paths map a failed
-    fiber to the same ChartError.  The oracles of G in the chart frame come
-    from the body posed by the inverse chart pose (``_posed``), and
-    ``hess_phi`` rests on its ``hessian_at`` at the stacked graph points:
-    the analytic Hessian where the body has one, central differences of the
-    stacked gradient along the chart axes where it does not.  A quadric body
+    ``(N, m)`` and solve all its fibers at once, on one of three paths:
+
+    - profile: a body carrying ``profile`` f, charted where the chart frame
+      is exactly the body's (``rotation_with_last_axis`` gives the identity
+      for a normal within rounding of ``+e_n``), has the height
+      -(p_n + f(x' + p')) on each fiber, with no oracle call;
+    - quadric: ``_quadratic_root`` down every fiber for bodies carrying
+      ``quadric`` (ellipsoids and balls);
+    - Newton: else ``_line_roots`` run down the fibers in lockstep.
+
+    All three map a failed fiber to the same ChartError.  The oracles of G
+    in the chart frame come from the body posed by the inverse chart pose
+    (``_posed``), and ``hess_phi`` rests on its ``hessian_at`` at the
+    stacked graph points: the analytic Hessian where the body has one,
+    central differences of the stacked gradient along the chart axes where
+    it does not.  A quadric body
     gives the chart its ``quadric`` in chart coordinates, from which
     shadow-boundary solves propose their roots in closed form.
 
@@ -544,6 +560,7 @@ def chart_at(
     R = rotation_with_last_axis(nu)
     pose = Pose(R, p)
     n = body.dim
+    profile = body.profile if (R == np.eye(n)).all() else None  # chart axes are the body's
     local = _posed(body, Pose(R.T, -(R.T @ p)))  # the body in chart coordinates
 
     def G(v):
@@ -587,6 +604,9 @@ def chart_at(
             a2, a1, a0 = Ac[-1, -1], Aw[:, -1], np.vecdot(w, Aw) - rhs
             t = _quadratic_root(a2, a1, a0)
             root, resid = -t, a0 + t * (2.0 * a1 + a2 * t)
+        elif profile is not None:  # G = s + p_n + f(x' + p') is increasing in s: -(p_n + f) is its one root
+            root, resid = np.full(len(xp), np.nan), np.zeros(len(xp))
+            root[inside] = -(p[-1] + profile(xp[inside] + p[:-1]))
         else:
             root, resid = np.full((2, len(xp)), np.nan)
             root[inside], resid[inside] = fiber_roots(xp[inside], s_max)
@@ -719,7 +739,9 @@ def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
         A, c, rhs = base.quadric
         quadric = (R @ A @ Rt, pose.to_world(c), rhs)
         value, gradient, hessian = _quadric_oracles(*quadric)
-        return replace(base, value=value, gradient=gradient, hessian=hessian, center=center, quadric=quadric)
+        return replace(
+            base, value=value, gradient=gradient, hessian=hessian, center=center, quadric=quadric, profile=None
+        )
 
     def posed(value, gradient, hessian):
         # (x - t) @ R maps a point, or each row of a stack, to local coordinates
@@ -735,7 +757,8 @@ def _posed(base: ImplicitBody, pose: Pose | None) -> ImplicitBody:
         (pose.to_world(v), lambda d, test=test: test(pose.rotate_to_local(d))) for v, test in base.vertices
     )
     return replace(
-        base, value=value, gradient=gradient, hessian=hessian, center=center, pieces=pieces, vertices=vertices
+        base, value=value, gradient=gradient, hessian=hessian, center=center, pieces=pieces, vertices=vertices,
+        profile=None,
     )
 
 
@@ -855,9 +878,14 @@ def kiselman(q: int, clamp_radius: float | None = None, pose: Pose | None = None
         H[..., 0, 1] = H[..., 1, 0] = fxy(x, y)
         return H
 
+    def profile(xp):
+        x, y = xp.T
+        return f(x, y)
+
     value, gradient, hessian, pieces, radius = patch_value, patch_grad, patch_hess, None, half_width
     bounding_radius = half_width
     if clamp_radius is not None:
+        profile = None  # the ball piece is not a graph over the strip
         radius = float(clamp_radius)
         if not (0 < radius <= half_width):
             raise ParameterError(f"clamp_radius must lie in (0, {half_width}]")
@@ -878,6 +906,7 @@ def kiselman(q: int, clamp_radius: float | None = None, pose: Pose | None = None
         center=np.array([0.0, 0.0, -0.4 * radius]),
         convexity=Convexity.strictly_convex(),
         pieces=pieces,
+        profile=profile,
     )
     return _posed(body, pose)
 

@@ -271,9 +271,9 @@ def in_projection_shadow(omega: ImplicitBody, lam: ImplicitBody, y):
     """
     _check_dims(omega, lam)
     y = np.asarray(y, float)
-    if not (np.abs(lam.value(y)) <= 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)).all():  # so at a NaN y
-        if not np.isfinite(y).all():
-            raise ParameterError("y is not finite")
+    if not np.isfinite(y).all():  # before the oracle, which an infinite y would make warn
+        raise ParameterError("y is not finite")
+    if not (np.abs(lam.value(y)) <= 10 * TOL_BOUNDARY * max(1.0, lam.bounding_radius)).all():
         raise DomainError("y is not on the target boundary")
     nu = lam.unit_normal(y)
     if omega.quadric is None:

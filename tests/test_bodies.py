@@ -236,10 +236,13 @@ def test_chart_based_just_inside_runs_its_fibers_down_from_the_top():
     # chart_at accepts a base point inside by up to 10 TOL_BOUNDARY; here G
     # is -5e-10 on the tangent plane above it, so that fiber is run down
     # again from the top of its height range, and the boundary lies 5e-10 up
-    ch = chart_at(bodies.kiselman(3), [0.0, 0.0, -5e-10], 0.3)
-    assert abs(ch.value([0.0, 0.0]) - 5e-10) <= 1e-15
-    stack = np.array([[0.0, 0.0], [0.1, 0.05], [0.0, 0.0]])
-    assert np.array_equal(ch.value(stack), [ch.value(row) for row in stack])
+    # (without the body's profile, which reads that height in closed form)
+    body = bodies.kiselman(3)
+    for b in (replace(body, profile=None), body):
+        ch = chart_at(b, [0.0, 0.0, -5e-10], 0.3)
+        assert abs(ch.value([0.0, 0.0]) - 5e-10) <= 1e-15
+        stack = np.array([[0.0, 0.0], [0.1, 0.05], [0.0, 0.0]])
+        assert np.array_equal(ch.value(stack), [ch.value(row) for row in stack])
 
 
 def test_a_refused_fiber_fails_alone():
@@ -355,6 +358,74 @@ def test_quadric_chart_raises_like_iterative_chart(n):
             for query in (ch.value, ch.gradient, ch.hessian):
                 with pytest.raises(ChartError):
                     query(outside)
+
+
+def _raised(fn, x):
+    """The class and message of the error ``fn(x)`` raises."""
+    with pytest.raises(UmbraError) as info:
+        fn(x)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_profile_chart_matches_newton_chart(q):
+    # at the origin the chart frame is the body's, so phi is -f in closed
+    # form; one-sided Newton on the fiber G = s + f lands there in one step,
+    # so phi, grad phi and hess phi agree bit for bit with the Newton chart
+    body = bodies.kiselman(q)
+    assert body.profile is not None
+    profile_ch = chart_at(body, np.zeros(3), 0.48)
+    newton_ch = chart_at(replace(body, profile=None), np.zeros(3), 0.48)
+    rng = np.random.default_rng(90 + q)
+    z = rng.normal(size=(400, 2))
+    z *= (rng.random(400) ** 0.5 * 0.48 / np.linalg.norm(z, axis=1))[:, None]
+    for name in ("value", "gradient", "hessian"):
+        a, b = getattr(profile_ch, name), getattr(newton_ch, name)
+        assert np.array_equal(a(z), b(z))
+        for row in z[:40]:
+            assert np.array_equal(a(row), b(row))
+    # out of the domain, as a point and as a stack whose first bad row is
+    # row 1: the public queries and the raw callbacks raise alike
+    stack = np.array([[0.1, 0.1], [0.0, 0.6], [0.5, 0.0]])
+    for name in ("value", "gradient", "hessian", "phi", "grad_phi", "hess_phi"):
+        a, b = getattr(profile_ch, name), getattr(newton_ch, name)
+        for x in ([0.5, 0.0], stack):
+            assert _raised(a, x) == _raised(b, x)
+    # in a chart wider than the strip's height range, a fiber above x = 0.9
+    # leaves the range on both paths, after the good row 0
+    wide = [chart_at(b, np.zeros(3), 2.0) for b in (body, replace(body, profile=None))]
+    stack = np.array([[0.1, 0.1], [0.9, 0.0], [3.0, 0.0]])
+    for name in ("value", "gradient", "hessian"):
+        for x in ([0.9, 0.0], stack):
+            assert _raised(getattr(wide[0], name), x) == _raised(getattr(wide[1], name), x)
+    assert _raised(wide[0].value, stack)[0] is ChartError
+
+
+def test_profile_chart_makes_no_oracle_calls_for_phi():
+    counted, calls = _counting(bodies.kiselman(5))
+    ch = chart_at(counted, np.zeros(3), 0.48)
+    rng = np.random.default_rng(96)
+    z = rng.uniform(-0.3, 0.3, size=(257, 2))
+    calls.update(n=0, value=0, gradient=0)
+    ch.value(z)
+    ch.value(z[0])
+    assert calls["n"] == calls["value"] == 0
+    ch.gradient(z)  # grad phi still reads the body gradient at the graph points
+    assert calls["value"] == 0 and calls["gradient"] == 1
+
+
+def test_posed_and_clamped_kiselman_keep_the_newton_path():
+    # a pose, even the identity, drops the profile, and the clamped body's
+    # ball piece is no graph over the strip: their fibers are solved by Newton
+    posed = bodies.kiselman(5, pose=Pose(np.eye(3), np.zeros(3)))
+    clamped = bodies.kiselman(5, clamp_radius=0.45)
+    for body in (posed, clamped):
+        assert body.profile is None
+        counted, calls = _counting(body)
+        ch = chart_at(counted, bodies.boundary_point_along(body, [0.0, 0.0, 1.0]), 0.3)
+        calls["value"] = 0
+        ch.value(np.array([[0.1, 0.05], [0.0, 0.2]]))
+        assert calls["value"] > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -354,6 +354,20 @@ def test_ray_queries_refuse_non_finite_rows(quadric):
             pj.in_projection_shadow(om, lam, y)
 
 
+@pytest.mark.parametrize("quadric", [True, False], ids=["closed_form", "newton"])
+def test_in_projection_shadow_refuses_an_infinite_y_before_the_oracle(quadric):
+    # the target's value oracle never sees the infinite row, so numpy has
+    # nothing to warn about before the ParameterError
+    om = bodies.translated_ball([0.0, 0.0, 3.0], 1.0)
+    om = om if quadric else replace(om, quadric=None)
+    lam = bodies.translated_ball([0.0, 0.0, 0.0], 1.0)
+    for y in ([math.inf, 0.0, 1.0], [0.0, -math.inf, 1.0], np.array([[0.0, 0.0, 1.0], [math.inf, 0.0, 1.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match="y is not finite"):
+                pj.in_projection_shadow(om, lam, y)
+
+
 @pytest.mark.parametrize(
     "body",
     [bodies.cone_over_circle(), bodies.cantor_contact(1e-3, 4)],
