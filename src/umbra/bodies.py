@@ -223,7 +223,7 @@ class ImplicitBody:
     vertices: tuple | None = None
     # (A, c, rhs) when G(x) = (x-c)^T A (x-c) - rhs: rays and chart fibers cross it in closed form
     quadric: tuple | None = None
-    profile: Callable[[np.ndarray], np.ndarray] | None = None
+    profile: VecOracle | None = None
 
     def __post_init__(self):
         if self.dim < 2:

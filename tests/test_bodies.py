@@ -414,17 +414,21 @@ def test_profile_chart_makes_no_oracle_calls_for_phi():
     assert calls["value"] == 0 and calls["gradient"] == 1
 
 
-def test_posed_and_clamped_kiselman_keep_the_newton_path():
+def test_kiselman_charts_off_the_profile_path_solve_by_newton():
     # a pose, even the identity, drops the profile, and the clamped body's
-    # ball piece is no graph over the strip: their fibers are solved by Newton
+    # ball piece is no graph over the strip; a chart based off the origin
+    # has a rotated frame, whose fibers are not the profile's
     posed = bodies.kiselman(5, pose=Pose(np.eye(3), np.zeros(3)))
     clamped = bodies.kiselman(5, clamp_radius=0.45)
-    for body in (posed, clamped):
-        assert body.profile is None
+    assert posed.profile is None and clamped.profile is None
+    unclamped = bodies.kiselman(5)
+    for body, d in ((posed, [0.0, 0.0, 1.0]), (clamped, [0.0, 0.0, 1.0]), (unclamped, [0.3, 0.2, 1.0])):
         counted, calls = _counting(body)
-        ch = chart_at(counted, bodies.boundary_point_along(body, [0.0, 0.0, 1.0]), 0.3)
+        p = bodies.boundary_point_along(body, d)
+        ch = chart_at(counted, p, 0.2)
         calls["value"] = 0
-        ch.value(np.array([[0.1, 0.05], [0.0, 0.2]]))
+        stack = np.array([[0.1, 0.05], [0.0, 0.15]])
+        assert np.array_equal(ch.value(stack), chart_at(replace(body, profile=None), p, 0.2).value(stack))
         assert calls["value"] > 0
 
 
