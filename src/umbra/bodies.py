@@ -370,15 +370,20 @@ def boundary_point_along(body: ImplicitBody, direction) -> np.ndarray:
     return p if d.ndim == 2 else p[0]
 
 
-def _arc_flip(a, b, probe, rng):
+def _arc_flip(a, b, probe, rng, guess=None):
     """k-section of the great arc from unit direction ``a`` (flag true) to
     ``b`` (flag false), through a perpendicular drawn from ``rng`` if they
     are antipodal.  ``probe`` maps directions ``(K, n)`` to flags ``(K,)``
-    and per-row data.  The first round probes both ends and ``_ARC_ROWS``
-    points between, each later round ``_ARC_ROWS`` points inside the bracket
-    of the first flip from the true end, until no float lies inside it.
-    Returns the probe data at the bracket's true end and at its midpoint
-    (which rounds to an end), or None when the ends do not bracket a flip.
+    and per-row data.  The first round probes both ends of a bracket and
+    ``_ARC_ROWS`` points between, each later round ``_ARC_ROWS`` points
+    inside the bracket of the first flip from the true end, until no float
+    lies inside it.  The first bracket is the whole arc, or, given
+    ``guess(w, ang)`` (the arc fraction of the flip for the perpendicular w
+    and the arc angle ang), the fractions within ``2048 ulp`` of the guess,
+    clipped to [0, 1]; when its ends are not true and then false, the whole
+    arc is probed instead.  Returns the probe data at the bracket's true end
+    and at its midpoint (which rounds to an end), or None when the arc's
+    ends do not bracket a flip.
     """
     w = b - np.dot(a, b) * a
     if np.linalg.norm(w) < 1e-9:  # antipodal: route through a perpendicular
@@ -388,15 +393,26 @@ def _arc_flip(a, b, probe, rng):
     ang = math.acos(max(-1.0, min(1.0, float(np.dot(a, b)))))
     arc = lambda s: np.cos(s * ang)[:, None] * a + np.sin(s * ang)[:, None] * w
     fractions = np.arange(1, _ARC_ROWS + 1) / (_ARC_ROWS + 1)
-    s = np.concatenate([[0.0], fractions, [1.0]])
+
+    def inside(lo, hi):  # the distinct k-section points strictly inside (lo, hi)
+        s = np.unique(lo + (hi - lo) * fractions)
+        return s[(lo < s) & (s < hi)]
+
+    s = whole = np.concatenate([[0.0], fractions, [1.0]])
+    if guess is not None:
+        mid = min(1.0, max(0.0, guess(w, ang)))
+        lo, hi = max(0.0, mid - 2048 * math.ulp(mid)), min(1.0, mid + 2048 * math.ulp(mid))
+        s = np.concatenate([[lo], inside(lo, hi), [hi]])
     flags, data = probe(arc(s))
+    if s is not whole and (not flags[0] or flags[-1]):  # the guess's bracket misses the flip
+        s = whole
+        flags, data = probe(arc(s))
     if not flags[0] or flags[-1]:
         return None
     while True:
         j = 1 + int(np.argmin(np.append(flags[1:-1], False)))  # first false after the true end
         s, flags, data = s[j - 1 : j + 1], flags[j - 1 : j + 1], data[j - 1 : j + 1]
-        inner = np.unique(s[0] + (s[1] - s[0]) * fractions)
-        inner = inner[(s[0] < inner) & (inner < s[1])]
+        inner = inside(s[0], s[1])
         if not inner.size:
             return data[0], data[int(0.5 * (s[0] + s[1]) == s[1])]
         f, d = probe(arc(inner))

@@ -88,9 +88,14 @@ def shadow_horizon_point(body, u, rng=None) -> np.ndarray:
 
     ``_arc_flip`` searches the sign flip of the normal-light product along
     the boundary above the half great circle from direction u (lit) to -u
-    (unlit) through a perpendicular drawn from ``rng``; each of its rounds
-    solves its rays as one stack.  The returned point is where charts for
-    shadow-boundary sweeps should be based.
+    (unlit) through a perpendicular w drawn from ``rng``; each of its rounds
+    solves its rays as one stack.  On a quadric (x-c)^T A (x-c) = rhs whose
+    c is the center the rays start from, the flip on the arc
+    cos(theta) u + sin(theta) w is at theta* = atan2(u^T S u, -w^T S u),
+    S = A + A^T, so the search starts from a bracket of 4096 ulps around it
+    and falls back to the whole arc when that bracket misses the flip.  The
+    returned point is where charts for shadow-boundary sweeps should be
+    based.
     """
     d = _as_direction(u if isinstance(u, Direction) else Direction.normalized(u), body.dim)
     rng = np.random.default_rng(rng)
@@ -99,7 +104,11 @@ def shadow_horizon_point(body, u, rng=None) -> np.ndarray:
         y = boundary_point_along(body, dirs)
         return np.asarray(body.gradient(y), float) @ d.u > 0, y
 
-    found = _arc_flip(d.u, -d.u, lit, rng)
+    guess, quad = None, body.quadric
+    if quad is not None and np.array_equal(quad[1], body.center):  # rays from c: grad G . u = r d^T S u
+        Su = (quad[0] + quad[0].T) @ d.u
+        guess = lambda w, ang: math.atan2(float(d.u @ Su), -float(w @ Su)) / ang
+    found = _arc_flip(d.u, -d.u, lit, rng, guess)
     if found is None:
         raise BoundaryNotInChartError("could not bracket the shadow horizon")
     return found[1]

@@ -676,6 +676,97 @@ def test_boundary_point_along_brackets_the_crossing_on_kinked_bodies(body):
         assert body.value_at(body.center + (s + h) * d) > 0
 
 
+# ---------------------------------------------------------------------------
+# the arc k-section
+
+
+def _lit_at(a, rng):
+    # a v with a . v > 0, at a random angle to a
+    z = rng.normal(size=a.shape[0])
+    return (0.2 + rng.random()) * a + z - (z @ a) * a
+
+
+def _linear_probe(v, rounds):
+    # flag d . v > 0, each direction its own data; records the rows of each round
+    def probe(dirs):
+        rounds.append(len(dirs))
+        return dirs @ v > 0, dirs
+
+    return probe
+
+
+class _SpyRng:
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def normal(self, size=None):
+        self.draws.append(size)
+        return self.rng.normal(size=size)
+
+
+def test_arc_flip_returns_none_when_the_ends_do_not_bracket_a_flip():
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    lit = lambda dirs: (np.ones(len(dirs), bool), dirs)
+    dark = lambda dirs: (np.zeros(len(dirs), bool), dirs)
+    rounds = []
+    backwards = _linear_probe(b - a, rounds)  # false at a, true at b
+    for probe in (lit, dark, backwards):
+        for guess in (None, lambda w, ang: 0.5):
+            assert bodies._arc_flip(a, b, probe, np.random.default_rng(0), guess) is None
+            assert bodies._arc_flip(a, -a, probe, np.random.default_rng(0), guess) is None
+    # one whole-arc round without a guess, the guess's bracket and then the
+    # whole arc with one, and no round after
+    assert rounds == [65] * 6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_arc_flip_draws_one_perpendicular_for_antipodal_ends(n):
+    rng = np.random.default_rng(40 + n)
+    a = rng.normal(size=n)
+    a /= np.linalg.norm(a)
+    v = _lit_at(a, rng)
+    for guess in (None, lambda w, ang: 0.5):
+        spy = _SpyRng(n)
+        assert bodies._arc_flip(a, -a, _linear_probe(v, []), spy, guess) is not None
+        assert spy.draws == [n]
+        fresh = np.random.default_rng(n)
+        fresh.normal(size=n)
+        assert spy.rng.normal() == fresh.normal()  # the stream a later reader sees
+    b = rng.normal(size=n)
+    b -= (b @ a) * a
+    b /= np.linalg.norm(b)
+    spy = _SpyRng(n)
+    assert bodies._arc_flip(a, b, _linear_probe(a - b, []), spy) is not None
+    assert spy.draws == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_arc_flip_falls_back_to_the_whole_arc_when_the_guess_misses(n):
+    # the flip of d . v on cos(theta) a + sin(theta) w is at
+    # theta* = atan2(a . v, -w . v); a guess a quarter arc off its fraction
+    # brackets no flip, so the search is the whole arc's, bit for bit
+    rng = np.random.default_rng(50 + n)
+    for _ in range(4):
+        a = rng.normal(size=n)
+        a /= np.linalg.norm(a)
+        v = _lit_at(a, rng)
+        exact = lambda w, ang: math.atan2(a @ v, -(w @ v)) / ang
+        seed = int(rng.integers(1000))
+        whole_rounds, hit_rounds = [], []
+        whole = bodies._arc_flip(a, -a, _linear_probe(v, whole_rounds), np.random.default_rng(seed))
+        hit = bodies._arc_flip(a, -a, _linear_probe(v, hit_rounds), np.random.default_rng(seed), exact)
+        assert whole_rounds[0] == 65 and len(whole_rounds) > 3
+        assert hit_rounds[0] == 65 and len(hit_rounds) <= 3
+        assert np.abs(hit[0] - whole[0]).max() <= 1e-15
+        for shift in (0.25, -0.25):
+            rounds = []
+            miss = bodies._arc_flip(
+                a, -a, _linear_probe(v, rounds), np.random.default_rng(seed), lambda w, ang: exact(w, ang) + shift
+            )
+            assert rounds == [65] + whole_rounds
+            assert all(np.array_equal(m, w) for m, w in zip(miss, whole))
+
+
 def test_quadric_field_reproduces_oracles(rng):
     # chart_at trusts (A, c, rhs): it must describe the same G as the oracles
     R = oracles.random_rotation(rng)

@@ -400,6 +400,59 @@ def test_horizon_point_lies_on_the_closed_form_horizon(n):
         assert abs(g @ u) / np.linalg.norm(g) <= 1e-12
 
 
+def _whole_arc(monkeypatch):
+    # the horizon search with no closed-form first bracket
+    flip = bodies._arc_flip
+    monkeypatch.setattr(illumination, "_arc_flip", lambda a, b, probe, rng, guess=None: flip(a, b, probe, rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ball_horizon_point_lies_on_the_great_sphere(n, monkeypatch):
+    # on a ball the horizon is the great sphere (p - c) . u = 0; the flip's
+    # arc fraction is 1/2, where the float spacing halves, and the search
+    # from its closed-form bracket returns the whole-arc search's point
+    rng = np.random.default_rng(700 + n)
+    cases = []
+    for _ in range(6):
+        c, r = rng.normal(size=n), rng.uniform(0.3, 2.0)
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        body, seed = bodies.translated_ball(c, r), int(rng.integers(1000))
+        p = shadow_horizon_point(body, u, seed)
+        assert abs((p - c) @ u) <= 1e-12
+        assert abs(np.linalg.norm(p - c) - r) <= 1e-12
+        cases.append((body, u, seed, p))
+    _whole_arc(monkeypatch)
+    for body, u, seed, p in cases:
+        assert np.array_equal(p, shadow_horizon_point(body, u, seed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quadric_horizon_starts_from_the_closed_form_bracket(n, monkeypatch):
+    # a posed ellipsoid's horizon takes two probe rounds, one gradient call
+    # each, and returns the whole-arc search's point; a body whose rays do
+    # not start at the quadric's c runs the whole arc
+    rng = np.random.default_rng(720 + n)
+    cases = []
+    for _ in range(4):
+        semiaxes = rng.uniform(0.6, 1.8, size=n)
+        body = bodies.ellipsoid(semiaxes, bodies.Pose(oracles.random_rotation(rng, n), rng.normal(size=n)))
+        u = rng.normal(size=n)
+        seed = int(rng.integers(1000))
+        calls = []
+        counted = replace(body, gradient=lambda x, g=body.gradient: calls.append(1) or g(x))
+        p = shadow_horizon_point(counted, u, seed)
+        assert len(calls) == 2
+        off = replace(counted, center=body.center + 0.01 * semiaxes.min() * rng.normal(size=n) / math.sqrt(n))
+        calls.clear()
+        q = shadow_horizon_point(off, u, seed)
+        assert len(calls) > 2 and abs(body.gradient_at(q) @ u) / np.linalg.norm(body.gradient_at(q)) <= 1e-12
+        cases.append((body, u, seed, p))
+    _whole_arc(monkeypatch)
+    for body, u, seed, p in cases:
+        assert np.array_equal(p, shadow_horizon_point(body, u, seed))
+
+
 # ---------------------------------------------------------------------------
 # lockstep sweeps
 
