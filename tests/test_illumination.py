@@ -379,11 +379,21 @@ def test_sweep_tolerance_is_bounded_by_the_slope_scale():
 # the shadow horizon
 
 
+def _whole_arc(monkeypatch):
+    # the horizon search with no closed-form first bracket
+    flip = bodies._arc_flip
+    monkeypatch.setattr(illumination, "_arc_flip", lambda a, b, probe, rng, guess=None: flip(a, b, probe, rng))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_horizon_point_lies_on_the_closed_form_horizon(n):
+def test_horizon_point_lies_on_the_closed_form_horizon(n, monkeypatch):
     # on a posed ellipsoid the horizon is the boundary's section by the
-    # plane A(x - c) . u = 0
+    # plane A(x - c) . u = 0; the search from the closed-form bracket takes
+    # two probe rounds, one gradient call each, and returns the whole-arc
+    # search's point, and a body whose rays do not start at the quadric's c
+    # runs the whole arc
     rng = np.random.default_rng(600 + n)
+    cases = []
     for _ in range(4):
         semiaxes = rng.uniform(0.6, 1.8, size=n)
         R = oracles.random_rotation(rng, n)
@@ -393,17 +403,22 @@ def test_horizon_point_lies_on_the_closed_form_horizon(n):
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
         seed = int(rng.integers(1000))
-        p = shadow_horizon_point(body, u, seed)
+        calls = []
+        counted = replace(body, gradient=lambda x, g=body.gradient: calls.append(1) or g(x))
+        p = shadow_horizon_point(counted, u, seed)
+        assert len(calls) == 2
         assert np.array_equal(p, shadow_horizon_point(body, u, seed))  # the rng fixes the point
         g = A @ (p - c)
         assert abs((p - c) @ g - 1.0) <= 1e-12
         assert abs(g @ u) / np.linalg.norm(g) <= 1e-12
-
-
-def _whole_arc(monkeypatch):
-    # the horizon search with no closed-form first bracket
-    flip = bodies._arc_flip
-    monkeypatch.setattr(illumination, "_arc_flip", lambda a, b, probe, rng, guess=None: flip(a, b, probe, rng))
+        calls.clear()
+        q = shadow_horizon_point(replace(counted, center=c + 0.01 * semiaxes.min() * u), u, seed)
+        g = A @ (q - c)
+        assert len(calls) > 2 and abs(g @ u) / np.linalg.norm(g) <= 1e-12
+        cases.append((body, u, seed, p))
+    _whole_arc(monkeypatch)
+    for body, u, seed, p in cases:
+        assert np.array_equal(p, shadow_horizon_point(body, u, seed))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -421,32 +436,6 @@ def test_ball_horizon_point_lies_on_the_great_sphere(n, monkeypatch):
         p = shadow_horizon_point(body, u, seed)
         assert abs((p - c) @ u) <= 1e-12
         assert abs(np.linalg.norm(p - c) - r) <= 1e-12
-        cases.append((body, u, seed, p))
-    _whole_arc(monkeypatch)
-    for body, u, seed, p in cases:
-        assert np.array_equal(p, shadow_horizon_point(body, u, seed))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_quadric_horizon_starts_from_the_closed_form_bracket(n, monkeypatch):
-    # a posed ellipsoid's horizon takes two probe rounds, one gradient call
-    # each, and returns the whole-arc search's point; a body whose rays do
-    # not start at the quadric's c runs the whole arc
-    rng = np.random.default_rng(720 + n)
-    cases = []
-    for _ in range(4):
-        semiaxes = rng.uniform(0.6, 1.8, size=n)
-        body = bodies.ellipsoid(semiaxes, bodies.Pose(oracles.random_rotation(rng, n), rng.normal(size=n)))
-        u = rng.normal(size=n)
-        seed = int(rng.integers(1000))
-        calls = []
-        counted = replace(body, gradient=lambda x, g=body.gradient: calls.append(1) or g(x))
-        p = shadow_horizon_point(counted, u, seed)
-        assert len(calls) == 2
-        off = replace(counted, center=body.center + 0.01 * semiaxes.min() * rng.normal(size=n) / math.sqrt(n))
-        calls.clear()
-        q = shadow_horizon_point(off, u, seed)
-        assert len(calls) > 2 and abs(body.gradient_at(q) @ u) / np.linalg.norm(body.gradient_at(q)) <= 1e-12
         cases.append((body, u, seed, p))
     _whole_arc(monkeypatch)
     for body, u, seed, p in cases:
