@@ -39,7 +39,10 @@ ellipsoids and balls these come in closed form up to one scalar root, the
 secular equation's; a point it leaves above the stationarity tolerance,
 and every point on other bodies, goes to damped Newton on the stationarity
 system, which on a body with a gradient kink runs over each smooth piece
-and then over all pieces together (an active-set solve).
+and then over all pieces together (an active-set solve).  The closest pair
+of two bodies comes from alternating nearest points; on two quadrics,
+Newton on the KKT system of the pair takes over after the second round,
+and its positive multipliers certify the gap.
 """
 
 from __future__ import annotations
@@ -475,18 +478,66 @@ def _certified(omega: ImplicitBody, lam: ImplicitBody, Z, residual, iterations, 
 # disjointness and closest pairs
 
 
-def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
-    """Closest boundary points via alternating projections.
+def _kkt_pair(omega: ImplicitBody, lam: ImplicitBody, x, z, scale):
+    """Newton on the KKT system of the nearest pair x on omega, z on lam:
+    Phi(x, z, mu, nu) = (G(x), F(z), x - z + mu grad G(x), z - x + nu grad F(z)) = 0,
+    from the boundary points x and z with mu = |x - z| / |grad G(x)| and
+    nu = |x - z| / |grad F(z)|.  Returns the pair when an iterate within 12
+    steps, all of them finite and solvable, meets max|Phi| <= 1e-12 scale,
+    and either its gap is at most 1e-9 scale (a common boundary point: the
+    bodies touch or overlap) or mu > 0 and nu > 0: for a convex program the
+    KKT conditions are sufficient (Nocedal & Wright, ch. 12), so the pair is
+    the global minimum.  None otherwise."""
+    n = len(x)
+    eye = np.eye(n)
+    d = float(np.linalg.norm(x - z))
+    mu = d / float(np.linalg.norm(omega.gradient_at(x)))
+    nu = d / float(np.linalg.norm(lam.gradient_at(z)))
+    J = np.zeros((2 * n + 2, 2 * n + 2))
+    J[2 : n + 2, n : 2 * n] = J[n + 2 :, :n] = -eye
+    with np.errstate(all="ignore"):  # a diverging iterate overflows to inf or NaN, which is refused
+        for k in range(13):  # the start and up to 12 steps
+            gG, gF = omega.gradient_at(x), lam.gradient_at(z)
+            r = np.concatenate([[omega.value_at(x), lam.value_at(z)], x - z + mu * gG, z - x + nu * gF])
+            if not np.isfinite(r).all():
+                return None
+            if float(np.abs(r).max()) <= 1e-12 * scale:
+                return (x, z) if np.linalg.norm(x - z) <= 1e-9 * scale or (mu > 0 and nu > 0) else None
+            if k == 12:
+                return None
+            J[0, :n], J[1, n : 2 * n] = gG, gF
+            J[2 : n + 2, :n] = eye + mu * omega.hessian_at(x)
+            J[n + 2 :, n : 2 * n] = eye + nu * lam.hessian_at(z)
+            J[2 : n + 2, 2 * n], J[n + 2 :, 2 * n + 1] = gG, gF
+            try:
+                step = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                return None
+            x, z = x + step[:n], z + step[n : 2 * n]
+            mu, nu = mu + float(step[2 * n]), nu + float(step[2 * n + 1])
 
-    Returns ``(x, z, distance)`` with x on omega and z on lam.  Raises
-    OverlapError when an iterate lands inside the other body or the gap
-    closes, which is exactly the disjointness failure mode, and
-    ParameterError for bodies of different dimensions.
+
+def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
+    """Closest boundary points via alternating projections, finished by
+    Newton on the KKT system when both bodies carry ``quadric``.
+
+    Returns ``(x, z, distance)`` with x on omega and z on lam.  Each round
+    projects x onto lam and that point back onto omega; the rounds stop once
+    neither point moves more than 1e-12 times the larger bounding radius
+    (floored at 1).  On two quadric bodies, after the second round
+    ``_kkt_pair`` runs Newton on the KKT system from the round's points, and
+    a pair it returns ends the search; when it refuses (no convergence, or a
+    stationary pair with a multiplier <= 0), the rounds go on unchanged.
+    Raises OverlapError when an iterate lands inside the other body or the
+    gap closes to at most 1e-9 times that radius, which is exactly the
+    disjointness failure mode; NoConvergenceError when 501 rounds end
+    without meeting the move test; and ParameterError for bodies of
+    different dimensions.
     """
     _check_dims(omega, lam)
     scale = max(1.0, omega.bounding_radius, lam.bounding_radius)
     x = z = omega.center
-    for _ in range(501):
+    for i in range(501):
         try:
             z_new = project_point(lam, x)
             x_new = project_point(omega, z_new)
@@ -496,6 +547,13 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
         x, z = x_new, z_new
         if move < 1e-12 * scale:
             break
+        if i == 1 and omega.quadric is not None and lam.quadric is not None:
+            pair = _kkt_pair(omega, lam, x, z, scale)
+            if pair is not None:
+                x, z = pair
+                break
+    else:
+        raise NoConvergenceError(f"closest-pair search moved {move:.3g} in its last of 501 rounds")
     dist = float(np.linalg.norm(x - z))
     if dist <= 1e-9 * scale:
         raise OverlapError(f"bodies touch or overlap (closest gap {dist:.3g})")
@@ -505,10 +563,12 @@ def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
 def assert_disjoint(omega: ImplicitBody, lam: ImplicitBody) -> float:
     """Validate disjoint closures; returns the separation distance.
 
-    Runs the alternating-projection closest-pair search, which raises
-    OverlapError when an iterate lands inside the other body or the
-    converged gap is at most 1e-9 times the larger bounding radius (floored
-    at 1).
+    Runs ``closest_pair``, which raises OverlapError when an iterate lands
+    inside the other body or the converged gap is at most 1e-9 times the
+    larger bounding radius (floored at 1), and NoConvergenceError when its
+    alternating rounds stall.  The returned gap is certified: on two quadric
+    bodies by the KKT pair's positive multipliers, otherwise by the
+    alternating rounds' move test.
     """
     _, _, dist = closest_pair(omega, lam)
     return dist
@@ -519,6 +579,8 @@ def hitting_time_bound(omega: ImplicitBody, lam: ImplicitBody, chart_radius: flo
 
     distance between the bodies plus twice the larger of the projected
     body's diameter bound 2 ``bounding_radius`` and the chart-patch diameter.
+    The distance is ``closest_pair``'s, with its OverlapError and
+    NoConvergenceError.
     """
     _, _, dist = closest_pair(omega, lam)
     diam_patch = 2.0 * (chart_radius if chart_radius is not None else lam.bounding_radius)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -511,6 +512,26 @@ def test_project_cantor_pair_overlap_exit(tmp_path):
         {"family": "cantor_contact", "params": {"eps": 1e-4, "cantor_depth": 2, "side": "lambda"}},
     )
     assert main(["project", om, lam]) == 3
+
+
+def test_project_overlapping_ellipsoids_overlap_exit(tmp_path, capsys):
+    # the overlapping pair of test_projection: alternating projections stall
+    # at a gap of 6.8e-7 there, and Newton on the KKT system of the closest
+    # pair lands on a common boundary point
+    c, s = math.cos(0.7), math.sin(0.7)
+    om = write_spec(tmp_path, "om.json", {
+        "family": "ellipsoid", "params": {"semiaxes": [1.0, 0.3, 1.0]},
+        "pose": {"rotation": np.eye(3).tolist(), "translation": [0.0, 0.98, 0.0]},
+    })
+    lam = write_spec(tmp_path, "lam.json", {
+        "family": "ellipsoid", "params": {"semiaxes": [0.8, 0.6, 1.0]},
+        "pose": {"rotation": [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], "translation": [0.0, 0.0, 0.0]},
+    })
+    out = tmp_path / "trace.csv"
+    assert main(["project", om, lam, "--out", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: bodies touch or overlap")
+    assert not out.exists()
 
 
 def test_project_flat_contact_rank_exit(input_files):

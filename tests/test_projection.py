@@ -1185,6 +1185,155 @@ def test_assert_disjoint_rejects_cantor_pair():
         pj.assert_disjoint(pair.omega, pair.lam)
 
 
+def overlapping_pair(n):
+    """Two ellipsoids in R^n (n = 2, 3) that overlap: max(G_omega, G_lam) =
+    -0.0103 at (0.1633, 0.6856, 0).  Alternating projections between their
+    boundaries crawl toward a common boundary point and stall at a gap of
+    6.8e-7 after 501 rounds."""
+    c, s = math.cos(0.7), math.sin(0.7)
+    rot = np.eye(n)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    om = bodies.ellipsoid([1.0, 0.3, 1.0][:n], Pose(np.eye(n), [0.0, 0.98, 0.0][:n]))
+    lam = bodies.ellipsoid([0.8, 0.6, 1.0][:n], Pose(rot, np.zeros(n)))
+    return om, lam
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_assert_disjoint_refuses_an_overlapping_pair(n):
+    om, lam = overlapping_pair(n)
+    p = np.array([0.1633, 0.6856, 0.0][:n])
+    assert max(om.value_at(p), lam.value_at(p)) < -0.01
+    with pytest.raises(OverlapError, match=r"bodies touch or overlap \(closest gap"):
+        pj.assert_disjoint(om, lam)
+
+
+def test_closest_pair_raises_when_its_rounds_end_unconverged(monkeypatch):
+    # with the Newton finish refused, the alternating rounds on the
+    # overlapping pair reach their cap still moving: no gap is returned
+    monkeypatch.setattr(pj, "_kkt_pair", lambda *args: None)
+    with pytest.raises(NoConvergenceError, match="last of 501 rounds"):
+        pj.closest_pair(*overlapping_pair(3))
+
+
+def _count_project_point(monkeypatch):
+    """A list that gets one entry per ``project_point`` call."""
+    project, calls = pj.project_point, []
+    monkeypatch.setattr(pj, "project_point", lambda body, x: calls.append(1) or project(body, x))
+    return calls
+
+
+def _disjoint_quadric_pairs(n, rng, count):
+    """Posed ellipsoid pairs in R^n with axes in [0.2, 1.3], centered
+    between 0.8 and 1.3 times the sum of their longest axes apart, that the
+    alternating search alone (the Newton finish refused) reports disjoint
+    after meeting its move test; with that search's result."""
+    out = []
+    while len(out) < count:
+        a1, a2 = rng.uniform(0.2, 1.3, n), rng.uniform(0.2, 1.3, n)
+        center = _unit(rng.normal(size=n)) * (a1.max() + a2.max()) * rng.uniform(0.8, 1.3)
+        om = bodies.ellipsoid(a1, Pose(oracles.random_rotation(rng, n), center))
+        lam = bodies.ellipsoid(a2, Pose(oracles.random_rotation(rng, n), np.zeros(n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pj, "_kkt_pair", lambda *args: None)
+            try:
+                out.append((om, lam, pj.closest_pair(om, lam)))
+            except (OverlapError, NoConvergenceError):
+                pass
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closest_pair_newton_meets_the_kkt_conditions(n, monkeypatch):
+    # checked from the oracles: both points on their boundaries, and x - z
+    # anti-parallel to grad G(x) and parallel to grad F(z); the pair
+    # matches the alternating search's, and takes the two rounds before
+    # Newton only
+    rng = np.random.default_rng(4400 + n)
+    calls = _count_project_point(monkeypatch)
+    for om, lam, (xa, za, da) in _disjoint_quadric_pairs(n, rng, 8):
+        calls.clear()
+        x, z, dist = pj.closest_pair(om, lam)
+        assert len(calls) <= 4
+        scale = max(1.0, om.bounding_radius, lam.bounding_radius)
+        assert abs(om.value_at(x)) <= 1e-12 * scale and abs(lam.value_at(z)) <= 1e-12 * scale
+        assert dist == float(np.linalg.norm(x - z)) > 1e-9 * scale
+        assert np.abs(_unit(x - z) + _unit(om.gradient_at(x))).max() <= 1e-9
+        assert np.abs(_unit(x - z) - _unit(lam.gradient_at(z))).max() <= 1e-9
+        assert max(np.abs(x - xa).max(), np.abs(z - za).max(), abs(dist - da)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a, b, theta", [(0.5, 0.1, 0.5), (0.7, 0.1, 0.3), (0.7, 0.2, 0.3)])
+def test_closest_pair_on_a_near_touching_pair_matches_the_closed_form(n, a, b, theta, monkeypatch):
+    # omega (axes a, b, rotated by theta about e3) is placed 1e-3 out along
+    # the normal of lam at z = (cos 1.1, sin(1.1) / 2, 0), at its own point x
+    # with the opposite normal: both normals lie along x - z, so (x, z) is
+    # the KKT pair and the gap is 1e-3.  In R^2 the alternating rounds
+    # still move by up to 1.5e-5 after 501 rounds, and Newton takes 10 steps
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.eye(n)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    lam = bodies.ellipsoid([1.0, 0.5, 0.8][:n])
+    z = np.array([math.cos(1.1), 0.5 * math.sin(1.1), 0.0][:n])
+    nrm = _unit(lam.gradient_at(z))
+    m = -rot.T @ nrm
+    axes = np.array([a, b, 0.4][:n])
+    x = z + 1e-3 * nrm
+    om = bodies.ellipsoid(axes, Pose(rot, x - rot @ (axes**2 * m / math.sqrt(np.dot(axes**2, m * m)))))
+    calls = _count_project_point(monkeypatch)
+    got_x, got_z, dist = pj.closest_pair(om, lam)
+    assert len(calls) <= 4
+    assert np.abs(got_x - x).max() <= 1e-12 and np.abs(got_z - z).max() <= 1e-12
+    assert dist == pytest.approx(1e-3, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_kkt_pair_refuses_a_stationary_pair_with_a_multiplier_below_zero(n):
+    # two unit balls 3 apart along e: the far pair (4e, -e) and the mixed
+    # pair (2e, -e) solve the KKT system with mu or nu < 0, and only the
+    # nearest pair (2e, e) is a minimum
+    e = np.eye(n)[0]
+    om, lam = bodies.translated_ball(3.0 * e, 1.0), bodies.translated_ball(np.zeros(n), 1.0)
+    assert pj._kkt_pair(om, lam, 4.0 * e, -e, 1.0) is None
+    assert pj._kkt_pair(om, lam, 2.0 * e, -e, 1.0) is None
+    x, z = pj._kkt_pair(om, lam, 2.0 * e, e, 1.0)
+    assert np.array_equal(x, 2.0 * e) and np.array_equal(z, e)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kkt_pair_returns_a_common_boundary_point(n):
+    # unit balls 1 apart share the boundary point p = (1/2, sqrt(3)/2, 0):
+    # there x = z and mu = nu = 0, a KKT point whose gap, not its
+    # multipliers, is the verdict (the bodies overlap)
+    e = np.eye(n)[0]
+    om, lam = bodies.translated_ball(e, 1.0), bodies.translated_ball(np.zeros(n), 1.0)
+    p = np.array([0.5, math.sqrt(0.75), 0.0][:n])
+    x, z = pj._kkt_pair(om, lam, p, p, 1.0)
+    assert np.array_equal(x, p) and np.array_equal(z, p)
+
+
+def test_closest_pair_on_a_kinked_body_keeps_the_alternating_rounds(monkeypatch):
+    # the clamped Kiselman strip carries no quadric: the search never
+    # enters Newton, and its pair is the alternating rounds', bit for bit
+    om, lam = bodies.kiselman(3, clamp_radius=0.45), bodies.translated_ball([0.0, -3.0, 0.0], 1.0)
+    x = z = om.center
+    for _ in range(501):
+        z_new = pj.project_point(lam, x)
+        x_new = pj.project_point(om, z_new)
+        move = max(float(np.linalg.norm(x_new - x)), float(np.linalg.norm(z_new - z)))
+        x, z = x_new, z_new
+        if move < 1e-12 * max(1.0, om.bounding_radius, lam.bounding_radius):
+            break
+
+    def refuse(*args):
+        raise AssertionError("Newton entered on a body without a quadric")
+
+    monkeypatch.setattr(pj, "_kkt_pair", refuse, raising=False)
+    got_x, got_z, dist = pj.closest_pair(om, lam)
+    assert np.array_equal(got_x, x) and np.array_equal(got_z, z)
+    assert dist == float(np.linalg.norm(x - z))
+
+
 def test_hitting_time_bound_coaxial():
     om, lam = coaxial_pair()
     # distance 1 plus twice the larger diameter bound
