@@ -558,10 +558,11 @@ def chart_at(
     shadow-boundary solves propose their roots in closed form.
 
     When ``domain_radius`` is omitted it is probed: starting from half the
-    bounding radius, the radius is halved until fiber solves succeed on a
-    ring of test points in the first two tangent axes and at 0.95 of the
-    radius along both directions of every other tangent axis; a fiber a
-    body oracle refuses counts as a failed solve.
+    bounding radius, the radius is halved, down to 1e-6 of the bounding
+    radius, until fiber solves succeed on a ring of test points in the first
+    two tangent axes and at 0.95 of the radius along both directions of
+    every other tangent axis; a fiber a body oracle refuses counts as a
+    failed solve.
     """
     p = np.asarray(p, float)
     if p.shape != (body.dim,):
@@ -649,7 +650,7 @@ def chart_at(
         for j in range(2, m):
             probes[2 * j + 4, j], probes[2 * j + 5, j] = 1.0, -1.0
         r = 0.5 * body.bounding_radius
-        for _ in range(8):
+        while r >= 1e-6 * body.bounding_radius:  # a thin body's horizon chart can need 1e-4 of it
             try:
                 with np.errstate(all="ignore"):  # fibers without a root hold NaN
                     if not fiber_heights(probes * (0.95 * r), r * 1.0001)[1]:

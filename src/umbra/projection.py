@@ -29,10 +29,13 @@ normal ray passes through the quadric's center (so D > 0 there), bracketed
 on a radial grid and refined by bisection and Illinois steps, all arcs in
 each stacked pass; the pass that places the points starts each arc's
 Illinois steps from the roots of a coarser pass.  They are certified with
-one stacked Phi, Jacobian and SVD; an arc that crosses twice on the grid,
-or any point the certification refuses, sends the call to the sequential
-trace.  The same root on the arc at angle 0 seeds a quadric omega over the
-whole target: it solves Phi already, so the start solve takes no step.
+one stacked Phi and Jacobian, whose values-only SVD gives the singular
+values and whose complete QR of J^T the null tangents; an arc that crosses
+twice on the grid, or any point the certification refuses, sends the call
+to the sequential trace.  The same root on the arc at angle 0 seeds a
+quadric omega over the whole target: it solves Phi already, so the start
+solve takes no step.  A trace holds its points as columns (states,
+residuals, singular values, tangents), from which the CSV is written.
 
 Disjointness and seeding rest on nearest points (``project_point``).  On
 ellipsoids and balls these come in closed form up to one scalar root, the
@@ -322,8 +325,9 @@ def boundary_jacobian(omega: ImplicitBody, lam: ImplicitBody, z) -> np.ndarray:
     J[..., 1, n : 2 * n] = gF
     J[..., 2, :n] = (HG @ gF[..., None])[..., 0]
     J[..., 2, n : 2 * n] = (HF @ gG[..., None])[..., 0]
-    J[..., 3:, :n] = -np.eye(n)
-    J[..., 3:, n : 2 * n] = np.eye(n) + t[..., None] * HF
+    eye = np.eye(n)
+    J[..., 3:, :n] = -eye
+    J[..., 3:, n : 2 * n] = eye + t[..., None] * HF
     J[..., 3:, 2 * n] = gF
     return J
 
@@ -335,10 +339,13 @@ class ProjectionPoint:
     ``residual`` is the max-norm of the defining map; ``sigma_min`` and
     ``sigma_max`` are the smallest and largest of the n+3 singular values of
     its Jacobian there, and ``tangent`` is a unit vector spanning the
-    Jacobian's null space (the curve direction when n = 3; either sign).
-    ``iterations`` counts the steps that solved the point: Gauss-Newton
-    steps from ``solve_boundary_point``, chord steps for a point of the
-    sequential trace, and root rounds on its arc for a point of step 0.
+    Jacobian's null space (the curve direction when n = 3; either sign: the
+    null row of a full SVD for the seed solve and the sequential trace, the
+    last column of a QR's Q for step 0).  ``iterations`` counts the steps
+    that solved the point: Gauss-Newton steps from ``solve_boundary_point``,
+    chord steps for a point of the sequential trace, and root rounds on its
+    arc for a point of step 0.  ``solve_boundary_point`` returns one; a
+    ``BoundaryTrace`` keeps its points as columns and builds them on demand.
     """
 
     x: np.ndarray
@@ -440,38 +447,54 @@ def solve_boundary_point(
             break
     if res > tol:
         raise NoConvergenceError(f"boundary solve stalled at residual {res:.3g} after {iters} iterations")
-    return _certified(omega, lam, z, [res], [iters])[0][0]
+    smin, smax, tangent, _ = _certified(omega, lam, z)
+    return ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), res, float(smin), float(smax), tangent, iters)
 
 
-def _certified(omega: ImplicitBody, lam: ImplicitBody, Z, residual, iterations, what: str | None = None):
-    """The certification of every solved state, a point Z ``(2n+1,)`` or
-    the rows of a stack ``(N, 2n+1)``, with one ``residual`` and one count of
-    ``iterations`` per state: its ProjectionPoints and the pseudo-inverse
-    V_r S^-1 U^T of the last one's Jacobian, the chord map of the next trace
-    step.  One full SVD of the Jacobians (only the full V^T holds the null
-    rows) gives the extreme singular values and the null tangents.  Point by
-    point, t must be positive (NoConvergenceError), a RankDeficiencyWarning
-    flags sigma_min under the rank threshold and, given ``what``,
-    ``_check_health`` raises where it falls under the trace's.  The hitting
-    parameter needs no check of its own: the rows y + t grad F - x of Phi
-    bound |t - |x - y| / |grad F|| by sqrt(n) residual / |grad F|.
+def _certified(omega: ImplicitBody, lam: ImplicitBody, Z, what: str | None = None):
+    """The certification of solved states, a point Z ``(2n+1,)`` or the rows
+    of a stack ``(N, 2n+1)``: sigma_min and sigma_max, the smallest and
+    largest singular values of each Jacobian (scalars for a point, ``(N,)``
+    for a stack), its unit null tangent (either sign), and for a point the
+    pseudo-inverse V_r S^-1 U^T of its Jacobian, the chord map of the next
+    trace step (None for a stack).
+
+    A point takes one full SVD (only the full V^T holds the null row), whose
+    U gives the chord map and whose null row's sign sets which way the
+    sequential trace runs.  A stack computes only what is read: its singular
+    values from a values-only SVD, and its null tangents from a complete QR
+    of J^T, whose last column of Q is orthogonal to J's rows.  Row by row, t
+    must be positive (NoConvergenceError), a RankDeficiencyWarning flags
+    sigma_min under the rank threshold and, given ``what``,
+    ``_check_health`` raises where it falls under the trace's; one
+    vectorised test finds the rows to check, which then run in row order.
+    The hitting parameter needs no check of its own: the rows
+    y + t grad F - x of Phi bound |t - |x - y| / |grad F|| by
+    sqrt(n) residual / |grad F|.
     """
     n = omega.dim
-    # a state goes in as a point, not a stack, and its Jacobian comes out as a stack of one
-    u, sv, vt = np.linalg.svd(boundary_jacobian(omega, lam, Z).reshape(-1, n + 3, 2 * n + 1))
-    rows, points = Z.reshape(-1, 2 * n + 1), []
-    for z, r, smin, smax, tangent, k in zip(rows, residual, sv[:, -1], sv[:, 0], vt[:, -1], iterations):
-        pt = ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), float(r), float(smin), float(smax), tangent, int(k))
-        if pt.t <= 0:
-            raise NoConvergenceError(f"solve converged to nonpositive hitting scale t = {pt.t:.3g}")
-        if pt.sigma_min < SIGMA_RANK_TOL * pt.sigma_max:
-            warnings.warn(f"Jacobian nearly rank deficient at solved point (sigma_min = {pt.sigma_min:.3g})",
-                          RankDeficiencyWarning, stacklevel=3)
-        if what is not None:
-            _check_health(pt, what)
-        points.append(pt)
-    inv = np.divide(1.0, sv[-1], out=np.zeros(n + 3), where=sv[-1] > 0)
-    return points, (vt[-1, : n + 3].T * inv) @ u[-1].T
+    J = boundary_jacobian(omega, lam, Z)
+    if Z.ndim == 1:
+        u, sv, vt = np.linalg.svd(J)
+        smin, smax, tangents = sv[-1], sv[0], vt[-1]
+        inv = 1.0 / sv if smin > 0 else np.divide(1.0, sv, out=np.zeros(n + 3), where=sv > 0)
+        pinv = (vt[: n + 3].T * inv) @ u.T
+    else:
+        sv = np.linalg.svd(J, compute_uv=False)
+        smin, smax, tangents = sv[:, -1], sv[:, 0], np.linalg.qr(J.mT, mode="complete")[0][..., -1]
+        pinv = None
+    t = Z[..., 2 * n]
+    floor = SIGMA_RANK_TOL if what is None else SIGMA_TRACE_TOL  # the trace's floor is the higher
+    if ((t <= 0) | (smin < floor * smax)).any():
+        for tk, s0, s1 in zip(*map(np.atleast_1d, (t, smin, smax))):
+            if tk <= 0:
+                raise NoConvergenceError(f"solve converged to nonpositive hitting scale t = {tk:.3g}")
+            if s0 < SIGMA_RANK_TOL * s1:
+                warnings.warn(f"Jacobian nearly rank deficient at solved point (sigma_min = {s0:.3g})",
+                              RankDeficiencyWarning, stacklevel=3)
+            if what is not None:
+                _check_health(s0, s1, what)
+    return smin, smax, tangents, pinv
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +510,10 @@ def _kkt_pair(omega: ImplicitBody, lam: ImplicitBody, x, z, scale):
     and either its gap is at most 1e-9 scale (a common boundary point: the
     bodies touch or overlap) or mu > 0 and nu > 0: for a convex program the
     KKT conditions are sufficient (Nocedal & Wright, ch. 12), so the pair is
-    the global minimum.  None otherwise."""
+    the global minimum.  None otherwise.  The iterate that meets the test
+    takes one more Newton step, kept when it is finite and its max|Phi| is no
+    larger: from a residual near the test, the quadratic step brings the pair
+    to rounding level."""
     n = len(x)
     eye = np.eye(n)
     d = float(np.linalg.norm(x - z))
@@ -495,15 +521,21 @@ def _kkt_pair(omega: ImplicitBody, lam: ImplicitBody, x, z, scale):
     nu = d / float(np.linalg.norm(lam.gradient_at(z)))
     J = np.zeros((2 * n + 2, 2 * n + 2))
     J[2 : n + 2, n : 2 * n] = J[n + 2 :, :n] = -eye
+    done = None  # the iterate that met the test, and its max|Phi|
     with np.errstate(all="ignore"):  # a diverging iterate overflows to inf or NaN, which is refused
-        for k in range(13):  # the start and up to 12 steps
+        for k in range(14):  # the start, up to 12 steps and the polishing step
             gG, gF = omega.gradient_at(x), lam.gradient_at(z)
             r = np.concatenate([[omega.value_at(x), lam.value_at(z)], x - z + mu * gG, z - x + nu * gF])
+            res = float(np.abs(r).max())  # NaN for a NaN row, which no comparison passes
+            if done is not None:
+                if res <= done[-1]:
+                    done = x, z, mu, nu, res
+                break
             if not np.isfinite(r).all():
                 return None
-            if float(np.abs(r).max()) <= 1e-12 * scale:
-                return (x, z) if np.linalg.norm(x - z) <= 1e-9 * scale or (mu > 0 and nu > 0) else None
-            if k == 12:
+            if res <= 1e-12 * scale:
+                done = x, z, mu, nu, res
+            elif k == 12:
                 return None
             J[0, :n], J[1, n : 2 * n] = gG, gF
             J[2 : n + 2, :n] = eye + mu * omega.hessian_at(x)
@@ -512,9 +544,13 @@ def _kkt_pair(omega: ImplicitBody, lam: ImplicitBody, x, z, scale):
             try:
                 step = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError:
-                return None
+                if done is None:
+                    return None
+                break
             x, z = x + step[:n], z + step[n : 2 * n]
             mu, nu = mu + float(step[2 * n]), nu + float(step[2 * n + 1])
+    x, z, mu, nu, _ = done
+    return (x, z) if np.linalg.norm(x - z) <= 1e-9 * scale or (mu > 0 and nu > 0) else None
 
 
 def closest_pair(omega: ImplicitBody, lam: ImplicitBody):
@@ -699,35 +735,53 @@ def seed_boundary(
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Ordered solved points along one component of the shadow boundary."""
+    """Ordered solved points along one component of the shadow boundary,
+    held as columns: row k of ``states`` ``(N, 2n+1)``, ``residual``,
+    ``sigma_min``, ``sigma_max`` ``(N,)``, ``tangents`` ``(N, 2n+1)`` and
+    ``iterations`` ``(N,)`` is the k-th point as ``ProjectionPoint``
+    describes it, row 0 the start.  ``points`` builds those points on
+    demand; the CSV and JSON writers read the columns."""
 
-    points: list
+    states: np.ndarray
+    residual: np.ndarray
+    sigma_min: np.ndarray
+    sigma_max: np.ndarray
+    tangents: np.ndarray
+    iterations: np.ndarray
     closed: bool
     arc_length: float
     step: float
     diagnostics: str = ""
 
+    @property
+    def points(self) -> list:
+        """The rows as ProjectionPoints, built on each access."""
+        n = self.states.shape[1] // 2
+        return [ProjectionPoint(z[:n], z[n : 2 * n], float(z[2 * n]), float(r), float(s0), float(s1), v, int(k))
+                for z, r, s0, s1, v, k in zip(self.states, self.residual, self.sigma_min, self.sigma_max,
+                                              self.tangents, self.iterations)]
+
     def __len__(self):
-        return len(self.points)
+        return len(self.states)
 
     def y_points(self) -> np.ndarray:
-        return np.array([p.y for p in self.points])
+        n = self.states.shape[1] // 2
+        return self.states[:, n : 2 * n]
 
     def to_csv(self, path):
-        n = self.points[0].y.shape[0]
+        n = self.states.shape[1] // 2
         header = [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)] + ["t", "residual", "sigma_min"]
-        rows = [[*p.x, *p.y, p.t, p.residual, p.sigma_min] for p in self.points]
-        illumination.write_csv_table(path, header, rows)
+        illumination.write_csv_table(path, header, np.column_stack([self.states, self.residual, self.sigma_min]))
 
     def to_json(self, path, metadata: dict | None = None):
         doc = {
             "closed": self.closed,
-            "n_points": len(self.points),
+            "n_points": len(self),
             "arc_length": self.arc_length,
             "step": self.step,
             "diagnostics": self.diagnostics,
-            "min_sigma_min": min(p.sigma_min for p in self.points),
-            "max_residual": max(p.residual for p in self.points),
+            "min_sigma_min": float(self.sigma_min.min()),
+            "max_residual": float(self.residual.max()),
         }
         if metadata:
             doc.update(metadata)
@@ -888,11 +942,11 @@ def _stacked_trace(omega: ImplicitBody, lam: ImplicitBody, start: ProjectionPoin
     return Z, res, rounds, float(jumps.sum()) + closure
 
 
-def _check_health(point: ProjectionPoint, what: str):
+def _check_health(sigma_min, sigma_max, what: str):
     """RankDeficiencyError, led by ``what``, when sigma_min falls under
     ``SIGMA_TRACE_TOL * sigma_max`` at a point of the trace."""
-    if point.sigma_min < SIGMA_TRACE_TOL * point.sigma_max:
-        raise RankDeficiencyError(f"{what} (sigma_min/sigma_max = {point.sigma_min / point.sigma_max:.3g})")
+    if sigma_min < SIGMA_TRACE_TOL * sigma_max:
+        raise RankDeficiencyError(f"{what} (sigma_min/sigma_max = {sigma_min / sigma_max:.3g})")
 
 
 def trace_boundary(
@@ -919,9 +973,11 @@ def trace_boundary(
     bounds step 0's memory).  A refusal anywhere, including an arc that
     crosses D = 0 twice on its radial grid, runs the sequential trace below
     instead, unchanged.  The solved points of either path take the
-    certification of ``solve_boundary_point`` (``_certified``: one full SVD
-    of the Jacobian, one stacked for step 0, and the rank warning) and the
-    trace's rank error below.
+    certification of ``solve_boundary_point`` (``_certified``: t > 0, the
+    rank warning and the trace's rank error below), the sequential points
+    one full SVD each and step 0's points, as one stack, a values-only SVD
+    and a QR of J^T for their tangents (either sign).  The trace holds the
+    points as columns, start's row first.
 
     The sequential predictor is ``z + h tangent + h^2 kappa / 2``: a step along the null
     space of the defining Jacobian, bent by the curvature estimate
@@ -954,21 +1010,25 @@ def trace_boundary(
     if step >= 4.0 * lam.bounding_radius:
         bound = 4.0 * lam.bounding_radius
         raise ParameterError(f"step = {step:.6g} is not below twice the target's diameter bound ({bound:.6g})")
-    points = [start]
+    n = omega.dim
+    # the trace's columns: states, residuals, sigma_min, sigma_max, tangents and iterations, start's row first
+    cols = [start.state], [start.residual], [start.sigma_min], [start.sigma_max], [start.tangent], [start.iterations]
     if max_steps <= 0:
-        return BoundaryTrace([start], False, 0.0, step, "max_steps = 0")
+        return BoundaryTrace(*map(np.array, cols), False, 0.0, step, "max_steps = 0")
 
-    _check_health(start, "start point is rank deficient")
+    _check_health(start.sigma_min, start.sigma_max, "start point is rank deficient")
     drop = "rank drop along the trace"
     if omega.quadric is not None:
         stacked = _stacked_trace(omega, lam, start, step, max_steps, tol)
         if stacked is not None:
             Z, res, rounds, arc = stacked
-            return BoundaryTrace([start, *_certified(omega, lam, Z, res, rounds, drop)[0]], True, arc, step)
+            smin, smax, tangents, _ = _certified(omega, lam, Z, drop)
+            rows = Z, res, smin, smax, tangents, rounds
+            return BoundaryTrace(*map(np.concatenate, zip(cols, rows)), True, arc, step)
 
     h, h_min, h_max = step, step / 16.0, step
     tangent, z = start.tangent, start.state
-    pinv = _certified(omega, lam, z, [start.residual], [start.iterations])[1]
+    pinv = _certified(omega, lam, z)[3]
     kappa = np.zeros_like(z)  # tangent turn per unit length between the last two points
     easy, closed, diagnostics, arc, left = 0, False, "", 0.0, False
     for k in range(max_steps):
@@ -988,17 +1048,17 @@ def trace_boundary(
             jump = float(np.linalg.norm(w - z))
             if jump > 3.0 * h + 1e-12:
                 raise NoConvergenceError(f"corrector jumped {jump:.3g} for step {h:.3g}")
-            (pt,), pinv = _certified(omega, lam, w, [res], [iters], drop)
+            smin, smax, null, pinv = _certified(omega, lam, w, drop)
         except NoConvergenceError as exc:
             if h <= h_min * 1.0001:
                 # certify the failure region: a flat contact direction shows
                 # up as collapsed conditioning at the predictor or at the
                 # last corrected point
                 sv = np.linalg.svd(boundary_jacobian(omega, lam, predictor), compute_uv=False)
-                last = points[-1]
+                last_min, last_max = cols[2][-1], cols[3][-1]  # the last accepted point's sigmas
                 rel = [
                     sv[-1] / sv[0] if sv[0] > 0 else 0.0,
-                    last.sigma_min / last.sigma_max if last.sigma_max > 0 else 0.0,
+                    last_min / last_max if last_max > 0 else 0.0,
                 ]
                 if min(rel) < NEAR_SINGULAR_TOL:
                     raise RankDeficiencyError(
@@ -1011,13 +1071,14 @@ def trace_boundary(
             easy = 0
             continue
 
-        arc += float(np.linalg.norm(pt.y - points[-1].y))
-        points.append(pt)
-        turned = -pt.tangent if float(np.dot(pt.tangent, tangent)) < 0 else pt.tangent
+        arc += float(np.linalg.norm(w[n : 2 * n] - z[n : 2 * n]))
+        for col, value in zip(cols, (w, res, smin, smax, null, iters)):
+            col.append(value)
+        turned = -null if float(np.dot(null, tangent)) < 0 else null
         kappa = (turned - tangent) / jump
         tangent, z = turned, w
 
-        if pt.iterations <= 3:
+        if iters <= 3:
             easy += 1
             if easy >= 3:
                 h = min(2.0 * h, h_max)
@@ -1025,7 +1086,7 @@ def trace_boundary(
         else:
             easy = 0
 
-        back = float(np.linalg.norm(pt.y - start.y))
+        back = float(np.linalg.norm(w[n : 2 * n] - start.y))
         left = left or back >= step
         if k >= 10 and left and back < step / 2.0:
             closed = True
@@ -1034,7 +1095,7 @@ def trace_boundary(
     else:
         diagnostics = diagnostics or "max_steps reached without closure"
 
-    return BoundaryTrace(points, closed, arc, step, diagnostics)
+    return BoundaryTrace(*map(np.array, cols), closed, arc, step, diagnostics)
 
 
 # ---------------------------------------------------------------------------

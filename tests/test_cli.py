@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import cli, errors, projection
+from umbra import bodies, cli, errors, projection
 from umbra.cli import main
-from umbra.illumination import ShadowCurve
+from umbra.illumination import Direction, ShadowCurve, shadow_boundary_sweep, shadow_horizon_point
+
+import oracles
 
 
 def write_spec(tmp_path, name, doc):
@@ -61,6 +63,31 @@ def test_default_shadow_then_holder_pipeline(tmp_path):
     assert main(["shadow", spec, "--u", "1", "0.3", "0.2", "--out", out]) == 0
     assert len(ShadowCurve.from_csv(out)) == 65
     assert main(["diagnose", out, "holder"]) == 0
+
+
+def test_default_shadow_on_a_very_thin_ellipsoid_matches_the_closed_form(tmp_path):
+    # a posed ellipsoid with axes 1 : 0.1 : 0.003: its horizon chart needs a
+    # domain radius near 1.2e-4 of the bounding radius, below the 0.0039 of
+    # a probe that stopped after 8 halvings.  The default pipeline exits 0
+    # with every sample, each gamma on the plane-line-quadric closed form
+    axes, rot, center = [1.0, 0.1, 0.003], [[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6]], [0.5, 0.3, 3.6]
+    spec = write_spec(tmp_path, "pecc.json", {"family": "ellipsoid", "params": {"semiaxes": axes},
+                                              "pose": {"rotation": rot, "translation": center}})
+    out = str(tmp_path / "pecc.csv")
+    assert main(["shadow", spec, "--u", "0.2", "-0.5", "0.9", "--out", out]) == 0
+    got = ShadowCurve.from_csv(out)
+    # the same pipeline through the library, for the chart frame the CSV does not hold
+    body = bodies.ellipsoid(axes, bodies.Pose(np.array(rot, float), center))
+    u = Direction.normalized([0.2, -0.5, 0.9])
+    chart = bodies.chart_at(body, shadow_horizon_point(body, u, np.random.default_rng(0)))
+    assert 1e-4 < chart.domain_radius < 0.0039
+    curve = shadow_boundary_sweep(chart, u, np.linspace(-0.5, 0.5, 65) * chart.domain_radius)
+    assert len(got) == len(curve) == 65 and np.array_equal(got.gamma, curve.gamma)
+    A, c = oracles.quadric_of_ellipsoid(np.array(axes), np.array(rot, float), np.array(center))
+    frame = curve.chart_frame
+    for ypp, g in zip(curve.ypp, curve.gamma):
+        want = oracles.quadric_shadow_gamma(A, c, 1.0, u.u, frame.rotation, frame.translation, ypp)
+        assert abs(g - want) <= 1e-8 * chart.domain_radius
 
 
 def test_shadow_malformed_json(tmp_path):

@@ -29,7 +29,7 @@ from umbra.illumination import (
     shadow_boundary_sweep,
     shadow_horizon_point,
 )
-from umbra.projection import BoundaryTrace, ProjectionPoint, barrier_chart
+from umbra.projection import BoundaryTrace, barrier_chart
 
 import oracles
 
@@ -352,8 +352,11 @@ def test_csv_writers_keep_the_per_float64_bytes(tmp_path):
     header = ["ypp_1", "ypp_2", "gamma", "residual"]
     assert (tmp_path / "curve.csv").read_bytes() == _csv_bytes_per_float64(header, rolled[:, :4])
 
-    points = [ProjectionPoint(r[:3], r[3:6], *r[6:9].tolist(), 1.0, np.zeros(7)) for r in rolled]
-    BoundaryTrace(points, False, 0.0, 0.1).to_csv(tmp_path / "trace.csv")
+    k = len(rolled)  # the trace's columns: states, residual and sigma_min from the rows, then sigma_max,
+    # tangents and iterations, which the CSV does not hold
+    trace = BoundaryTrace(rolled[:, :7], rolled[:, 7], rolled[:, 8], np.ones(k), np.zeros((k, 7)), np.zeros(k, int),
+                          False, 0.0, 0.1)
+    trace.to_csv(tmp_path / "trace.csv")
     header = ["x_1", "x_2", "x_3", "y_1", "y_2", "y_3", "t", "residual", "sigma_min"]
     assert (tmp_path / "trace.csv").read_bytes() == _csv_bytes_per_float64(header, rolled[:, :9])
 

@@ -18,6 +18,7 @@ from umbra.errors import (
     RankDeficiencyError,
     RankDeficiencyWarning,
     SeedError,
+    UmbraError,
 )
 from umbra import projection as pj
 from umbra.counterexamples import cantor_contact_pair
@@ -853,7 +854,8 @@ def test_stacked_trace_points_are_ray_quadric_tangencies(seed):
     # as well conditioned as the sequential trace of the same curve
     om, lam, A, c, start = _posed_ellipsoid_pair(seed)
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
-    assert trace.closed and trace.points[0] is start and trace.diagnostics == ""
+    assert trace.closed and trace.diagnostics == ""
+    _assert_same_point(trace.points[0], start)
     _assert_ray_quadric_tangencies(trace, om, lam, A, c, pj.TOL_ROOT)
     Y = trace.y_points()
     assert np.linalg.norm(Y[-1] - Y[0]) < 0.5 * trace.step
@@ -944,8 +946,12 @@ def _assert_same_trace(got, want):
     assert (got.closed, got.arc_length, got.diagnostics) == (want.closed, want.arc_length, want.diagnostics)
     assert len(got) == len(want)
     for p, q in zip(got.points, want.points):
-        assert np.array_equal(p.state, q.state) and np.array_equal(p.tangent, q.tangent)
-        assert (p.residual, p.sigma_min, p.sigma_max, p.iterations) == (q.residual, q.sigma_min, q.sigma_max, q.iterations)
+        _assert_same_point(p, q)
+
+
+def _assert_same_point(p, q):
+    assert np.array_equal(p.state, q.state) and np.array_equal(p.tangent, q.tangent)
+    assert (p.residual, p.sigma_min, p.sigma_max, p.iterations) == (q.residual, q.sigma_min, q.sigma_max, q.iterations)
 
 
 def test_stacked_trace_builds_one_jacobian(monkeypatch):
@@ -964,6 +970,72 @@ def test_stacked_trace_builds_one_jacobian(monkeypatch):
     trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=2000)
     assert trace.closed and len(trace) > 300
     assert calls == {"boundary_jacobian": 1, "closest_pair": 0}
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_stacked_certification_matches_fresh_point_certificates(seed, tmp_path):
+    # step 0 takes its singular values from one values-only SVD of the stack
+    # and its null tangents from a complete QR of J^T: each point's sigmas
+    # match a fresh SVD of its own Jacobian, each tangent is a unit null
+    # vector, and the points built from the columns write the same files
+    om, lam, A, c, start = _posed_ellipsoid_pair(seed)
+    trace = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000)
+    assert trace.closed and trace.diagnostics == ""
+    points = trace.points
+    assert len(points) == len(trace) == len(trace.states)
+    for k, p in enumerate(points):
+        J = pj.boundary_jacobian(om, lam, p.state)
+        sv = np.linalg.svd(J, compute_uv=False)
+        assert p.sigma_min == pytest.approx(sv[-1], rel=1e-13) and p.sigma_max == pytest.approx(sv[0], rel=1e-13)
+        assert abs(np.linalg.norm(p.tangent) - 1.0) <= 1e-14
+        assert np.abs(J @ p.tangent).max() <= 1e-12 * p.sigma_max
+        assert np.array_equal(p.state, trace.states[k])
+    cols = zip(*[(p.state, p.residual, p.sigma_min, p.sigma_max, p.tangent, p.iterations) for p in points])
+    rebuilt = pj.BoundaryTrace(*map(np.array, cols), trace.closed, trace.arc_length, trace.step)
+    for tr, name in ((trace, "got"), (rebuilt, "rebuilt")):
+        tr.to_csv(tmp_path / f"{name}.csv")
+        tr.to_json(tmp_path / f"{name}.json", {"separation": 1.0})
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"rebuilt.{ext}").read_bytes()
+
+
+def _first_failure(call):
+    """The exception a call raises and the warnings it emits before that."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except UmbraError as exc:
+            return type(exc), str(exc), [str(w.message) for w in caught]
+    raise AssertionError("the call raised nothing")
+
+
+@pytest.mark.parametrize("t_row, drop_row", [(3, 7), (7, 3), (5, 5)])
+def test_stacked_certification_raises_at_its_first_bad_row(t_row, drop_row, monkeypatch):
+    # a state with t <= 0 and a Jacobian whose G row is zeroed (a rank drop)
+    # in a step-0 stack: the stack raises what the states raise one at a
+    # time in row order, each row's t error before its warning and rank
+    # error
+    om, lam, _, _, start = _posed_ellipsoid_pair(5)
+    Z = pj.trace_boundary(om, lam, start, step=0.02, max_steps=4000).states[1:].copy()
+    Z[t_row, 6] = -Z[t_row, 6]
+    dropped, build = Z[drop_row, 0], pj.boundary_jacobian
+
+    def dropping(om, lam, z):
+        J = build(om, lam, z)
+        J.reshape(-1, 6, 7)[z.reshape(-1, 7)[:, 0] == dropped, 0] = 0.0
+        return J
+
+    monkeypatch.setattr(pj, "boundary_jacobian", dropping)
+    drop = "rank drop along the trace"
+    got = _first_failure(lambda: pj._certified(om, lam, Z, drop))
+    assert got == _first_failure(lambda: [pj._certified(om, lam, z, drop) for z in Z])
+    if t_row <= drop_row:
+        assert got[:2] == (NoConvergenceError, f"solve converged to nonpositive hitting scale t = {Z[t_row, 6]:.3g}")
+        assert got[2] == []
+    else:
+        assert got[0] is RankDeficiencyError and got[1].startswith(drop)
+        assert len(got[2]) == 1 and got[2][0].startswith("Jacobian nearly rank deficient")
 
 
 def test_trace_stops_at_a_rank_drop_on_either_path(monkeypatch):
@@ -1304,12 +1376,47 @@ def test_kkt_pair_refuses_a_stationary_pair_with_a_multiplier_below_zero(n):
 def test_kkt_pair_returns_a_common_boundary_point(n):
     # unit balls 1 apart share the boundary point p = (1/2, sqrt(3)/2, 0):
     # there x = z and mu = nu = 0, a KKT point whose gap, not its
-    # multipliers, is the verdict (the bodies overlap)
+    # multipliers, is the verdict (the bodies overlap).  The polishing step
+    # may move the point by an ulp (in R^2 it takes G and F from -1.1e-16
+    # to 0), never to a larger residual
     e = np.eye(n)[0]
     om, lam = bodies.translated_ball(e, 1.0), bodies.translated_ball(np.zeros(n), 1.0)
     p = np.array([0.5, math.sqrt(0.75), 0.0][:n])
     x, z = pj._kkt_pair(om, lam, p, p, 1.0)
-    assert np.array_equal(x, p) and np.array_equal(z, p)
+    assert np.array_equal(x, z) and np.abs(x - p).max() <= 2e-16
+    assert max(abs(om.value_at(x)), abs(lam.value_at(z))) <= abs(om.value_at(p)) == abs(lam.value_at(p))
+
+
+def _kkt_polished(om, lam, x, z, steps):
+    """The pair (x, z) after ``steps`` plain Newton steps on the KKT system
+    of the nearest pair, the multipliers first fitted to x - z by least
+    squares."""
+    n, eye = len(x), np.eye(len(x))
+    gG, gF = om.gradient_at(x), lam.gradient_at(z)
+    mu, nu = -np.dot(x - z, gG) / np.dot(gG, gG), np.dot(x - z, gF) / np.dot(gF, gF)
+    for _ in range(steps):
+        gG, gF = om.gradient_at(x), lam.gradient_at(z)
+        r = np.concatenate([[om.value_at(x), lam.value_at(z)], x - z + mu * gG, z - x + nu * gF])
+        J = np.zeros((2 * n + 2, 2 * n + 2))
+        J[0, :n], J[1, n : 2 * n] = gG, gF
+        J[2 : n + 2, :n], J[2 : n + 2, n : 2 * n], J[2 : n + 2, 2 * n] = eye + mu * om.hessian_at(x), -eye, gG
+        J[n + 2 :, :n], J[n + 2 :, n : 2 * n], J[n + 2 :, 2 * n + 1] = -eye, eye + nu * lam.hessian_at(z), gF
+        s = np.linalg.solve(J, -r)
+        x, z, mu, nu = x + s[:n], z + s[n : 2 * n], mu + s[2 * n], nu + s[2 * n + 1]
+    return x, z
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closest_pair_gap_is_polished_to_rounding(n):
+    # the iterate that meets the 1e-12 scale test takes one more Newton
+    # step, so the gap matches the pair three further steps polish (without
+    # that step it sat up to 1.2e-13 scale away)
+    rng = np.random.default_rng(4500 + n)
+    for om, lam, _ in _disjoint_quadric_pairs(n, rng, 12):
+        x, z, dist = pj.closest_pair(om, lam)
+        xp, zp = _kkt_polished(om, lam, x, z, 3)
+        scale = max(1.0, om.bounding_radius, lam.bounding_radius)
+        assert abs(dist - float(np.linalg.norm(xp - zp))) <= 1e-15 * scale
 
 
 def test_closest_pair_on_a_kinked_body_keeps_the_alternating_rounds(monkeypatch):
